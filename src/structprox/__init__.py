@@ -14,10 +14,6 @@ from .core import (
     expand_columns,
     expand_overlap,
     flat_length,
-    flatten_interaction,
-    group_block,
-    interaction_block,
-    unflatten_interaction,
 )
 from .evaluation import (
     CvResult,
@@ -39,7 +35,6 @@ from .evaluation import (
 from .objective import (
     Design,
     ObjectiveValue,
-    linear_predictor,
     log_posterior_unnormalized,
     margins,
     objective,
@@ -54,10 +49,8 @@ from .preprocessing import (
     load_scaler,
     make_design,
     save_scaler,
-    transform,
 )
 from .solver import (
-    ProxStep,
     ScreeningResult,
     SolverFailure,
     SolverState,

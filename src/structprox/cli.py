@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: ``fit``, ``cv``, ``screen``, ``predict``, ``generate``.  A
-config file of ``key=value`` lines (keys match the long flag names) may
-supply any option; explicit flags override the file.  Exit codes: 0 on
-success, 1 on invalid input, 2 on solver failure.  Primary output files
-are deterministic for a fixed config and seed.
+config file of ``key=value`` lines (keys match the long flag names), given
+with ``--config`` after the subcommand, may supply any option; explicit
+flags override the file.  Exit codes: 0 on success, 1 on invalid input,
+2 on solver failure.  Primary output files are deterministic for a fixed
+config and seed.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import argparse
 import os
 import sys
 import time
-
-import numpy as np
 
 from . import dataio
 from .core import Dataset, Hyperparameters, VARIANTS
@@ -47,8 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _parse_config_file(path) -> dict:
-    """Read ``key=value`` lines; blank lines and ``#`` comments allowed."""
+def _parse_config_file(path, options) -> dict:
+    """Read ``key=value`` lines into ``{option dest: raw string}``.
+
+    Blank lines and ``#`` comments are allowed.  Keys may use either hyphens
+    or underscores (``max-iters``/``max_iters``) and must name one of
+    ``options``.  The values stay strings: set as parser defaults, argparse
+    converts them through each option's ``type`` when it parses.
+    """
     settings = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -60,28 +65,11 @@ def _parse_config_file(path) -> dict:
                     "%s: line %d is not a key=value setting" % (path, lineno)
                 )
             key, _, value = text.partition("=")
-            settings[key.strip()] = value.strip()
+            dest = key.strip().replace("-", "_")
+            if dest not in options:
+                raise ValueError("config file sets unknown option '%s'" % key.strip())
+            settings[dest] = value.strip()
     return settings
-
-
-def _apply_config(args, parser: argparse.ArgumentParser, config: dict) -> None:
-    """Fill options the command line left unset from the config mapping.
-
-    Keys may use either hyphens or underscores (``max-iters``/``max_iters``).
-    """
-    actions = {}
-    for action in parser._actions:
-        if not action.option_strings or action.dest in ("help", "config"):
-            continue
-        actions[action.dest] = action
-    for key, raw in config.items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise ValueError("config file sets unknown option '%s'" % key)
-        action = actions[dest]
-        if getattr(args, action.dest, None) is None:
-            value = action.type(raw) if action.type is not None else raw
-            setattr(args, action.dest, value)
 
 
 def _require(args, names: dict) -> None:
@@ -90,28 +78,13 @@ def _require(args, names: dict) -> None:
             raise ValueError("missing required option %s" % flag)
 
 
-def _defaults(args, values: dict) -> None:
-    for dest, value in values.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-
-
 def _add_data_options(sp) -> None:
     sp.add_argument("--genetic", type=str, help="genetic feature CSV")
     sp.add_argument("--imaging", type=str, help="imaging feature CSV")
     sp.add_argument("--labels", type=str, help="0/1 label CSV")
     sp.add_argument("--groups", type=str, help="group definition file")
     sp.add_argument("--normalization", type=str, choices=NORMALIZATION_MODES,
-                    help="column scaling mode (default sd)")
-
-
-def _add_lambda_options(sp) -> None:
-    sp.add_argument("--lambda-w", type=float, dest="lambda_w",
-                    help="interaction penalty strength")
-    sp.add_argument("--lambda-i", type=float, dest="lambda_i",
-                    help="imaging penalty strength")
-    sp.add_argument("--lambda-g", type=float, dest="lambda_g",
-                    help="genetic penalty strength")
+                    default="sd", help="column scaling mode (default sd)")
 
 
 def _load_data(args):
@@ -159,10 +132,6 @@ def cmd_fit(args) -> int:
         "genetic": "--genetic", "imaging": "--imaging", "labels": "--labels",
         "groups": "--groups", "lambda_w": "--lambda-w", "lambda_i": "--lambda-i",
         "lambda_g": "--lambda-g",
-    })
-    _defaults(args, {
-        "variant": "multilevel", "normalization": "sd", "out": "structprox-fit",
-        "tol": 1e-5, "max_iters": 10000,
     })
     started = time.time()
     d, gs, g_names, i_names = _load_data(args)
@@ -267,11 +236,6 @@ def cmd_cv(args) -> int:
         "genetic": "--genetic", "imaging": "--imaging", "labels": "--labels",
         "groups": "--groups",
     })
-    _defaults(args, {
-        "variant": "multilevel", "normalization": "sd", "out": "structprox-cv",
-        "folds": 10, "grid": "7", "seed": 0, "selection": "nested",
-        "inner_folds": 3, "threshold": 0.5,
-    })
     d, gs, _, _ = _load_data(args)
     variants = _parse_variants(args.variant)
     w_values, i_values, g_values = _parse_grid(args.grid)
@@ -349,7 +313,6 @@ def cmd_screen(args) -> int:
         "genetic": "--genetic", "imaging": "--imaging", "labels": "--labels",
         "groups": "--groups",
     })
-    _defaults(args, {"normalization": "sd"})
     d, gs, _, _ = _load_data(args)
     record = fit_scaler(d, args.normalization)
     design = make_design(d, gs, record)
@@ -367,7 +330,7 @@ def cmd_screen(args) -> int:
         )
     text = "\n".join(lines)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "screen.txt"), "w") as fh:
             fh.write(text + "\n")
@@ -397,7 +360,6 @@ def cmd_predict(args) -> int:
         "model": "--model", "scaler": "--scaler", "groups": "--groups",
         "genetic": "--genetic", "imaging": "--imaging",
     })
-    _defaults(args, {"threshold": 0.5, "out": "structprox-predict"})
     params, variant = dataio.load_params(args.model)
     record = load_scaler(args.scaler)
     g_names, genetic = dataio.load_matrix_csv(args.genetic)
@@ -433,11 +395,6 @@ def cmd_predict(args) -> int:
 
 def cmd_generate(args) -> int:
     _require(args, {"out": "--out"})
-    _defaults(args, {
-        "samples": 200, "imaging_count": 6, "groups_count": 10, "group_size": 5,
-        "overlap": 0.0, "active_groups": 2, "effect_w": 0.0, "effect_i": 0.0,
-        "effect_g": 1.0, "intercept": 0.0, "noise": 0.0, "seed": 0,
-    })
     spec = SyntheticSpec(
         n_samples=args.samples,
         n_imaging=args.imaging_count,
@@ -461,95 +418,103 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The top-level parser and a dict of its per-command parsers."""
     parser = _Parser(prog="structprox", description=__doc__)
-    parser.add_argument("--config", type=str, help="key=value settings file")
     sub = parser.add_subparsers(dest="command")
+    commands = {}
 
-    sp = sub.add_parser("fit", help="train one model", add_help=True)
+    sp = commands["fit"] = sub.add_parser("fit", help="train one model")
     _add_data_options(sp)
-    _add_lambda_options(sp)
-    sp.add_argument("--variant", type=str, help="model variant (default multilevel)")
-    sp.add_argument("--tol", type=float, help="relative objective tolerance")
-    sp.add_argument("--max-iters", type=int, dest="max_iters", help="iteration cap")
+    sp.add_argument("--lambda-w", type=float, dest="lambda_w",
+                    help="interaction penalty strength")
+    sp.add_argument("--lambda-i", type=float, dest="lambda_i",
+                    help="imaging penalty strength")
+    sp.add_argument("--lambda-g", type=float, dest="lambda_g",
+                    help="genetic penalty strength")
+    sp.add_argument("--variant", type=str, default="multilevel",
+                    help="model variant (default multilevel)")
+    sp.add_argument("--tol", type=float, default=1e-5, help="relative objective tolerance")
+    sp.add_argument("--max-iters", type=int, dest="max_iters", default=10000,
+                    help="iteration cap")
     sp.add_argument("--seed", type=int, help="unused by fit; accepted for config reuse")
-    sp.add_argument("--out", type=str, help="output directory")
+    sp.add_argument("--out", type=str, default="structprox-fit", help="output directory")
     sp.set_defaults(func=cmd_fit)
 
-    sp = sub.add_parser("cv", help="cross-validate over a grid", add_help=True)
+    sp = commands["cv"] = sub.add_parser("cv", help="cross-validate over a grid")
     _add_data_options(sp)
-    sp.add_argument("--folds", type=int, help="number of folds (default 10)")
-    sp.add_argument("--grid", type=str,
+    sp.add_argument("--folds", type=int, default=10, help="number of folds (default 10)")
+    sp.add_argument("--grid", type=str, default="7",
                     help="point count or 'w=...;i=...;g=...' lists (default 7)")
-    sp.add_argument("--variant", type=str,
+    sp.add_argument("--variant", type=str, default="multilevel",
                     help="comma-separated variants (default multilevel)")
-    sp.add_argument("--selection", type=str,
+    sp.add_argument("--selection", type=str, default="nested",
                     help="grid selection: nested (default) or oracle")
-    sp.add_argument("--inner-folds", type=int, dest="inner_folds",
+    sp.add_argument("--inner-folds", type=int, dest="inner_folds", default=3,
                     help="inner folds for nested selection (default 3)")
-    sp.add_argument("--threshold", type=float, help="decision threshold (default 0.5)")
-    sp.add_argument("--seed", type=int, help="fold shuffling seed (default 0)")
-    sp.add_argument("--out", type=str, help="output directory")
+    sp.add_argument("--threshold", type=float, default=0.5,
+                    help="decision threshold (default 0.5)")
+    sp.add_argument("--seed", type=int, default=0, help="fold shuffling seed (default 0)")
+    sp.add_argument("--out", type=str, default="structprox-cv", help="output directory")
     sp.set_defaults(func=cmd_cv)
 
-    sp = sub.add_parser("screen", help="critical penalty strengths", add_help=True)
+    sp = commands["screen"] = sub.add_parser("screen", help="critical penalty strengths")
     _add_data_options(sp)
     sp.add_argument("--out", type=str, help="optional output directory")
     sp.set_defaults(func=cmd_screen)
 
-    sp = sub.add_parser("predict", help="score new samples", add_help=True)
+    sp = commands["predict"] = sub.add_parser("predict", help="score new samples")
     sp.add_argument("--model", type=str, help="params.txt from a fit")
     sp.add_argument("--scaler", type=str, help="scaler.txt from the same fit")
     sp.add_argument("--groups", type=str, help="group definition file")
     sp.add_argument("--genetic", type=str, help="genetic feature CSV")
     sp.add_argument("--imaging", type=str, help="imaging feature CSV")
-    sp.add_argument("--threshold", type=float, help="decision threshold (default 0.5)")
-    sp.add_argument("--out", type=str, help="output directory")
+    sp.add_argument("--threshold", type=float, default=0.5,
+                    help="decision threshold (default 0.5)")
+    sp.add_argument("--out", type=str, default="structprox-predict", help="output directory")
     sp.set_defaults(func=cmd_predict)
 
-    sp = sub.add_parser("generate", help="write a synthetic dataset", add_help=True)
-    sp.add_argument("--samples", type=int, help="sample count (default 200)")
-    sp.add_argument("--imaging-count", type=int, dest="imaging_count",
+    sp = commands["generate"] = sub.add_parser("generate", help="write a synthetic dataset")
+    sp.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
+    sp.add_argument("--imaging-count", type=int, dest="imaging_count", default=6,
                     help="imaging feature count (default 6)")
-    sp.add_argument("--groups-count", type=int, dest="groups_count",
+    sp.add_argument("--groups-count", type=int, dest="groups_count", default=10,
                     help="group count (default 10)")
-    sp.add_argument("--group-size", type=int, dest="group_size",
+    sp.add_argument("--group-size", type=int, dest="group_size", default=5,
                     help="features per group (default 5)")
-    sp.add_argument("--overlap", type=float, help="shared fraction between neighbours")
-    sp.add_argument("--active-groups", type=int, dest="active_groups",
+    sp.add_argument("--overlap", type=float, default=0.0,
+                    help="shared fraction between neighbours")
+    sp.add_argument("--active-groups", type=int, dest="active_groups", default=2,
                     help="planted active groups (default 2)")
-    sp.add_argument("--effect-w", type=float, dest="effect_w",
+    sp.add_argument("--effect-w", type=float, dest="effect_w", default=0.0,
                     help="interaction effect size")
-    sp.add_argument("--effect-i", type=float, dest="effect_i",
+    sp.add_argument("--effect-i", type=float, dest="effect_i", default=0.0,
                     help="imaging effect size")
-    sp.add_argument("--effect-g", type=float, dest="effect_g",
+    sp.add_argument("--effect-g", type=float, dest="effect_g", default=1.0,
                     help="genetic effect size")
-    sp.add_argument("--intercept", type=float, help="planted intercept")
-    sp.add_argument("--noise", type=float, help="label flip probability")
-    sp.add_argument("--seed", type=int, help="generator seed (default 0)")
+    sp.add_argument("--intercept", type=float, default=0.0, help="planted intercept")
+    sp.add_argument("--noise", type=float, default=0.0, help="label flip probability")
+    sp.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     sp.add_argument("--out", type=str, help="output directory")
     sp.set_defaults(func=cmd_generate)
 
-    for command_parser in sub.choices.values():
-        command_parser.add_argument(
-            "--config", type=str, help="key=value settings file"
-        )
-    return parser
+    for command_parser in commands.values():
+        command_parser.add_argument("--config", type=str, help="key=value settings file")
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
+        if args.command is None:
             raise ValueError("no command given; expected one of fit, cv, screen, predict, generate")
         if args.config:
-            config = _parse_config_file(args.config)
-            command_parser = None
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    command_parser = action.choices[args.command]
-            _apply_config(args, command_parser, config)
+            # Second parse: the file's settings become the command's defaults.
+            command_parser = commands[args.command]
+            options = set(vars(command_parser.parse_args([]))) - {"config", "func"}
+            command_parser.set_defaults(**_parse_config_file(args.config, options))
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -1,11 +1,16 @@
 """Core domain types: overlapping feature groups, two-modality datasets,
-model parameters, and the flat parameter layout shared by the objective
-and the solver."""
+model parameters, and penalty settings.
+
+``ParameterSet`` is the one place that knows the parameter layout: a single
+float64 buffer holding the row-major interaction matrix, the imaging
+coefficients, the expanded genetic coefficients and the intercept, with
+each block exposed as a view.  The objective fills its gradient and the
+solver writes its proximal steps through these views, so the flat vector
+and the blocks are never copied into one another."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +22,6 @@ __all__ = [
     "Hyperparameters",
     "expand_overlap",
     "expand_columns",
-    "flatten_interaction",
-    "unflatten_interaction",
-    "group_block",
-    "interaction_block",
     "flat_length",
 ]
 
@@ -202,86 +203,115 @@ class Dataset:
         )
 
 
-@dataclass
-class ParameterSet:
-    """Model parameters.
+def _block(name: str, doc: str) -> property:
+    """A parameter block: reading gives the view into the buffer, assigning
+    copies new values of the same shape into it."""
+    slot = "_" + name
 
-    ``interaction`` is the (n_imaging, expanded_size) matrix coupling the
-    two modalities, ``imaging`` and ``genetic`` are the marginal
-    coefficient vectors (genetic in expanded coordinates), and
-    ``intercept`` is the scalar offset.
+    def get(self) -> np.ndarray:
+        return getattr(self, slot)
+
+    def set(self, value) -> None:
+        view = getattr(self, slot)
+        value = np.asarray(value, dtype=float)
+        if value.shape != view.shape:
+            raise ValueError(
+                "%s must have shape %r, got %r" % (name, view.shape, value.shape)
+            )
+        view[...] = value
+
+    return property(get, set, doc=doc)
+
+
+class ParameterSet:
+    """Model parameters in one contiguous float64 buffer.
+
+    The buffer holds, in order, the row-major (n_imaging, expanded_size)
+    ``interaction`` matrix coupling the two modalities, the ``imaging``
+    and ``genetic`` marginal coefficient vectors (genetic in expanded
+    coordinates), and the scalar ``intercept``.  The three array
+    attributes are views into the buffer: writing their entries changes
+    :meth:`flat`, and assigning one of them copies the new values into the
+    buffer rather than rebinding it.
     """
 
-    interaction: np.ndarray
-    imaging: np.ndarray
-    genetic: np.ndarray
-    intercept: float
+    __slots__ = ("_flat", "_interaction", "_imaging", "_genetic")
 
-    def __post_init__(self):
-        self.interaction = np.asarray(self.interaction, dtype=float)
-        self.imaging = np.asarray(self.imaging, dtype=float)
-        self.genetic = np.asarray(self.genetic, dtype=float)
-        self.intercept = float(self.intercept)
-        if self.interaction.ndim != 2:
-            raise ValueError(
-                "interaction must be 2-D, got shape %r" % (self.interaction.shape,)
-            )
-        if self.imaging.ndim != 1 or self.genetic.ndim != 1:
-            raise ValueError("imaging and genetic coefficients must be 1-D")
-        if self.interaction.shape != (self.imaging.size, self.genetic.size):
-            raise ValueError(
-                "interaction shape %r does not match imaging %d x genetic %d"
-                % (self.interaction.shape, self.imaging.size, self.genetic.size)
-            )
+    def __init__(self, interaction, imaging, genetic, intercept):
+        # The block setters check every shape against the buffer's layout.
+        n_imaging, expanded_size = np.size(imaging), np.size(genetic)
+        self._bind(np.empty(flat_length(n_imaging, expanded_size)), n_imaging, expanded_size)
+        self.interaction = interaction
+        self.imaging = imaging
+        self.genetic = genetic
+        self.intercept = intercept
+
+    def _bind(self, w: np.ndarray, n_imaging: int, expanded_size: int) -> None:
+        cut1 = n_imaging * expanded_size
+        cut2 = cut1 + n_imaging
+        self._flat = w
+        self._interaction = w[:cut1].reshape(n_imaging, expanded_size)
+        self._imaging = w[cut1:cut2]
+        self._genetic = w[cut2 : cut2 + expanded_size]
+
+    interaction = _block("interaction", "View of the (n_imaging, expanded_size) matrix.")
+    imaging = _block("imaging", "View of the imaging coefficients.")
+    genetic = _block("genetic", "View of the expanded genetic coefficients.")
+
+    @property
+    def intercept(self) -> float:
+        return float(self._flat[-1])
+
+    @intercept.setter
+    def intercept(self, value) -> None:
+        self._flat[-1] = float(value)
 
     @classmethod
     def zeros(cls, n_imaging: int, expanded_size: int) -> "ParameterSet":
-        return cls(
-            np.zeros((n_imaging, expanded_size)),
-            np.zeros(n_imaging),
-            np.zeros(expanded_size),
-            0.0,
+        return cls.from_flat(
+            np.zeros(flat_length(n_imaging, expanded_size)), n_imaging, expanded_size
         )
 
     @property
     def n_imaging(self) -> int:
-        return self.imaging.size
+        return self._imaging.size
 
     @property
     def expanded_size(self) -> int:
-        return self.genetic.size
+        return self._genetic.size
 
     def flat(self) -> np.ndarray:
-        """Concatenate (row-major interaction, imaging, genetic, intercept)."""
-        return np.concatenate(
-            [self.interaction.ravel(), self.imaging, self.genetic, [self.intercept]]
-        )
+        """The parameter buffer itself, not a copy: (row-major interaction,
+        imaging, genetic, intercept)."""
+        return self._flat
 
     @classmethod
     def from_flat(cls, w, n_imaging: int, expanded_size: int) -> "ParameterSet":
+        """Parameters whose buffer is ``w``, without copying.
+
+        A float64 vector ``w`` is aliased: writes to it show in the blocks
+        of the result and writes to the blocks show in ``w``.  Input of
+        another dtype is converted first and so is not aliased.
+        """
         w = np.asarray(w, dtype=float)
         expected = flat_length(n_imaging, expanded_size)
         if w.shape != (expected,):
             raise ValueError(
                 "flat vector has length %d, expected %d" % (w.size, expected)
             )
-        cut1 = n_imaging * expanded_size
-        cut2 = cut1 + n_imaging
-        cut3 = cut2 + expanded_size
-        return cls(
-            w[:cut1].reshape(n_imaging, expanded_size).copy(),
-            w[cut1:cut2].copy(),
-            w[cut2:cut3].copy(),
-            float(w[cut3]),
-        )
+        p = cls.__new__(cls)
+        p._bind(w, n_imaging, expanded_size)
+        return p
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(
-            self.interaction.copy(),
-            self.imaging.copy(),
-            self.genetic.copy(),
-            self.intercept,
+        """Independent parameters with their own buffer."""
+        return ParameterSet.from_flat(
+            self._flat.copy(), self.n_imaging, self.expanded_size
         )
+
+    def __reduce__(self):
+        # Pickling and deep copies rebuild the views on one buffer.
+        return ParameterSet.from_flat, (self._flat, self.n_imaging, self.expanded_size)
 
 
 @dataclass
@@ -353,48 +383,6 @@ def expand_columns(X, gs: GroupStructure) -> np.ndarray:
             "expected a matrix with %d columns, got shape %r" % (gs.n_features, X.shape)
         )
     return X[:, gs.expansion_index]
-
-
-def flatten_interaction(W) -> np.ndarray:
-    """Row-major flattening: entry (i, g) lands at position i * n_cols + g."""
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise ValueError("expected a matrix, got shape %r" % (W.shape,))
-    return W.ravel(order="C").copy()
-
-
-def unflatten_interaction(v, n_rows: int, n_cols: int) -> np.ndarray:
-    """Inverse of :func:`flatten_interaction` for the given shape."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n_rows * n_cols,):
-        raise ValueError(
-            "flat vector has length %d, expected %d" % (v.size, n_rows * n_cols)
-        )
-    return v.reshape(n_rows, n_cols).copy()
-
-
-def group_block(v, gs: GroupStructure, l: int) -> np.ndarray:
-    """View of group ``l`` inside an expanded coefficient vector."""
-    v = np.asarray(v)
-    if v.shape != (gs.expanded_size,):
-        raise ValueError(
-            "expected an expanded vector of length %d, got shape %r"
-            % (gs.expanded_size, v.shape)
-        )
-    return v[gs.block(l)]
-
-
-def interaction_block(W, gs: GroupStructure, i: int, l: int) -> np.ndarray:
-    """View of row ``i``, group ``l`` inside an interaction matrix."""
-    W = np.asarray(W)
-    if W.ndim != 2 or W.shape[1] != gs.expanded_size:
-        raise ValueError(
-            "expected a matrix with %d columns, got shape %r"
-            % (gs.expanded_size, W.shape)
-        )
-    if not 0 <= i < W.shape[0]:
-        raise ValueError("row index %d outside [0, %d)" % (i, W.shape[0]))
-    return W[i, gs.block(l)]
 
 
 def flat_length(n_imaging: int, expanded_size: int) -> int:

@@ -8,6 +8,7 @@ loading reproduces the stored float64 values exactly.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 
 import numpy as np
 
@@ -32,7 +33,8 @@ _PARAMS_HEADER = "structprox-params v1"
 def load_matrix_csv(path):
     """Read a feature matrix CSV with a header row.
 
-    Returns ``(column_names, matrix)`` with the matrix as float64.
+    Returns ``(column_names, matrix)`` with the matrix as float64.  Column
+    names must be distinct, because prediction matches columns by name.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -41,6 +43,11 @@ def load_matrix_csv(path):
         except StopIteration:
             raise ValueError("%s: empty file, expected a header row" % path)
         names = [n.strip() for n in names]
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ValueError(
+                "%s: column name '%s' appears twice in the header" % (path, repeated[0])
+            )
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -7,8 +7,9 @@ The decision value of a sample is
 where ``x_G`` is the expanded genetic vector, ``x_I`` the imaging vector,
 and ``C`` the matrix of (optionally standardized) pairwise products
 ``x_I[i] * x_G[g]``.  The empirical risk is the mean logistic loss and the
-penalty combines group norms on the interaction rows and the genetic
-coefficients with a squared norm on the imaging coefficients.
+penalty combines group norms on the (imaging row, group) blocks of the
+interaction matrix and on the genetic groups with a squared norm on the
+imaging coefficients.
 """
 
 from __future__ import annotations
@@ -17,20 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet, expand_columns
+from .core import (
+    Dataset, GroupStructure, Hyperparameters, ParameterSet, expand_columns, flat_length,
+)
 
 __all__ = [
     "Design",
     "ObjectiveValue",
     "sigmoid",
-    "linear_predictor",
     "margins",
     "risk",
     "risk_gradient",
     "penalty",
     "objective",
     "log_posterior_unnormalized",
-    "split_flat",
 ]
 
 
@@ -121,20 +122,6 @@ class Design:
     def expanded_size(self) -> int:
         return self.genetic.shape[1]
 
-    def cross_value(self, k: int, i: int, g: int) -> float:
-        """Product feature of sample ``k`` at imaging row ``i``, genetic column ``g``."""
-        v = self.imaging[k, i] * self.genetic[k, g]
-        if self.cross_mean is not None:
-            v = (v - self.cross_mean[i, g]) / self.cross_scale[i, g]
-        return float(v)
-
-    def cross_matrix(self, k: int) -> np.ndarray:
-        """Full (n_imaging, expanded_size) product-feature matrix of sample ``k``."""
-        C = np.outer(self.imaging[k], self.genetic[k])
-        if self.cross_mean is not None:
-            C = (C - self.cross_mean) / self.cross_scale
-        return C
-
 
 @dataclass(frozen=True)
 class ObjectiveValue:
@@ -171,24 +158,6 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
     return m
 
 
-def linear_predictor(
-    p: ParameterSet,
-    genetic_expanded,
-    imaging,
-    cross_mean=None,
-    cross_scale=None,
-    variant: str = "multilevel",
-) -> float:
-    """Decision value of one sample given as plain vectors."""
-    genetic_expanded = np.asarray(genetic_expanded, dtype=float)
-    imaging = np.asarray(imaging, dtype=float)
-    design = Design(
-        imaging[None, :], genetic_expanded[None, :], np.zeros(1, dtype=int),
-        cross_mean, cross_scale,
-    )
-    return float(margins(p, design, variant)[0])
-
-
 def risk(p: ParameterSet, design: Design, variant: str = "multilevel") -> float:
     """Mean logistic loss (1/N) sum_k [-y_k m_k + log(1 + e^{m_k})]."""
     if design.n_samples < 1:
@@ -201,55 +170,36 @@ def risk(p: ParameterSet, design: Design, variant: str = "multilevel") -> float:
 def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.ndarray:
     """Flat gradient of the empirical risk.
 
-    Layout matches ``ParameterSet.flat``: row-major interaction block,
-    imaging block, genetic block, intercept.  Blocks pinned at zero by the
-    variant are returned as zeros (they never enter an update).  Sample
-    contributions are reduced with numpy sums, which keeps the reduction
-    order fixed for a given shape.
+    The vector is the buffer of a ``ParameterSet`` whose blocks hold the
+    gradient with respect to the matching parameter blocks, so
+    ``ParameterSet.from_flat`` gives block views of it.  Blocks pinned at
+    zero by the variant are returned as zeros (they never enter an update).
+    Sample contributions are reduced with numpy sums, which keeps the
+    reduction order fixed for a given shape.
     """
     m = margins(p, design, variant)
     r = sigmoid(m) - design.labels
     n = design.n_samples
-    rbar = float(r.mean())
-    if variant == "additive":
-        gw = np.zeros_like(p.interaction)
-    else:
+    out = np.zeros(flat_length(design.n_imaging, design.expanded_size))
+    grad = ParameterSet.from_flat(out, design.n_imaging, design.expanded_size)
+    grad.intercept = r.mean()
+    if variant != "additive":
         gw = design.imaging.T @ (r[:, None] * design.genetic) / n
         if design.cross_mean is not None:
-            gw = (gw - rbar * design.cross_mean) / design.cross_scale
-    if variant == "multiplicative":
-        gi = np.zeros_like(p.imaging)
-        gg = np.zeros_like(p.genetic)
-    else:
-        gi = design.imaging.T @ r / n
-        gg = design.genetic.T @ r / n
-    return np.concatenate([gw.ravel(), gi, gg, [rbar]])
-
-
-def split_flat(w, n_imaging: int, expanded_size: int):
-    """Views of a flat vector as (interaction matrix, imaging, genetic, intercept)."""
-    w = np.asarray(w)
-    cut1 = n_imaging * expanded_size
-    cut2 = cut1 + n_imaging
-    cut3 = cut2 + expanded_size
-    if w.shape != (cut3 + 1,):
-        raise ValueError(
-            "flat vector has length %d, expected %d" % (w.size, cut3 + 1)
-        )
-    return (
-        w[:cut1].reshape(n_imaging, expanded_size),
-        w[cut1:cut2],
-        w[cut2:cut3],
-        float(w[cut3]),
-    )
+            gw = (gw - grad.intercept * design.cross_mean) / design.cross_scale
+        grad.interaction = gw
+    if variant != "multiplicative":
+        grad.imaging = design.imaging.T @ r / n
+        grad.genetic = design.genetic.T @ r / n
+    return out
 
 
 def penalty(p: ParameterSet, gs: GroupStructure, h: Hyperparameters) -> float:
     """Structured penalty value at ``p``.
 
-    Group norms of the interaction rows and the genetic vector are weighted
-    by the per-group weights; the imaging block contributes its squared
-    norm.  The intercept is never penalized.
+    Group norms of the (imaging row, group) interaction blocks and of the
+    genetic groups are weighted by the per-group weights; the imaging
+    block contributes its squared norm.  The intercept is never penalized.
     """
     if p.expanded_size != gs.expanded_size:
         raise ValueError(

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, GroupStructure, expand_columns
+from .core import Dataset, GroupStructure
 from .objective import Design
 
 __all__ = [
     "NORMALIZATION_MODES",
     "ScalingRecord",
     "fit_scaler",
-    "transform",
     "transform_features",
     "make_design",
     "save_scaler",
@@ -196,12 +195,6 @@ def transform_features(record: ScalingRecord, genetic, imaging):
     zg = (genetic - record.genetic_mean) / record.genetic_scale
     zi = (imaging - record.imaging_mean) / record.imaging_scale
     return zg, zi
-
-
-def transform(d: Dataset, record: ScalingRecord) -> Dataset:
-    """Standardized copy of a dataset using training statistics."""
-    zg, zi = transform_features(record, d.genetic, d.imaging)
-    return Dataset(zg, zi, d.labels)
 
 
 def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design:

@@ -1,11 +1,18 @@
 """Proximal gradient solver with backtracking line search.
 
 Each outer iteration takes a gradient step on the empirical risk, applies
-the proximal operator of the penalty blockwise (soft-thresholding of the
-group blocks, shrinkage of the imaging block, plain step on the
-intercept), and shrinks the stepsize until the candidate satisfies the
-quadratic acceptance inequality.  Iterations stop once the relative change
-of the penalized objective falls to the tolerance.
+the proximal operator of the penalty blockwise (soft-thresholding of each
+(imaging row, group) block of the interaction matrix and of each genetic
+group, shrinkage of the imaging block, plain step on the intercept), and
+shrinks the stepsize until the candidate satisfies the quadratic
+acceptance inequality.  Iterations stop once the relative change of the
+penalized objective falls to the tolerance.
+
+Iterates and gradients share the one buffer layout of
+:class:`~structprox.core.ParameterSet`: the gradient is read through
+``ParameterSet.from_flat`` views, each proximal result is written into
+the candidate's buffer, and the gradient mapping is computed from the
+two buffers directly.
 """
 
 from __future__ import annotations
@@ -15,11 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GroupStructure, Hyperparameters, ParameterSet
-from .objective import Design, penalty, risk, risk_gradient, split_flat
+from .objective import Design, penalty, risk, risk_gradient
 
 __all__ = [
     "SolverFailure",
-    "ProxStep",
     "IterationRecord",
     "SolverState",
     "ScreeningResult",
@@ -37,18 +43,6 @@ MAX_BACKTRACKS = 200
 
 class SolverFailure(RuntimeError):
     """Raised when the line search stalls or the objective degenerates."""
-
-
-@dataclass
-class ProxStep:
-    """Candidate parameters and the implied generalized gradient step.
-
-    ``gradient_step`` is ``(flat(p) - flat(candidate)) / step``; it reduces
-    to the risk gradient on unpenalized blocks.
-    """
-
-    params: ParameterSet
-    gradient_step: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,26 +108,14 @@ def _prox_group_rows(omega: np.ndarray, gs: GroupStructure, thresholds: np.ndarr
     return omega * np.repeat(factor, gs.sizes, axis=1)
 
 
-def _check_gradient_blocks(grad, n_imaging: int, expanded: int) -> None:
-    gw, gi, gg, g0 = split_flat(grad, n_imaging, expanded)
-    for name, block in (
-        ("interaction", gw),
-        ("imaging", gi),
-        ("genetic", gg),
-        ("intercept", np.array([g0])),
-    ):
-        if not np.all(np.isfinite(block)):
-            raise ValueError("gradient %s block contains non-finite entries" % name)
-
-
 def parameter_update(
     p: ParameterSet,
     grad: np.ndarray,
     step: float,
     gs: GroupStructure,
     h: Hyperparameters,
-) -> ProxStep:
-    """One proximal step at the given stepsize.
+) -> ParameterSet:
+    """One proximal step at the given stepsize; returns the candidate.
 
     The interaction rows and the genetic vector are soft-thresholded per
     group with thresholds ``step * lambda * weight``, the imaging block is
@@ -142,28 +124,23 @@ def parameter_update(
     """
     if step <= 0:
         raise ValueError("step must be > 0, got %r" % step)
-    n_imaging, expanded = p.interaction.shape
-    _check_gradient_blocks(grad, n_imaging, expanded)
-    gw, gi, gg, g0 = split_flat(grad, n_imaging, expanded)
-
-    if h.variant == "additive":
-        new_w = np.zeros_like(p.interaction)
-    else:
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("gradient contains non-finite entries")
+    g = ParameterSet.from_flat(grad, p.n_imaging, p.expanded_size)
+    candidate = ParameterSet.zeros(p.n_imaging, p.expanded_size)
+    if h.variant != "additive":
         thr_w = step * h.lambda_interaction * gs.weights
-        new_w = _prox_group_rows(p.interaction - step * gw, gs, thr_w)
-
-    if h.variant == "multiplicative":
-        new_i = np.zeros_like(p.imaging)
-        new_g = np.zeros_like(p.genetic)
-    else:
-        new_i = prox_ridge(p.imaging - step * gi, step, h.lambda_imaging)
+        candidate.interaction = _prox_group_rows(
+            p.interaction - step * g.interaction, gs, thr_w
+        )
+    if h.variant != "multiplicative":
+        candidate.imaging = prox_ridge(p.imaging - step * g.imaging, step, h.lambda_imaging)
         thr_g = step * h.lambda_genetic * gs.weights
-        new_g = _prox_group_rows((p.genetic - step * gg)[None, :], gs, thr_g)[0]
-
-    new_0 = p.intercept - step * g0
-    candidate = ParameterSet(new_w, new_i, new_g, new_0)
-    ghat = (p.flat() - candidate.flat()) / step
-    return ProxStep(candidate, ghat)
+        candidate.genetic = _prox_group_rows(
+            (p.genetic - step * g.genetic)[None, :], gs, thr_g
+        )[0]
+    candidate.intercept = p.intercept - step * g.intercept
+    return candidate
 
 
 def backtracking_step(
@@ -182,8 +159,9 @@ def backtracking_step(
 
         risk(candidate) <= risk(p) - step * <grad, ghat> + step/2 * ||ghat||^2
 
+    with the gradient mapping ``ghat = (flat(p) - flat(candidate)) / step``,
     and otherwise the step is multiplied by the backtrack factor.  Returns
-    ``(prox_step, step, n_shrinks, candidate_risk)``.
+    ``(candidate, step, n_shrinks, candidate_risk)``.
     """
     if step_init is None:
         step_init = h.step_init
@@ -193,16 +171,16 @@ def backtracking_step(
         risk_current = risk(p, design, h.variant)
     step = float(step_init)
     for shrinks in range(MAX_BACKTRACKS + 1):
-        prox_step = parameter_update(p, grad, step, gs, h)
-        ghat = prox_step.gradient_step
+        candidate = parameter_update(p, grad, step, gs, h)
+        ghat = (p.flat() - candidate.flat()) / step
         bound = (
             risk_current
             - step * float(grad @ ghat)
             + 0.5 * step * float(ghat @ ghat)
         )
-        candidate_risk = risk(prox_step.params, design, h.variant)
+        candidate_risk = risk(candidate, design, h.variant)
         if candidate_risk <= bound:
-            return prox_step, step, shrinks, candidate_risk
+            return candidate, step, shrinks, candidate_risk
         step *= h.backtrack_factor
     raise SolverFailure(
         "line search failed: %d shrinkages reached step %.3e without acceptance"
@@ -258,15 +236,15 @@ def fit(
     for it in range(1, h.max_iters + 1):
         prev = history[-1]
         grad = risk_gradient(p, design, h.variant)
-        prox_step, step, shrinks, cand_risk = backtracking_step(
+        candidate, step, shrinks, cand_risk = backtracking_step(
             p, design, gs, h, h.step_init, grad, prev.risk
         )
-        cand_pen = penalty(prox_step.params, gs, h)
+        cand_pen = penalty(candidate, gs, h)
         total = cand_risk + cand_pen
         if not np.isfinite(total):
             raise SolverFailure("objective diverged at iteration %d" % it)
         history.append(IterationRecord(it, cand_risk, cand_pen, total, step, shrinks))
-        p = prox_step.params
+        p = candidate
         accepted_step = step
         if abs(total - prev.total) <= h.tol * abs(prev.total):
             converged = True
@@ -309,10 +287,11 @@ def screen_lambda_max(design: Design, gs: GroupStructure) -> ScreeningResult:
     zero on the first update.
     """
     p0 = ParameterSet.zeros(design.n_imaging, design.expanded_size)
-    grad = risk_gradient(p0, design, "multilevel")
-    gw, _, gg, _ = split_flat(grad, design.n_imaging, design.expanded_size)
-    g_norms = np.sqrt(np.add.reduceat(gg**2, gs.offsets))
-    w_norms = np.sqrt(np.add.reduceat(gw**2, gs.offsets, axis=1))
+    grad = ParameterSet.from_flat(
+        risk_gradient(p0, design, "multilevel"), design.n_imaging, design.expanded_size
+    )
+    g_norms = np.sqrt(np.add.reduceat(grad.genetic**2, gs.offsets))
+    w_norms = np.sqrt(np.add.reduceat(grad.interaction**2, gs.offsets, axis=1))
     genetic_bounds = g_norms / gs.weights
     interaction_bounds = w_norms.max(axis=0) / gs.weights
     return ScreeningResult(

@@ -159,6 +159,29 @@ class TestFit:
         assert code == 1
         assert "lambda_q" in capsys.readouterr().err
 
+    def test_hyphenated_config_key(self, data_dir, tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("lambda-w = 0.1\nlambda_i = 0.05\nlambda_g = 0.1\nmax-iters = 3\n")
+        out = tmp_path / "fit"
+        code = run(["fit", *data_flags(data_dir), "--config", cfg, "--out", out])
+        assert code == 0
+        assert "iterations: 3" in (out / "summary.txt").read_text().splitlines()
+
+    def test_mistyped_config_value_rejected(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("lambda_w = 0.1\nlambda_i = 0.05\nlambda_g = 0.1\ntol = abc\n")
+        code = run(["fit", *data_flags(data_dir), "--config", cfg, "--out", tmp_path / "fit"])
+        assert code == 1
+        assert "abc" in capsys.readouterr().err
+
+    def test_config_before_command_rejected(self, data_dir, tmp_path):
+        # the file must follow the command, where its settings are applied
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("max_iters = 3\n")
+        code = run(["--config", cfg, "fit", *data_flags(data_dir), "--lambda-w", 0.1,
+                    "--lambda-i", 0.05, "--lambda-g", 0.1, "--out", tmp_path / "fit"])
+        assert code == 1
+
 
 class TestScreen:
     def test_prints_bounds_and_fit_above_them_is_empty(self, data_dir, tmp_path,
@@ -283,6 +306,26 @@ class TestPredict:
         code = run(["predict", *flags])
         assert code == 1
         assert "missing column" in capsys.readouterr().err
+
+    def test_duplicate_column_name_rejected(self, data_dir, tmp_path, capsys):
+        # columns are matched by name, so a repeated name is ambiguous
+        from structprox.dataio import load_matrix_csv, save_matrix_csv
+
+        names, X = load_matrix_csv(str(data_dir / "genetic.csv"))
+        doubled = tmp_path / "genetic_doubled.csv"
+        save_matrix_csv(str(doubled), [names[0]] + names[:-1], X)
+        fit_flags = data_flags(data_dir)
+        fit_flags[fit_flags.index("--genetic") + 1] = doubled
+        code = run(["fit", *fit_flags, "--lambda-w", 0.1, "--lambda-i", 0.05,
+                    "--lambda-g", 0.1, "--out", tmp_path / "fit"])
+        assert code == 1
+        assert "'%s'" % names[0] in capsys.readouterr().err
+
+        model_dir = self.fit_model(data_dir, tmp_path)
+        flags = self.predict_flags(data_dir, model_dir)
+        flags[flags.index("--genetic") + 1] = doubled
+        assert run(["predict", *flags, "--out", tmp_path / "pred"]) == 1
+        assert "'%s'" % names[0] in capsys.readouterr().err
 
     def test_zero_model_gives_half_probabilities(self, data_dir, tmp_path):
         model_dir = self.fit_model(data_dir, tmp_path)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,6 @@ from structprox import (
     expand_columns,
     expand_overlap,
     flat_length,
-    flatten_interaction,
-    group_block,
-    interaction_block,
-    unflatten_interaction,
 )
 
 
@@ -114,29 +112,31 @@ class TestExpandOverlap:
 
 
 class TestInteractionFlattening:
+    """The interaction matrix occupies the head of the flat buffer, row-major."""
+
     def test_row_major_order(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(flatten_interaction(W), [1.0, 2.0, 3.0, 4.0])
+        p = ParameterSet(W, np.zeros(2), np.zeros(2), 0.0)
+        np.testing.assert_array_equal(p.flat()[:4], [1.0, 2.0, 3.0, 4.0])
 
     def test_zero_matrix(self):
-        W = np.zeros((3, 5))
-        np.testing.assert_array_equal(flatten_interaction(W), np.zeros(15))
+        p = ParameterSet.zeros(3, 5)
+        np.testing.assert_array_equal(p.flat()[:15], np.zeros(15))
+        assert p.interaction.shape == (3, 5)
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         W = rng.normal(size=(3, 5))
-        np.testing.assert_array_equal(
-            unflatten_interaction(flatten_interaction(W), 3, 5), W
-        )
+        p = ParameterSet(W, np.zeros(3), np.zeros(5), 0.0)
+        np.testing.assert_array_equal(ParameterSet.from_flat(p.flat(), 3, 5).interaction, W)
 
     def test_blocks(self):
         gs = GroupStructure([[0, 1], [1, 2]], n_features=3)
-        v = np.arange(4.0)
-        np.testing.assert_array_equal(group_block(v, gs, 0), [0.0, 1.0])
+        p = ParameterSet.from_flat(np.arange(flat_length(2, 4)), 2, 4)
+        np.testing.assert_array_equal(p.genetic[gs.block(0)], [10.0, 11.0])
         # last group ends exactly at expanded_size
         assert gs.block(gs.n_groups - 1).stop == gs.expanded_size
-        W = np.zeros((2, 4))
-        np.testing.assert_array_equal(interaction_block(W, gs, 1, 1), np.zeros(2))
+        np.testing.assert_array_equal(p.interaction[1, gs.block(1)], [6.0, 7.0])
 
     def test_flat_length(self):
         assert flat_length(3, 4) == 3 * 4 + 3 + 4 + 1
@@ -176,6 +176,31 @@ class TestParameterSet:
         q = p.copy()
         q.interaction[0, 0] = 1.0
         assert p.interaction[0, 0] == 0.0
+
+    def test_blocks_are_views_of_one_buffer(self):
+        p = ParameterSet.zeros(2, 3)
+        w = p.flat()
+        for block in (p.interaction, p.imaging, p.genetic):
+            assert np.shares_memory(w, block)
+        p.genetic[0] = 5.0
+        p.intercept = 7.0
+        assert w[2 * 3 + 2] == 5.0 and w[-1] == 7.0
+        # assigning a block writes into the buffer instead of detaching it
+        p.imaging = [1.0, 2.0]
+        np.testing.assert_array_equal(w[6:8], [1.0, 2.0])
+        assert np.shares_memory(w, p.imaging)
+        with pytest.raises(ValueError):
+            p.imaging = np.zeros(3)
+        with pytest.raises(AttributeError):
+            p.offset = 1.0
+        # from_flat aliases its argument; deep copies keep one buffer of their own
+        q = ParameterSet.from_flat(w, 2, 3)
+        q.interaction[1, 2] = 3.0
+        assert p.interaction[1, 2] == 3.0
+        r = copy.deepcopy(p)
+        assert not np.shares_memory(r.flat(), w)
+        assert np.shares_memory(r.flat(), r.genetic)
+        np.testing.assert_array_equal(r.flat(), w)
 
 
 class TestDataset:

@@ -4,7 +4,6 @@ import pytest
 from structprox import Dataset, GroupStructure, ParameterSet
 from structprox.objective import (
     Design,
-    linear_predictor,
     log_posterior_unnormalized,
     margins,
     objective,
@@ -12,7 +11,6 @@ from structprox.objective import (
     risk,
     risk_gradient,
     sigmoid,
-    split_flat,
 )
 from structprox.synthetic import finite_difference_gradient
 
@@ -77,14 +75,13 @@ class TestMargins:
     def test_standardized_cross_products_brute_force(self):
         # when cross statistics are present the W term uses the standardized
         # products (xI*xG - mean)/scale, sample by sample
-        from structprox.preprocessing import fit_scaler, make_design, transform
+        from structprox.preprocessing import fit_scaler, make_design, transform_features
 
         d, gs, _ = random_instance(4, n=10)
         record = fit_scaler(d)
         design = make_design(d, gs, record)
-        td = transform(d, record)
-        zi = td.imaging
-        zg = td.genetic[:, gs.expansion_index]
+        zg, zi = transform_features(record, d.genetic, d.imaging)
+        zg = zg[:, gs.expansion_index]
         p = random_params(5, design.n_imaging, gs.expanded_size)
         m = margins(p, design)
         for k in range(d.n_samples):
@@ -113,12 +110,13 @@ class TestMargins:
         )
 
     def test_linear_predictor_single_sample(self):
+        # a one-row design gives the same decision value as its row in the full design
         d, gs, design = random_instance(6)
         p = random_params(7, design.n_imaging, gs.expanded_size)
         m = margins(p, design)
         k = 3
-        got = linear_predictor(p, design.genetic[k], design.imaging[k])
-        np.testing.assert_allclose(got, m[k], rtol=1e-12)
+        one = Design(design.imaging[k : k + 1], design.genetic[k : k + 1], design.labels[k : k + 1])
+        np.testing.assert_allclose(margins(p, one), m[k : k + 1], rtol=1e-12)
 
 
 class TestRisk:
@@ -237,13 +235,12 @@ class TestRiskGradient:
         d = Dataset(genetic, imaging, np.ones(9))
         design = Design.from_dataset(d, gs)
         p = ParameterSet.zeros(2, gs.expanded_size)
-        g = risk_gradient(p, design)
-        gw, gi, gg, g0 = split_flat(g, 2, gs.expanded_size)
-        np.testing.assert_allclose(gi, -0.5 * imaging.mean(axis=0), rtol=1e-12)
+        g = ParameterSet.from_flat(risk_gradient(p, design), 2, gs.expanded_size)
+        np.testing.assert_allclose(g.imaging, -0.5 * imaging.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(
-            gg, -0.5 * design.genetic.mean(axis=0), rtol=1e-12
+            g.genetic, -0.5 * design.genetic.mean(axis=0), rtol=1e-12
         )
-        np.testing.assert_allclose(g0, -0.5)
+        np.testing.assert_allclose(g.intercept, -0.5)
 
     def test_intercept_component_balanced_labels(self):
         rng = np.random.default_rng(22)
@@ -281,11 +278,11 @@ class TestRiskGradient:
         d, gs, design = random_instance(23)
         p = random_params(24, design.n_imaging, gs.expanded_size)
         g = risk_gradient(p, design, variant="additive")
-        gw, gi, gg, g0 = split_flat(g, design.n_imaging, gs.expanded_size)
-        assert not gw.any()
+        g = ParameterSet.from_flat(g, design.n_imaging, gs.expanded_size)
+        assert not g.interaction.any()
         g = risk_gradient(p, design, variant="multiplicative")
-        gw, gi, gg, g0 = split_flat(g, design.n_imaging, gs.expanded_size)
-        assert not gi.any() and not gg.any()
+        g = ParameterSet.from_flat(g, design.n_imaging, gs.expanded_size)
+        assert not g.imaging.any() and not g.genetic.any()
 
 
 class TestLogPosterior:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from structprox import Dataset, GroupStructure, fit_scaler, make_design, transform
+from structprox import Dataset, GroupStructure, fit_scaler, make_design
 from structprox.preprocessing import (
     ScalingRecord,
     load_scaler,
@@ -67,8 +67,8 @@ class TestFitScaler:
     def test_unit_norm_mode(self):
         d = small_dataset(7)
         record = fit_scaler(d, normalization="unit-norm")
-        td = transform(d, record)
-        norms = np.linalg.norm(td.imaging, axis=0)
+        _, zi = transform_features(record, d.genetic, d.imaging)
+        norms = np.linalg.norm(zi, axis=0)
         np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
 
     def test_single_sample_rejected(self):
@@ -85,17 +85,17 @@ class TestTransform:
     def test_training_columns_centered_and_scaled(self):
         d = small_dataset(9)
         record = fit_scaler(d)
-        td = transform(d, record)
-        np.testing.assert_allclose(td.genetic.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(td.imaging.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(td.genetic.std(axis=0), 1.0, rtol=1e-10)
-        np.testing.assert_allclose(td.imaging.std(axis=0), 1.0, rtol=1e-10)
+        zg, zi = transform_features(record, d.genetic, d.imaging)
+        np.testing.assert_allclose(zg.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(zi.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(zg.std(axis=0), 1.0, rtol=1e-10)
+        np.testing.assert_allclose(zi.std(axis=0), 1.0, rtol=1e-10)
 
     def test_idempotence(self):
         # scaling already-scaled data finds means 0 and scales 1
         d = small_dataset(10)
-        td = transform(d, fit_scaler(d))
-        record2 = fit_scaler(td)
+        zg, zi = transform_features(fit_scaler(d), d.genetic, d.imaging)
+        record2 = fit_scaler(Dataset(zg, zi, d.labels))
         np.testing.assert_allclose(record2.genetic_mean, 0.0, atol=1e-10)
         np.testing.assert_allclose(record2.genetic_scale, 1.0, rtol=1e-10)
         np.testing.assert_allclose(record2.imaging_mean, 0.0, atol=1e-10)
@@ -117,8 +117,9 @@ class TestTransform:
 
     def test_labels_carried_through(self):
         d = small_dataset(11)
-        td = transform(d, fit_scaler(d))
-        np.testing.assert_array_equal(td.labels, d.labels)
+        gs = GroupStructure([[0, 1], [2, 3]], n_features=4)
+        design = make_design(d, gs, fit_scaler(d))
+        np.testing.assert_array_equal(design.labels, d.labels)
 
 
 class TestCrossStats:
@@ -126,11 +127,11 @@ class TestCrossStats:
         d, gs, _ = random_instance(12, n=30)
         record = fit_scaler(d)
         design = make_design(d, gs, record)
-        td = transform(d, record)
-        zg = td.genetic[:, gs.expansion_index]
-        for i in range(td.imaging.shape[1]):
+        zg, zi = transform_features(record, d.genetic, d.imaging)
+        zg = zg[:, gs.expansion_index]
+        for i in range(zi.shape[1]):
             for g in range(gs.expanded_size):
-                z = (td.imaging[:, i] * zg[:, g] - design.cross_mean[i, g]) / design.cross_scale[i, g]
+                z = (zi[:, i] * zg[:, g] - design.cross_mean[i, g]) / design.cross_scale[i, g]
                 np.testing.assert_allclose(z.mean(), 0.0, atol=1e-10)
                 if design.cross_scale[i, g] != 1.0:
                     np.testing.assert_allclose(z.std(), 1.0, rtol=1e-10)
@@ -150,10 +151,10 @@ class TestCrossStats:
     def test_cross_stats_match_brute_force(self):
         d, gs, _ = random_instance(14, n=25)
         record = fit_scaler(d)
-        td = transform(d, record)
-        for i in range(td.imaging.shape[1]):
-            for g in range(td.genetic.shape[1]):
-                prod = td.imaging[:, i] * td.genetic[:, g]
+        zg, zi = transform_features(record, d.genetic, d.imaging)
+        for i in range(zi.shape[1]):
+            for g in range(zg.shape[1]):
+                prod = zi[:, i] * zg[:, g]
                 np.testing.assert_allclose(
                     record.cross_mean[i, g], prod.mean(), atol=1e-12
                 )
@@ -197,7 +198,7 @@ class TestScalerFile:
         path = tmp_path / "scaler.txt"
         save_scaler(record, str(path))
         loaded = load_scaler(str(path))
-        a = transform(d, record)
-        b = transform(d, loaded)
-        np.testing.assert_array_equal(a.genetic, b.genetic)
-        np.testing.assert_array_equal(a.imaging, b.imaging)
+        a = transform_features(record, d.genetic, d.imaging)
+        b = transform_features(loaded, d.genetic, d.imaging)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])

@@ -135,20 +135,18 @@ class TestParameterUpdate:
         p = random_params(51, design.n_imaging, gs.expanded_size)
         h = default_hyper(lambda_imaging=1e-300, lambda_genetic=1e-300,
                           lambda_interaction=1e-300)
-        step = parameter_update(p, np.zeros(p.flat().size), 1.0, gs, h)
-        np.testing.assert_allclose(step.params.flat(), p.flat(), rtol=1e-12)
-        np.testing.assert_allclose(step.gradient_step, 0.0, atol=1e-12)
+        candidate = parameter_update(p, np.zeros(p.flat().size), 1.0, gs, h)
+        np.testing.assert_allclose(candidate.flat(), p.flat(), rtol=1e-12)
 
     def test_screening_keeps_block_at_zero(self):
         # gradient block norm 10 against threshold 20: stays zero
         gs = GroupStructure([[0, 1]], n_features=2, weights=[1.0])
         p = ParameterSet.zeros(1, 2)
-        grad = np.zeros(p.flat().size)
-        gw, gi, gg, g0 = 2, 1, 2, 1
-        grad[gw + gi : gw + gi + 2] = [6.0, 8.0]
+        grad = ParameterSet.zeros(1, 2)
+        grad.genetic = [6.0, 8.0]
         h = default_hyper(lambda_genetic=20.0)
-        step = parameter_update(p, grad, 1.0, gs, h)
-        np.testing.assert_array_equal(step.params.genetic, [0.0, 0.0])
+        candidate = parameter_update(p, grad.flat(), 1.0, gs, h)
+        np.testing.assert_array_equal(candidate.genetic, [0.0, 0.0])
 
     def test_blocks_match_prox_oracles(self):
         for seed in range(10):
@@ -163,32 +161,33 @@ class TestParameterUpdate:
             )
             step = float(rng.uniform(0.1, 1.0))
             upd = parameter_update(p, grad, step, gs, h)
-            gw = p.interaction - step * upd_grad_block(grad, p)[0]
+            g = ParameterSet.from_flat(grad, p.n_imaging, p.expanded_size)
+            gw = p.interaction - step * g.interaction
             # genetic blocks
-            ggrad = upd_grad_block(grad, p)[2]
+            ggrad = g.genetic
             for l in range(gs.n_groups):
                 blk = gs.block(l)
                 omega = p.genetic[blk] - step * ggrad[blk]
                 want = group_prox_oracle(omega, step * h.lambda_genetic * gs.weights[l])
-                np.testing.assert_allclose(upd.params.genetic[blk], want, atol=1e-6)
+                np.testing.assert_allclose(upd.genetic[blk], want, atol=1e-6)
                 for i in range(design.n_imaging):
                     omega = gw[i, blk]
                     want = group_prox_oracle(
                         omega, step * h.lambda_interaction * gs.weights[l]
                     )
                     np.testing.assert_allclose(
-                        upd.params.interaction[i, blk], want, atol=1e-6
+                        upd.interaction[i, blk], want, atol=1e-6
                     )
             # imaging ridge block
-            omega = p.imaging - step * upd_grad_block(grad, p)[1]
+            omega = p.imaging - step * g.imaging
             np.testing.assert_allclose(
-                upd.params.imaging,
+                upd.imaging,
                 ridge_prox_oracle(omega, step, h.lambda_imaging),
                 atol=1e-6,
             )
             # intercept is a plain gradient step
             np.testing.assert_allclose(
-                upd.params.intercept, p.intercept - step * grad[-1], rtol=1e-12
+                upd.intercept, p.intercept - step * grad[-1], rtol=1e-12
             )
 
     def test_variant_gating(self):
@@ -197,18 +196,12 @@ class TestParameterUpdate:
         rng = np.random.default_rng(56)
         grad = rng.normal(size=p.flat().size)
         upd = parameter_update(p, grad, 1.0, gs, default_hyper(variant="additive"))
-        assert not upd.params.interaction.any()
+        assert not upd.interaction.any()
         upd = parameter_update(
             p, grad, 1.0, gs, default_hyper(variant="multiplicative")
         )
-        assert not upd.params.imaging.any()
-        assert not upd.params.genetic.any()
-
-
-def upd_grad_block(grad, p):
-    from structprox.objective import split_flat
-
-    return split_flat(grad, p.imaging.size, p.genetic.size)
+        assert not upd.imaging.any()
+        assert not upd.genetic.any()
 
 
 class TestBacktracking:
@@ -229,9 +222,9 @@ class TestBacktracking:
             d, gs, design = random_instance(1100 + seed)
             p = random_params(1200 + seed, design.n_imaging, gs.expanded_size, scale=0.5)
             h = default_hyper()
-            prox_step, step, shrinks, cand_risk = backtracking_step(p, design, gs, h)
+            candidate, step, shrinks, cand_risk = backtracking_step(p, design, gs, h)
             grad = risk_gradient(p, design)
-            ghat = (p.flat() - prox_step.params.flat()) / step
+            ghat = (p.flat() - candidate.flat()) / step
             bound = risk(p, design) - step * float(grad @ ghat) + 0.5 * step * float(
                 ghat @ ghat
             )
@@ -400,12 +393,10 @@ class TestScreening:
         design = make_design(data.dataset, gs, fit_scaler(data.dataset))
         bounds = screen_lambda_max(design, gs)
         p0 = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
-        from structprox.objective import split_flat
-
-        gw, gi, gg, g0 = split_flat(
+        grad = ParameterSet.from_flat(
             risk_gradient(p0, design), design.n_imaging, gs.expanded_size
         )
-        gw = gw.reshape(design.n_imaging, gs.expanded_size)
+        gw, gg = grad.interaction, grad.genetic
         for l in range(gs.n_groups):
             blk = gs.block(l)
             np.testing.assert_allclose(
