@@ -12,7 +12,6 @@ from .core import (
     ParameterSet,
     VARIANTS,
     expand_columns,
-    expand_overlap,
     flat_length,
 )
 from .evaluation import (

@@ -133,7 +133,7 @@ def cmd_fit(args) -> int:
         "groups": "--groups", "lambda_w": "--lambda-w", "lambda_i": "--lambda-i",
         "lambda_g": "--lambda-g",
     })
-    started = time.time()
+    started = time.perf_counter()
     d, gs, g_names, i_names = _load_data(args)
     h = Hyperparameters(
         lambda_interaction=args.lambda_w,
@@ -156,7 +156,7 @@ def cmd_fit(args) -> int:
 
     sel = selected_groups(model.params, gs)
     final = model.state.history[-1]
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     summary = [
         "variant: %s" % h.variant,
         "lambda_w: %.17g" % h.lambda_interaction,

@@ -20,7 +20,6 @@ __all__ = [
     "Dataset",
     "ParameterSet",
     "Hyperparameters",
-    "expand_overlap",
     "expand_columns",
     "flat_length",
 ]
@@ -359,20 +358,6 @@ class Hyperparameters:
         self.max_iters = int(self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1, got %r" % self.max_iters)
-
-
-def expand_overlap(x, gs: GroupStructure) -> np.ndarray:
-    """Map a vector from original to expanded coordinates.
-
-    The result concatenates ``x[g]`` for ``g`` in each group in turn, so a
-    feature shared by several groups is copied once per membership.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (gs.n_features,):
-        raise ValueError(
-            "expected a vector of length %d, got shape %r" % (gs.n_features, x.shape)
-        )
-    return x[gs.expansion_index]
 
 
 def expand_columns(X, gs: GroupStructure) -> np.ndarray:

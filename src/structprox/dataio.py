@@ -58,7 +58,8 @@ def load_matrix_csv(path):
                     % (path, lineno, len(row), len(names))
                 )
             try:
-                rows.append([float(v) for v in row])
+                # a row of Python floats takes four times its array's memory
+                rows.append(np.array([float(v) for v in row]))
             except ValueError:
                 raise ValueError(
                     "%s: line %d holds a non-numeric value" % (path, lineno)

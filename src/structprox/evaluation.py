@@ -2,7 +2,9 @@
 parameter summaries used in reports.
 
 Rates are expressed as percentages.  Cross-validation keeps scaling and
-model selection strictly inside each training fold; independent fold fits
+model selection strictly inside each training fold.  Each split, outer or
+inner, gets one scaler fitted on its training rows and one design for each
+side, reused by every grid point fitted on it.  Independent fold fits
 may run in parallel when the ``STRUCTPROX_THREADS`` environment variable
 asks for more than one worker, and results are always reduced in fold
 order so reruns are reproducible.
@@ -161,9 +163,7 @@ def predict(
     genetic = np.asarray(genetic, dtype=float)
     imaging = np.asarray(imaging, dtype=float)
     d = Dataset(genetic, imaging, np.zeros(genetic.shape[0], dtype=int))
-    design = make_design(d, gs, record)
-    probs = sigmoid(margins(params, design, variant))
-    return probs, (probs >= threshold).astype(np.intp)
+    return _classify(params, make_design(d, gs, record), variant, threshold)
 
 
 def log_grid(num: int = 7, low: float = 1e-3, high: float = 1.0) -> np.ndarray:
@@ -318,15 +318,29 @@ def _pooled_bacc(tp: int, fp: int, tn: int, fn: int) -> float:
     return balanced_accuracy(100.0 * tp / (tp + fn), 100.0 * tn / (tn + fp))
 
 
-def _fit_and_score(d: Dataset, gs, h, train_idx, test_idx, normalization, threshold):
+def _classify(params: ParameterSet, design, variant: str, threshold: float):
+    probs = sigmoid(margins(params, design, variant))
+    return probs, (probs >= threshold).astype(np.intp)
+
+
+def _build_split(d: Dataset, gs, train_idx, test_idx, normalization):
+    """A split's ``(train, test)`` designs, scaled by one fit on its training rows."""
     train = d.subset(train_idx)
     record = fit_scaler(train, normalization)
-    params, state = fit(make_design(train, gs, record), gs, h)
-    test = d.subset(test_idx)
-    probs, preds = predict(
-        params, record, gs, test.genetic, test.imaging, threshold, h.variant
-    )
-    return params, state, probs, preds
+    return make_design(train, gs, record), make_design(d.subset(test_idx), gs, record)
+
+
+def _score_grid(splits, gs, grid, threshold) -> list[float]:
+    """Balanced accuracy of each grid point, pooled over the test sides of
+    ``splits`` (``(train, test)`` design pairs).  Splits run outside the grid,
+    so one split's designs are alive at a time; every fit is cold."""
+    counts = np.zeros((len(grid), 4), dtype=np.int64)
+    for train, test in splits:
+        for j, h in enumerate(grid):
+            params, _ = fit(train, gs, h)
+            _, preds = _classify(params, test, h.variant, threshold)
+            counts[j] += confusion(test.labels, preds)
+    return [_pooled_bacc(*c) for c in counts]
 
 
 def kfold_cv(
@@ -346,23 +360,26 @@ def kfold_cv(
     accuracy over an inner split of that fold's training data, so the test
     fold never informs the choice.  ``selection="oracle"`` picks by test
     fold balanced accuracy instead and is optimistic by construction; it
-    is reported only as an upper reference.
+    is reported only as an upper reference.  Each split's scaler and
+    train/test designs are built once and reused for every grid point
+    fitted on it, the outer split's also for the final fit.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
     if selection not in ("nested", "oracle"):
         raise ValueError("selection must be 'nested' or 'oracle', got %r" % selection)
+    if not 0 < threshold < 1:
+        raise ValueError("threshold must lie in (0, 1), got %r" % threshold)
+    if inner_k < 2:
+        raise ValueError("inner_k must be >= 2, got %r" % inner_k)
     labels = d.labels
     if np.unique(labels).size < 2:
         raise ValueError("cross-validation needs both classes present")
     folds = stratified_folds(labels, k, seed)
-    all_idx = np.arange(d.n_samples)
     train_sets = []
     for f, test_idx in enumerate(folds):
-        mask = np.ones(d.n_samples, dtype=bool)
-        mask[test_idx] = False
-        train_idx = all_idx[mask]
+        train_idx = np.delete(np.arange(d.n_samples), test_idx)
         if np.unique(labels[train_idx]).size < 2:
             raise ValueError(
                 "fold %d leaves a single-class training set; use a smaller k" % f
@@ -371,44 +388,35 @@ def kfold_cv(
 
     def run_fold(f: int):
         train_idx, test_idx = train_sets[f], folds[f]
+        outer = None
         if len(grid) == 1:
             best = grid[0]
-        elif selection == "oracle":
-            scores = []
-            for h in grid:
-                _, _, _, preds = _fit_and_score(
-                    d, gs, h, train_idx, test_idx, normalization, threshold
-                )
-                scores.append(_pooled_bacc(*confusion(labels[test_idx], preds)))
-            best = grid[int(np.argmax(scores))]
         else:
-            train_labels = labels[train_idx]
-            counts = [int(np.sum(train_labels == c)) for c in (0, 1)]
-            inner = min(inner_k, min(counts))
-            if inner < 2:
-                raise ValueError(
-                    "fold %d training data cannot support an inner split; "
-                    "use a smaller k or a single grid point" % f
-                )
-            inner_folds = stratified_folds(train_labels, inner, seed + 7919 * (f + 1))
-            scores = []
-            for h in grid:
-                tp = fp = tn = fn = 0
-                for inner_test in inner_folds:
-                    inner_mask = np.ones(train_idx.size, dtype=bool)
-                    inner_mask[inner_test] = False
-                    _, _, _, preds = _fit_and_score(
-                        d, gs, h,
-                        train_idx[inner_mask], train_idx[inner_test],
-                        normalization, threshold,
+            if selection == "oracle":
+                outer = _build_split(d, gs, train_idx, test_idx, normalization)
+                splits = [outer]
+            else:
+                train_labels = labels[train_idx]
+                counts = [int(np.sum(train_labels == c)) for c in (0, 1)]
+                inner = min(inner_k, min(counts))
+                if inner < 2:
+                    raise ValueError(
+                        "fold %d training data cannot support an inner split; "
+                        "use a smaller k or a single grid point" % f
                     )
-                    a, b, c, e = confusion(train_labels[inner_test], preds)
-                    tp += a; fp += b; tn += c; fn += e
-                scores.append(_pooled_bacc(tp, fp, tn, fn))
-            best = grid[int(np.argmax(scores))]
-        params, state, probs, preds = _fit_and_score(
-            d, gs, best, train_idx, test_idx, normalization, threshold
-        )
+                inner_folds = stratified_folds(train_labels, inner, seed + 7919 * (f + 1))
+                splits = (
+                    _build_split(
+                        d, gs, np.delete(train_idx, t), train_idx[t], normalization
+                    )
+                    for t in inner_folds
+                )
+            best = grid[int(np.argmax(_score_grid(splits, gs, grid, threshold)))]
+        if outer is None:
+            outer = _build_split(d, gs, train_idx, test_idx, normalization)
+        train, test = outer
+        params, _ = fit(train, gs, best)
+        probs, preds = _classify(params, test, best.variant, threshold)
         return best, params, probs, preds
 
     results = _ordered_map(run_fold, range(k))

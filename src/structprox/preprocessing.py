@@ -245,10 +245,12 @@ def save_scaler(record: ScalingRecord, path) -> None:
             )
         )
     lines.append("cross\t%d\t%d" % (record.n_imaging, record.n_genetic))
-    for i in range(record.n_imaging):
-        for j in range(record.n_genetic):
-            lines.append(
-                "%d\t%d\t%.17g\t%.17g\t%d"
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        # row by row, not as one list of n_imaging * n_genetic strings
+        for i in range(record.n_imaging):
+            fh.writelines(
+                "%d\t%d\t%.17g\t%.17g\t%d\n"
                 % (
                     i,
                     j,
@@ -256,9 +258,8 @@ def save_scaler(record: ScalingRecord, path) -> None:
                     record.cross_scale[i, j],
                     int(record.cross_constant[i, j]),
                 )
+                for j in range(record.n_genetic)
             )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def load_scaler(path) -> ScalingRecord:

@@ -9,7 +9,6 @@ from structprox import (
     Hyperparameters,
     ParameterSet,
     expand_columns,
-    expand_overlap,
     flat_length,
 )
 
@@ -85,22 +84,24 @@ class TestGroupStructure:
 
 
 class TestExpandOverlap:
+    """Overlap expansion of a one-row matrix, feature by group membership."""
+
     def test_two_overlapping_groups(self):
         # G1={0,1}, G2={1,2}: (a,b,c) -> (a,b,b,c)
         gs = GroupStructure([[0, 1], [1, 2]], n_features=3)
-        out = expand_overlap(np.array([5.0, 7.0, 9.0]), gs)
-        np.testing.assert_array_equal(out, [5.0, 7.0, 7.0, 9.0])
+        out = expand_columns(np.array([[5.0, 7.0, 9.0]]), gs)
+        np.testing.assert_array_equal(out, [[5.0, 7.0, 7.0, 9.0]])
 
     def test_disjoint_groups_give_permutation(self):
         gs = GroupStructure([[2, 0], [1, 3]], n_features=4)
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        out = expand_overlap(x, gs)
-        assert sorted(out.tolist()) == sorted(x.tolist())
-        np.testing.assert_array_equal(out, [3.0, 1.0, 2.0, 4.0])
+        x = np.array([[1.0, 2.0, 3.0, 4.0]])
+        out = expand_columns(x, gs)
+        assert sorted(out[0].tolist()) == sorted(x[0].tolist())
+        np.testing.assert_array_equal(out, [[3.0, 1.0, 2.0, 4.0]])
 
     def test_full_duplication(self):
         gs = GroupStructure([[0], [0]], n_features=1)
-        np.testing.assert_array_equal(expand_overlap(np.array([5.0]), gs), [5.0, 5.0])
+        np.testing.assert_array_equal(expand_columns(np.array([[5.0]]), gs), [[5.0, 5.0]])
 
     def test_expand_columns_matches_row_loop(self):
         rng = np.random.default_rng(3)
@@ -108,7 +109,9 @@ class TestExpandOverlap:
         X = rng.normal(size=(6, 4))
         XE = expand_columns(X, gs)
         for k in range(6):
-            np.testing.assert_array_equal(XE[k], expand_overlap(X[k], gs))
+            want = np.concatenate([X[k, list(g)] for g in gs.groups])
+            np.testing.assert_array_equal(XE[k], want)
+            np.testing.assert_array_equal(expand_columns(X[k : k + 1], gs)[0], want)
 
 
 class TestInteractionFlattening:

@@ -16,7 +16,10 @@ from structprox import (
     selected_groups,
     stratified_folds,
 )
+from structprox import evaluation
 from structprox.evaluation import confusion
+from structprox.preprocessing import fit_scaler, make_design
+from structprox.solver import fit
 
 from conftest import default_hyper, synthetic_instance, tiny_groups
 
@@ -340,3 +343,99 @@ class TestKfoldCv:
         monkeypatch.setenv("STRUCTPROX_THREADS", "lots")
         with pytest.raises(ValueError, match="STRUCTPROX_THREADS"):
             kfold_cv(data.dataset, data.groups, [default_hyper()], k=2)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_bad_threshold_rejected_before_any_fit(self, monkeypatch, threshold):
+        monkeypatch.setattr(evaluation, "fit", _fit_must_not_run)
+        data = synthetic_instance(18, n_samples=24)
+        grid = make_grid([0.1], [0.05], [0.05, 0.2])
+        with pytest.raises(ValueError, match="threshold"):
+            kfold_cv(data.dataset, data.groups, grid, k=2, threshold=threshold)
+
+    @pytest.mark.parametrize("inner_k", [1, 0, -3])
+    def test_bad_inner_k_rejected_before_any_fit(self, monkeypatch, inner_k):
+        monkeypatch.setattr(evaluation, "fit", _fit_must_not_run)
+        data = synthetic_instance(19, n_samples=24)
+        grid = make_grid([0.1], [0.05], [0.05, 0.2])
+        with pytest.raises(ValueError, match="inner_k"):
+            kfold_cv(data.dataset, data.groups, grid, k=2, inner_k=inner_k)
+
+
+def _fit_must_not_run(*args, **kwargs):
+    raise AssertionError("a solver fit ran before argument validation")
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``evaluation.<name>`` so every call appends to the returned list."""
+    calls = []
+    real = getattr(evaluation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, name, counted)
+    return calls
+
+
+class TestSplitsBuiltOnce:
+    @pytest.mark.parametrize(
+        "selection, scalers, fits",
+        [
+            # k folds, G grid points, I inner folds
+            ("nested", lambda k, G, I: k * (I + 1), lambda k, G, I: k * (G * I + 1)),
+            ("oracle", lambda k, G, I: k, lambda k, G, I: k * (G + 1)),
+        ],
+        ids=["nested", "oracle"],
+    )
+    def test_scaler_and_solver_call_counts(self, monkeypatch, selection, scalers, fits):
+        monkeypatch.delenv("STRUCTPROX_THREADS", raising=False)
+        scaler_calls = _count_calls(monkeypatch, "fit_scaler")
+        fit_calls = _count_calls(monkeypatch, "fit")
+        data = synthetic_instance(20, n_samples=36)
+        k, I = 2, 3
+        grid = make_grid([0.1], [0.05], [0.05, 0.2], tol=1e-3)
+        G = len(grid)
+        kfold_cv(data.dataset, data.groups, grid, k=k, inner_k=I, selection=selection)
+        assert len(scaler_calls) == scalers(k, G, I)
+        assert len(fit_calls) == fits(k, G, I)
+
+    def test_nested_choice_and_probabilities_match_hand_computation(self):
+        data = synthetic_instance(13, n_samples=60, effect_genetic=2.0)
+        d, gs = data.dataset, data.groups
+        grid = make_grid([0.1], [0.05], [0.02, 0.1, 0.5], tol=1e-3)
+        k, seed, inner_k = 3, 4, 3
+        res = kfold_cv(d, gs, grid, k=k, seed=seed, inner_k=inner_k)
+
+        f = 0
+        test_idx = res.fold_test_indices[f]
+        train_idx = np.setdiff1d(np.arange(d.n_samples), test_idx)
+        # the inner partition of fold f is seeded with seed + 7919 * (f + 1)
+        inner_folds = stratified_folds(d.labels[train_idx], inner_k, seed + 7919 * (f + 1))
+
+        def fit_and_predict(h, rows, held_rows):
+            train = d.subset(rows)
+            record = fit_scaler(train)
+            params, _ = fit(make_design(train, gs, record), gs, h)
+            held = d.subset(held_rows)
+            probs, preds = predict(
+                params, record, gs, held.genetic, held.imaging, variant=h.variant
+            )
+            return held.labels, probs, preds
+
+        scores = []
+        for h in grid:
+            y, yhat = [], []
+            for t in inner_folds:
+                labels, _, preds = fit_and_predict(
+                    h, np.setdiff1d(train_idx, train_idx[t]), train_idx[t]
+                )
+                y.append(labels)
+                yhat.append(preds)
+            scores.append(metrics(np.concatenate(y), np.concatenate(yhat)).balanced_accuracy)
+        assert len(set(scores)) > 1, "instance does not discriminate the grid"
+        best = grid[int(np.argmax(scores))]
+        assert res.chosen[f] == best
+
+        _, probs, _ = fit_and_predict(best, train_idx, test_idx)
+        np.testing.assert_array_equal(res.probabilities[test_idx], probs)
