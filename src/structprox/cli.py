@@ -339,11 +339,7 @@ def cmd_screen(args) -> int:
 
 def _reorder_columns(names, X, wanted, kind: str):
     """Reorder CSV columns to the training order; names are authoritative."""
-    if wanted is None:
-        if X.shape[1] != len(names):
-            raise ValueError("internal: name/column mismatch")
-        return X
-    if list(names) == list(wanted):
+    if wanted is None or list(names) == list(wanted):
         return X
     position = {name: j for j, name in enumerate(names)}
     missing = [name for name in wanted if name not in position]
@@ -366,16 +362,6 @@ def cmd_predict(args) -> int:
     i_names, imaging = dataio.load_matrix_csv(args.imaging)
     genetic = _reorder_columns(g_names, genetic, record.genetic_names, "genetic")
     imaging = _reorder_columns(i_names, imaging, record.imaging_names, "imaging")
-    if genetic.shape[1] != record.n_genetic:
-        raise ValueError(
-            "genetic data has %d columns, scaler expects %d"
-            % (genetic.shape[1], record.n_genetic)
-        )
-    if imaging.shape[1] != record.n_imaging:
-        raise ValueError(
-            "imaging data has %d columns, scaler expects %d"
-            % (imaging.shape[1], record.n_imaging)
-        )
     gs = dataio.load_group_file(args.groups, record.n_genetic)
     if gs.expanded_size != params.expanded_size or record.n_imaging != params.n_imaging:
         raise ValueError(

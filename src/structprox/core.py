@@ -329,8 +329,6 @@ class Hyperparameters:
     lambda_imaging: float
     lambda_genetic: float
     variant: str = "multilevel"
-    backtrack_factor: float = 0.8
-    step_init: float = 1.0
     tol: float = 1e-5
     max_iters: int = 10000
 
@@ -344,14 +342,6 @@ class Hyperparameters:
             raise ValueError(
                 "variant must be one of %r, got %r" % (VARIANTS, self.variant)
             )
-        self.backtrack_factor = float(self.backtrack_factor)
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError(
-                "backtrack_factor must lie in (0, 1), got %r" % self.backtrack_factor
-            )
-        self.step_init = float(self.step_init)
-        if self.step_init <= 0:
-            raise ValueError("step_init must be > 0, got %r" % self.step_init)
         self.tol = float(self.tol)
         if self.tol <= 0:
             raise ValueError("tol must be > 0, got %r" % self.tol)

@@ -200,23 +200,32 @@ def load_params(path):
         raise ValueError("%s: bad dims line" % path)
     n_imaging, expanded = int(d_parts[1]), int(d_parts[2])
     p = ParameterSet.zeros(n_imaging, expanded)
+
+    def index(text, dim):
+        # numpy would accept a negative index and count it from the end
+        k = int(text)
+        if not 0 <= k < dim:
+            raise ValueError
+        return k
+
     saw_intercept = False
     for lineno, line in enumerate(lines[3:], start=4):
         parts = line.split("\t")
         tag = parts[0]
         try:
             if tag == "interaction" and len(parts) == 4:
-                p.interaction[int(parts[1]), int(parts[2])] = float(parts[3])
+                i, g = index(parts[1], n_imaging), index(parts[2], expanded)
+                p.interaction[i, g] = float(parts[3])
             elif tag == "imaging" and len(parts) == 3:
-                p.imaging[int(parts[1])] = float(parts[2])
+                p.imaging[index(parts[1], n_imaging)] = float(parts[2])
             elif tag == "genetic" and len(parts) == 3:
-                p.genetic[int(parts[1])] = float(parts[2])
+                p.genetic[index(parts[1], expanded)] = float(parts[2])
             elif tag == "intercept" and len(parts) == 2:
                 p.intercept = float(parts[1])
                 saw_intercept = True
             else:
                 raise ValueError
-        except (ValueError, IndexError):
+        except ValueError:
             raise ValueError("%s: line %d is malformed" % (path, lineno))
     if not saw_intercept:
         raise ValueError("%s: missing intercept line" % path)

@@ -7,6 +7,14 @@ inherit the same statistics.  Product features are formed from the
 standardized marginal columns and then centered and scaled themselves;
 their statistics are computed one imaging column at a time so the full
 product matrix is never materialized.
+
+A :class:`ScalingRecord` is saved as ``structprox-scaler v2`` text: after
+the header, one tab-separated row per statistic vector, led by its tag:
+``normalization``, then ``genetic_names`` (no fields without names),
+``genetic_mean`` and ``genetic_scale``, the same three for ``imaging``,
+then one ``cross_mean`` row per imaging feature and one ``cross_scale``
+row per imaging feature.  Values carry 17 significant digits, so every
+statistic loads back bit-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +40,14 @@ NORMALIZATION_MODES = ("sd", "unit-norm")
 # treated as constant: they are centered but their scale is pinned at 1.
 _CONSTANT_TOL = 1e-12
 
-_FORMAT_HEADER = "structprox-scaler v1"
+_FORMAT_HEADER = "structprox-scaler v2"
+
+
+_STATISTICS = (
+    "genetic_mean", "genetic_scale",
+    "imaging_mean", "imaging_scale",
+    "cross_mean", "cross_scale",
+)
 
 
 class ScalingRecord:
@@ -40,7 +55,7 @@ class ScalingRecord:
 
     Cross-product statistics are stored per (imaging row, original genetic
     column); expanded copies of a shared genetic feature reuse the original
-    column's entry.
+    column's entry.  Every statistic must be finite and every scale > 0.
     """
 
     def __init__(
@@ -48,13 +63,10 @@ class ScalingRecord:
         normalization,
         genetic_mean,
         genetic_scale,
-        genetic_constant,
         imaging_mean,
         imaging_scale,
-        imaging_constant,
         cross_mean,
         cross_scale,
-        cross_constant,
         genetic_names=None,
         imaging_names=None,
     ):
@@ -66,32 +78,32 @@ class ScalingRecord:
         self.normalization = normalization
         self.genetic_mean = np.asarray(genetic_mean, dtype=float)
         self.genetic_scale = np.asarray(genetic_scale, dtype=float)
-        self.genetic_constant = np.asarray(genetic_constant, dtype=bool)
         self.imaging_mean = np.asarray(imaging_mean, dtype=float)
         self.imaging_scale = np.asarray(imaging_scale, dtype=float)
-        self.imaging_constant = np.asarray(imaging_constant, dtype=bool)
         self.cross_mean = np.asarray(cross_mean, dtype=float)
         self.cross_scale = np.asarray(cross_scale, dtype=float)
-        self.cross_constant = np.asarray(cross_constant, dtype=bool)
         ng = self.genetic_mean.size
         ni = self.imaging_mean.size
-        if self.cross_mean.shape != (ni, ng):
-            raise ValueError(
-                "cross statistics must have shape (%d, %d), got %r"
-                % (ni, ng, self.cross_mean.shape)
-            )
-        if np.any(self.genetic_scale <= 0) or np.any(self.imaging_scale <= 0) or np.any(
-            self.cross_scale <= 0
-        ):
-            raise ValueError("scales must be > 0")
+        shapes = ((ng,), (ng,), (ni,), (ni,), (ni, ng), (ni, ng))
+        for name, shape in zip(_STATISTICS, shapes):
+            value = getattr(self, name)
+            if value.shape != shape:
+                raise ValueError(
+                    "%s must have shape %r, got %r" % (name, shape, value.shape)
+                )
+            if not np.all(np.isfinite(value)):
+                raise ValueError("%s holds a non-finite value" % name)
+            if name.endswith("_scale") and np.any(value <= 0):
+                raise ValueError("%s must be > 0" % name)
+            value.setflags(write=False)
         self.genetic_names = None if genetic_names is None else tuple(genetic_names)
         self.imaging_names = None if imaging_names is None else tuple(imaging_names)
-        for arr in (
-            self.genetic_mean, self.genetic_scale, self.genetic_constant,
-            self.imaging_mean, self.imaging_scale, self.imaging_constant,
-            self.cross_mean, self.cross_scale, self.cross_constant,
-        ):
-            arr.setflags(write=False)
+        for kind, count in (("genetic", ng), ("imaging", ni)):
+            names = getattr(self, kind + "_names")
+            if names is not None and len(names) != count:
+                raise ValueError(
+                    "%s_names holds %d names, expected %d" % (kind, len(names), count)
+                )
 
     @property
     def n_genetic(self) -> int:
@@ -110,11 +122,7 @@ class ScalingRecord:
             and self.imaging_names == other.imaging_names
             and all(
                 np.array_equal(getattr(self, name), getattr(other, name))
-                for name in (
-                    "genetic_mean", "genetic_scale", "genetic_constant",
-                    "imaging_mean", "imaging_scale", "imaging_constant",
-                    "cross_mean", "cross_scale", "cross_constant",
-                )
+                for name in _STATISTICS
             )
         )
 
@@ -128,8 +136,7 @@ def _column_stats(X: np.ndarray, normalization: str):
     else:
         spread = np.sqrt(np.sum(centered**2, axis=0))
     constant = spread <= _CONSTANT_TOL * np.maximum(1.0, np.abs(mean))
-    scale = np.where(constant, 1.0, spread)
-    return mean, scale, constant
+    return mean, np.where(constant, 1.0, spread)
 
 
 def fit_scaler(
@@ -153,26 +160,23 @@ def fit_scaler(
         raise ValueError(
             "scaling needs at least 2 samples, got %d" % d.n_samples
         )
-    g_mean, g_scale, g_const = _column_stats(d.genetic, normalization)
-    i_mean, i_scale, i_const = _column_stats(d.imaging, normalization)
+    g_mean, g_scale = _column_stats(d.genetic, normalization)
+    i_mean, i_scale = _column_stats(d.imaging, normalization)
     zg = (d.genetic - g_mean) / g_scale
     zi = (d.imaging - i_mean) / i_scale
     ni, ng = d.n_imaging, d.n_genetic
     x_mean = np.empty((ni, ng))
     x_scale = np.empty((ni, ng))
-    x_const = np.empty((ni, ng), dtype=bool)
-    # One imaging column at a time keeps memory at O(N * n_genetic).
+    # One imaging column at a time keeps memory at O(N * n_genetic).  Freeing
+    # `products` before the next one exists faults its pages in anew (2x time).
     for i in range(ni):
         products = zi[:, i : i + 1] * zg
-        m, s, c = _column_stats(products, normalization)
-        x_mean[i] = m
-        x_scale[i] = s
-        x_const[i] = c
+        x_mean[i], x_scale[i] = _column_stats(products, normalization)
     return ScalingRecord(
         normalization,
-        g_mean, g_scale, g_const,
-        i_mean, i_scale, i_const,
-        x_mean, x_scale, x_const,
+        g_mean, g_scale,
+        i_mean, i_scale,
+        x_mean, x_scale,
         genetic_names=genetic_names,
         imaging_names=imaging_names,
     )
@@ -216,131 +220,81 @@ def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design
 
 
 def save_scaler(record: ScalingRecord, path) -> None:
-    """Write a scaling record as versioned tab-separated text."""
-    lines = [_FORMAT_HEADER, "normalization\t%s" % record.normalization]
-    lines.append("genetic\t%d" % record.n_genetic)
-    g_names = record.genetic_names or [""] * record.n_genetic
-    for j in range(record.n_genetic):
-        lines.append(
-            "%d\t%.17g\t%.17g\t%d\t%s"
-            % (
-                j,
-                record.genetic_mean[j],
-                record.genetic_scale[j],
-                int(record.genetic_constant[j]),
-                g_names[j],
-            )
-        )
-    lines.append("imaging\t%d" % record.n_imaging)
-    i_names = record.imaging_names or [""] * record.n_imaging
-    for j in range(record.n_imaging):
-        lines.append(
-            "%d\t%.17g\t%.17g\t%d\t%s"
-            % (
-                j,
-                record.imaging_mean[j],
-                record.imaging_scale[j],
-                int(record.imaging_constant[j]),
-                i_names[j],
-            )
-        )
-    lines.append("cross\t%d\t%d" % (record.n_imaging, record.n_genetic))
+    """Write a scaling record as ``structprox-scaler v2`` text."""
+
+    def row(tag, fields):
+        return "\t".join([tag, *fields]) + "\n"
+
+    def values(tag, vector):
+        return row(tag, ["%.17g" % v for v in vector.tolist()])
+
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        # row by row, not as one list of n_imaging * n_genetic strings
-        for i in range(record.n_imaging):
-            fh.writelines(
-                "%d\t%d\t%.17g\t%.17g\t%d\n"
-                % (
-                    i,
-                    j,
-                    record.cross_mean[i, j],
-                    record.cross_scale[i, j],
-                    int(record.cross_constant[i, j]),
-                )
-                for j in range(record.n_genetic)
-            )
+        fh.write(_FORMAT_HEADER + "\n")
+        fh.write(row("normalization", [record.normalization]))
+        for kind in ("genetic", "imaging"):
+            fh.write(row(kind + "_names", getattr(record, kind + "_names") or ()))
+            fh.write(values(kind + "_mean", getattr(record, kind + "_mean")))
+            fh.write(values(kind + "_scale", getattr(record, kind + "_scale")))
+        # one row per imaging feature, never the whole matrix as strings
+        for tag in ("cross_mean", "cross_scale"):
+            fh.writelines(values(tag, r) for r in getattr(record, tag))
 
 
 def load_scaler(path) -> ScalingRecord:
-    """Read a scaling record written by :func:`save_scaler`."""
+    """Read a scaling record written by :func:`save_scaler`.
+
+    Any departure from the v2 layout, a v1 file included, raises a
+    ``ValueError`` that names the file, the line and the expected tag.
+    """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _FORMAT_HEADER:
-        raise ValueError("%s: not a scaler file (bad header line)" % path)
-    pos = 1
+        lineno = 0
 
-    def fields(expected: int, context: str):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError("%s: truncated while reading %s" % (path, context))
-        parts = lines[pos].split("\t")
-        if len(parts) < expected:
-            raise ValueError(
-                "%s: line %d has %d fields, expected %d (%s)"
-                % (path, pos + 1, len(parts), expected, context)
-            )
-        pos += 1
-        return parts
+        def error(message):
+            return ValueError("%s: line %d: %s" % (path, lineno, message))
 
-    parts = fields(2, "normalization")
-    if parts[0] != "normalization":
-        raise ValueError("%s: expected normalization line" % path)
-    normalization = parts[1]
+        def fields(tag, count=None):
+            """Fields after ``tag`` on the next line; ``count`` of them if given."""
+            nonlocal lineno
+            lineno += 1
+            line = next(fh, None)
+            if line is None:
+                raise error("truncated, expected %s" % tag)
+            found, *rest = line.rstrip("\n").split("\t")
+            if found != tag:
+                raise error("found %r, expected %s" % (found, tag))
+            if count is not None and len(rest) != count:
+                raise error("%s holds %d values, expected %d" % (tag, len(rest), count))
+            return rest
 
-    def read_block(tag: str):
-        parts = fields(2, tag)
-        if parts[0] != tag:
-            raise ValueError("%s: expected %s section" % (path, tag))
-        count = int(parts[1])
-        mean = np.empty(count)
-        scale = np.empty(count)
-        const = np.empty(count, dtype=bool)
-        names = []
-        for j in range(count):
-            row = fields(4, "%s column %d" % (tag, j))
-            if int(row[0]) != j:
-                raise ValueError(
-                    "%s: %s column %d is out of order" % (path, tag, j)
-                )
-            mean[j] = float(row[1])
-            scale[j] = float(row[2])
-            const[j] = bool(int(row[3]))
-            names.append(row[4] if len(row) > 4 else "")
-        if all(n == "" for n in names):
-            names = None
-        return mean, scale, const, names
+        def floats(tag, count=None):
+            text = fields(tag, count)
+            try:
+                return np.array(text, dtype=float)
+            except ValueError:
+                raise error("%s holds a non-numeric value" % tag) from None
 
-    g_mean, g_scale, g_const, g_names = read_block("genetic")
-    i_mean, i_scale, i_const, i_names = read_block("imaging")
-
-    parts = fields(3, "cross")
-    if parts[0] != "cross":
-        raise ValueError("%s: expected cross section" % path)
-    ni, ng = int(parts[1]), int(parts[2])
-    if ni != i_mean.size or ng != g_mean.size:
-        raise ValueError(
-            "%s: cross section is %dx%d but columns are %dx%d"
-            % (path, ni, ng, i_mean.size, g_mean.size)
+        fields(_FORMAT_HEADER, 0)
+        (normalization,) = fields("normalization", 1)
+        g_names = fields("genetic_names") or None
+        g_mean = floats("genetic_mean")
+        g_scale = floats("genetic_scale", g_mean.size)
+        i_names = fields("imaging_names") or None
+        i_mean = floats("imaging_mean")
+        i_scale = floats("imaging_scale", i_mean.size)
+        ni, ng = i_mean.size, g_mean.size
+        x_mean = np.reshape([floats("cross_mean", ng) for _ in range(ni)], (ni, ng))
+        x_scale = np.reshape([floats("cross_scale", ng) for _ in range(ni)], (ni, ng))
+        if next(fh, None) is not None:
+            lineno += 1
+            raise error("follows the last cross_scale row")
+    try:
+        return ScalingRecord(
+            normalization,
+            g_mean, g_scale,
+            i_mean, i_scale,
+            x_mean, x_scale,
+            genetic_names=g_names,
+            imaging_names=i_names,
         )
-    x_mean = np.empty((ni, ng))
-    x_scale = np.empty((ni, ng))
-    x_const = np.empty((ni, ng), dtype=bool)
-    for i in range(ni):
-        for j in range(ng):
-            row = fields(5, "cross entry (%d, %d)" % (i, j))
-            if int(row[0]) != i or int(row[1]) != j:
-                raise ValueError(
-                    "%s: cross entry (%d, %d) is out of order" % (path, i, j)
-                )
-            x_mean[i, j] = float(row[2])
-            x_scale[i, j] = float(row[3])
-            x_const[i, j] = bool(int(row[4]))
-    return ScalingRecord(
-        normalization,
-        g_mean, g_scale, g_const,
-        i_mean, i_scale, i_const,
-        x_mean, x_scale, x_const,
-        genetic_names=g_names,
-        imaging_names=i_names,
-    )
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None

@@ -36,9 +36,13 @@ __all__ = [
     "fit",
     "screen_lambda_max",
     "MAX_BACKTRACKS",
+    "BACKTRACK_FACTOR",
+    "STEP_INIT",
 ]
 
 MAX_BACKTRACKS = 200
+BACKTRACK_FACTOR = 0.8
+STEP_INIT = 1.0
 
 
 class SolverFailure(RuntimeError):
@@ -148,28 +152,22 @@ def backtracking_step(
     design: Design,
     gs: GroupStructure,
     h: Hyperparameters,
-    step_init: float | None = None,
-    grad: np.ndarray | None = None,
-    risk_current: float | None = None,
+    grad: np.ndarray,
+    risk_current: float,
 ):
     """Shrink the stepsize until the acceptance inequality holds.
 
-    Starting from ``step_init`` the candidate from
+    ``grad`` and ``risk_current`` are the risk gradient and risk at ``p``.
+    Starting from :data:`STEP_INIT` the candidate from
     :func:`parameter_update` is accepted once
 
         risk(candidate) <= risk(p) - step * <grad, ghat> + step/2 * ||ghat||^2
 
     with the gradient mapping ``ghat = (flat(p) - flat(candidate)) / step``,
-    and otherwise the step is multiplied by the backtrack factor.  Returns
-    ``(candidate, step, n_shrinks, candidate_risk)``.
+    and otherwise the step is multiplied by :data:`BACKTRACK_FACTOR`.
+    Returns ``(candidate, step, n_shrinks, candidate_risk)``.
     """
-    if step_init is None:
-        step_init = h.step_init
-    if grad is None:
-        grad = risk_gradient(p, design, h.variant)
-    if risk_current is None:
-        risk_current = risk(p, design, h.variant)
-    step = float(step_init)
+    step = STEP_INIT
     for shrinks in range(MAX_BACKTRACKS + 1):
         candidate = parameter_update(p, grad, step, gs, h)
         ghat = (p.flat() - candidate.flat()) / step
@@ -181,7 +179,7 @@ def backtracking_step(
         candidate_risk = risk(candidate, design, h.variant)
         if candidate_risk <= bound:
             return candidate, step, shrinks, candidate_risk
-        step *= h.backtrack_factor
+        step *= BACKTRACK_FACTOR
     raise SolverFailure(
         "line search failed: %d shrinkages reached step %.3e without acceptance"
         % (MAX_BACKTRACKS, step)
@@ -237,7 +235,7 @@ def fit(
         prev = history[-1]
         grad = risk_gradient(p, design, h.variant)
         candidate, step, shrinks, cand_risk = backtracking_step(
-            p, design, gs, h, h.step_init, grad, prev.risk
+            p, design, gs, h, grad, prev.risk
         )
         cand_pen = penalty(candidate, gs, h)
         total = cand_risk + cand_pen

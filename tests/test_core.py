@@ -244,8 +244,6 @@ class TestHyperparameters:
     def test_defaults(self):
         h = Hyperparameters(0.1, 0.2, 0.3)
         assert h.variant == "multilevel"
-        assert h.backtrack_factor == 0.8
-        assert h.step_init == 1.0
         assert h.tol == 1e-5
         assert h.max_iters == 10000
 
@@ -261,7 +259,3 @@ class TestHyperparameters:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             Hyperparameters(0.1, 0.1, 0.1, variant="quadratic")
-
-    def test_rejects_bad_backtrack_factor(self):
-        with pytest.raises(ValueError):
-            Hyperparameters(0.1, 0.1, 0.1, backtrack_factor=1.0)

@@ -161,6 +161,27 @@ class TestParamsFile:
         with pytest.raises(ValueError, match="line"):
             load_params(str(path))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "imaging\t-1\t0.5",
+            "imaging\t2\t0.5",
+            "genetic\t-4\t1.5",
+            "genetic\t4\t1.5",
+            "interaction\t0\t-1\t0.5",
+            "interaction\t2\t0\t0.5",
+        ],
+    )
+    def test_index_outside_dims_rejected(self, tmp_path, entry):
+        # dims are 2 imaging x 4 expanded; the entry goes on line 4
+        path = tmp_path / "params.txt"
+        save_params(str(path), ParameterSet.zeros(2, 4))
+        lines = path.read_text().splitlines()
+        lines.insert(3, entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 4 is malformed"):
+            load_params(str(path))
+
 
 class TestTraceAndPredictions:
     def test_trace_csv_columns(self, tmp_path):

@@ -42,11 +42,9 @@ class TestFitScaler:
             np.array([0.0, 1.0, 0.0]),
         )
         record = fit_scaler(d)
-        assert record.genetic_constant[0]
-        assert not record.genetic_constant[1]
+        assert record.genetic_scale[1] == pytest.approx(np.sqrt(2.0 / 3.0))
         assert record.genetic_scale[0] == 1.0
         assert record.genetic_mean[0] == 0.0
-        assert record.imaging_constant[0]
         assert record.imaging_scale[0] == 1.0
 
     def test_matches_two_pass_brute_force(self):
@@ -158,10 +156,13 @@ class TestCrossStats:
                 np.testing.assert_allclose(
                     record.cross_mean[i, g], prod.mean(), atol=1e-12
                 )
-                if not record.cross_constant[i, g]:
-                    np.testing.assert_allclose(
-                        record.cross_scale[i, g], prod.std(), rtol=1e-12
-                    )
+                # a constant product column keeps scale 1
+                spread = prod.std()
+                if spread <= 1e-12 * max(1.0, abs(prod.mean())):
+                    spread = 1.0
+                np.testing.assert_allclose(
+                    record.cross_scale[i, g], spread, rtol=1e-12
+                )
 
 
 class TestScalerFile:
@@ -192,6 +193,61 @@ class TestScalerFile:
         with pytest.raises(ValueError):
             load_scaler(str(path))
 
+    @staticmethod
+    def saved_lines(tmp_path):
+        """Path and lines of a saved 4-genetic, 3-imaging scaler file.
+
+        Lines 1-8 are the header, normalization and the genetic and
+        imaging names/mean/scale rows; 9-11 are cross_mean, 12-14
+        cross_scale.
+        """
+        path = tmp_path / "scaler.txt"
+        save_scaler(fit_scaler(small_dataset(18)), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 14
+        return path, lines
+
+    def test_rejects_v1_header(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("".join(["structprox-scaler v1\n"] + lines[1:]))
+        with pytest.raises(ValueError, match="line 1: .*expected structprox-scaler v2"):
+            load_scaler(str(path))
+
+    def test_rejects_truncated_file(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match="line 14: truncated, expected cross_scale"):
+            load_scaler(str(path))
+
+    def test_rejects_row_one_value_short(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[4] = lines[4].rsplit("\t", 1)[0] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(
+            ValueError, match="line 5: genetic_scale holds 3 values, expected 4"
+        ):
+            load_scaler(str(path))
+
+    def test_rejects_non_numeric_value(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[9] = lines[9].replace("\t", "\tabc", 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 10: cross_mean holds a non-numeric value"):
+            load_scaler(str(path))
+
+    def test_rejects_trailing_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("".join(lines + [lines[-1]]))
+        with pytest.raises(ValueError, match="line 15: follows the last cross_scale row"):
+            load_scaler(str(path))
+
+    def test_rejects_non_finite_scale(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[4] = "genetic_scale\tnan\t1\t1\t1\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="genetic_scale holds a non-finite value"):
+            load_scaler(str(path))
+
     def test_transform_after_reload_identical(self, tmp_path):
         d = small_dataset(17)
         record = fit_scaler(d)
@@ -202,3 +258,9 @@ class TestScalerFile:
         b = transform_features(loaded, d.genetic, d.imaging)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+
+class TestScalingRecord:
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="imaging_scale must have shape"):
+            ScalingRecord("sd", [0.0], [1.0], [0.0], [1.0, 1.0, 1.0], [[0.0]], [[1.0]])

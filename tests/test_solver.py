@@ -14,6 +14,8 @@ from structprox import (
 from structprox.objective import Design, objective, risk, risk_gradient, sigmoid, margins
 from structprox.preprocessing import fit_scaler, make_design
 from structprox.solver import (
+    BACKTRACK_FACTOR,
+    STEP_INIT,
     backtracking_step,
     parameter_update,
     prox_group,
@@ -215,21 +217,23 @@ class TestBacktracking:
             p, design, gs, h, grad=grad, risk_current=risk(p, design)
         )
         assert shrinks == 0
-        assert step == h.step_init
+        assert step == STEP_INIT
 
     def test_accepted_step_satisfies_inequality(self):
         for seed in range(10):
             d, gs, design = random_instance(1100 + seed)
             p = random_params(1200 + seed, design.n_imaging, gs.expanded_size, scale=0.5)
             h = default_hyper()
-            candidate, step, shrinks, cand_risk = backtracking_step(p, design, gs, h)
             grad = risk_gradient(p, design)
+            candidate, step, shrinks, cand_risk = backtracking_step(
+                p, design, gs, h, grad, risk(p, design)
+            )
             ghat = (p.flat() - candidate.flat()) / step
             bound = risk(p, design) - step * float(grad @ ghat) + 0.5 * step * float(
                 ghat @ ghat
             )
             assert cand_risk <= bound + 1e-12
-            np.testing.assert_allclose(step, h.step_init * h.backtrack_factor**shrinks)
+            np.testing.assert_allclose(step, STEP_INIT * BACKTRACK_FACTOR**shrinks)
 
     def test_steep_instance_shrinks(self):
         # large features force at least one shrink from step 1.0
@@ -243,9 +247,11 @@ class TestBacktracking:
         design = Design.from_dataset(d, gs)
         p = random_params(62, 2, 2, scale=0.3)
         h = default_hyper()
-        _, step, shrinks, _ = backtracking_step(p, design, gs, h)
+        _, step, shrinks, _ = backtracking_step(
+            p, design, gs, h, risk_gradient(p, design), risk(p, design)
+        )
         assert shrinks >= 1
-        np.testing.assert_allclose(step, h.backtrack_factor**shrinks)
+        np.testing.assert_allclose(step, BACKTRACK_FACTOR**shrinks)
 
 
 class TestFit:
