@@ -16,12 +16,10 @@ from .core import (
 )
 from .evaluation import (
     CvResult,
-    FittedModel,
     MetricsReport,
     ReducedParameters,
     SelectedGroups,
     balanced_accuracy,
-    fit_pipeline,
     kfold_cv,
     log_grid,
     make_grid,

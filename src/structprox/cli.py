@@ -11,6 +11,7 @@ config and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 import time
@@ -18,7 +19,6 @@ import time
 from . import dataio
 from .core import Dataset, Hyperparameters, VARIANTS
 from .evaluation import (
-    fit_pipeline,
     kfold_cv,
     log_grid,
     make_grid,
@@ -33,7 +33,7 @@ from .preprocessing import (
     make_design,
     save_scaler,
 )
-from .solver import SolverFailure, screen_lambda_max
+from .solver import SolverFailure, fit, screen_lambda_max
 from .synthetic import SyntheticSpec, generate, write_files
 
 __all__ = ["main"]
@@ -96,35 +96,40 @@ def _load_data(args):
     return d, gs, g_names, i_names
 
 
-def _format_rate(value) -> str:
-    return "--" if value is None else "%.1f" % value
+_RATES = ("sensitivity", "specificity", "precision", "balanced_accuracy")
+
+
+def _format_rates(report, fmt: str, undefined: str) -> list[str]:
+    """The four rates of a ``MetricsReport`` or ``MeanMetrics``; a rate that
+    is None, or every rate of a None report, reads ``undefined``."""
+    values = [getattr(report, rate, None) for rate in _RATES]
+    return [undefined if v is None else fmt % v for v in values]
 
 
 def _results_table(rows) -> str:
     """Fixed-width comparison table; one row per (variant, source)."""
-    header = "%-16s %-8s %6s %6s %6s %6s" % ("variant", "source", "Sen", "Spe", "Pre", "BAcc")
-    lines = [header, "-" * len(header)]
-    for name, source, sen, spe, pre, bacc in rows:
-        lines.append(
-            "%-16s %-8s %6s %6s %6s %6s"
-            % (name, source, _format_rate(sen), _format_rate(spe),
-               _format_rate(pre), _format_rate(bacc))
-        )
-    return "\n".join(lines)
+    line = "%-16s %-8s %6s %6s %6s %6s"
+    header = line % ("variant", "source", "Sen", "Spe", "Pre", "BAcc")
+    return "\n".join([header, "-" * len(header), *(line % tuple(r) for r in rows)])
+
+
+def _write_csv(path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _save_reduced(out_dir, red, i_names, group_names) -> None:
     dataio.save_matrix_csv(
         os.path.join(out_dir, "reduced_interaction.csv"), group_names, red.interaction
     )
-    with open(os.path.join(out_dir, "reduced_imaging.csv"), "w") as fh:
-        fh.write("feature,max_abs\n")
-        for name, value in zip(i_names, red.imaging):
-            fh.write("%s,%.17g\n" % (name, value))
-    with open(os.path.join(out_dir, "reduced_genetic.csv"), "w") as fh:
-        fh.write("group,max_abs\n")
-        for name, value in zip(group_names, red.genetic):
-            fh.write("%s,%.17g\n" % (name, value))
+    for name, header, names, values in (
+        ("reduced_imaging.csv", "feature", i_names, red.imaging),
+        ("reduced_genetic.csv", "group", group_names, red.genetic),
+    ):
+        _write_csv(
+            os.path.join(out_dir, name),
+            [[header, "max_abs"], *([n, "%.17g" % v] for n, v in zip(names, values))],
+        )
 
 
 def cmd_fit(args) -> int:
@@ -143,19 +148,18 @@ def cmd_fit(args) -> int:
         tol=args.tol,
         max_iters=args.max_iters,
     )
-    model = fit_pipeline(d, gs, h, normalization=args.normalization)
-    model.record.genetic_names = tuple(g_names)
-    model.record.imaging_names = tuple(i_names)
+    record = fit_scaler(d, args.normalization, genetic_names=g_names, imaging_names=i_names)
+    params, state = fit(make_design(d, gs, record), gs, h)
 
     os.makedirs(args.out, exist_ok=True)
-    dataio.save_params(os.path.join(args.out, "params.txt"), model.params, h.variant)
-    save_scaler(model.record, os.path.join(args.out, "scaler.txt"))
-    dataio.save_trace_csv(os.path.join(args.out, "trace.csv"), model.state)
-    red = reduce_parameters(model.params, gs)
+    dataio.save_params(os.path.join(args.out, "params.txt"), params, h.variant)
+    save_scaler(record, os.path.join(args.out, "scaler.txt"))
+    dataio.save_trace_csv(os.path.join(args.out, "trace.csv"), state)
+    red = reduce_parameters(params, gs)
     _save_reduced(args.out, red, i_names, list(gs.names))
 
-    sel = selected_groups(model.params, gs)
-    final = model.state.history[-1]
+    sel = selected_groups(params, gs)
+    final = state.history[-1]
     elapsed = time.perf_counter() - started
     summary = [
         "variant: %s" % h.variant,
@@ -164,9 +168,9 @@ def cmd_fit(args) -> int:
         "lambda_g: %.17g" % h.lambda_genetic,
         "normalization: %s" % args.normalization,
         "samples: %d" % d.n_samples,
-        "iterations: %d" % model.state.iterations,
-        "converged: %s" % model.state.converged,
-        "stop_reason: %s" % model.state.stop_reason,
+        "iterations: %d" % state.iterations,
+        "converged: %s" % state.converged,
+        "stop_reason: %s" % state.stop_reason,
         "final_risk: %.17g" % final.risk,
         "final_penalty: %.17g" % final.penalty,
         "final_objective: %.17g" % final.total,
@@ -180,7 +184,7 @@ def cmd_fit(args) -> int:
         fh.write("\n".join(summary) + "\n")
     print(
         "fit: %s, %d iterations, objective %.6g, %d genetic / %d interaction groups selected"
-        % (model.state.stop_reason, model.state.iterations, final.total,
+        % (state.stop_reason, state.iterations, final.total,
            len(sel.genetic), len(sel.interaction))
     )
     print("outputs written to %s" % args.out)
@@ -242,12 +246,9 @@ def cmd_cv(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     table_rows = []
-    metric_lines = ["variant,fold,tp,fp,tn,fn,sensitivity,specificity,precision,balanced_accuracy"]
-    chosen_lines = ["variant,fold,lambda_w,lambda_i,lambda_g,selected_genetic,selected_interaction"]
-
-    def rate_text(value):
-        return "" if value is None else "%.17g" % value
-
+    metric_rows = [["variant", "fold", "tp", "fp", "tn", "fn", *_RATES]]
+    chosen_rows = [["variant", "fold", "lambda_w", "lambda_i", "lambda_g",
+                    "selected_genetic", "selected_interaction"]]
     for variant in variants:
         grid = make_grid(w_values, i_values, g_values, variant=variant)
         result = kfold_cv(
@@ -256,51 +257,26 @@ def cmd_cv(args) -> int:
             inner_k=args.inner_folds, normalization=args.normalization,
             threshold=args.threshold,
         )
-        for f, report in enumerate(result.fold_metrics):
-            if report is None:
-                metric_lines.append("%s,%d,,,,,,,," % (variant, f))
-            else:
-                metric_lines.append(
-                    "%s,%d,%d,%d,%d,%d,%s,%s,%s,%s"
-                    % (variant, f, report.tp, report.fp, report.tn, report.fn,
-                       rate_text(report.sensitivity), rate_text(report.specificity),
-                       rate_text(report.precision), rate_text(report.balanced_accuracy))
-                )
-        pooled = result.pooled
-        metric_lines.append(
-            "%s,pooled,%d,%d,%d,%d,%s,%s,%s,%s"
-            % (variant, pooled.tp, pooled.fp, pooled.tn, pooled.fn,
-               rate_text(pooled.sensitivity), rate_text(pooled.specificity),
-               rate_text(pooled.precision), rate_text(pooled.balanced_accuracy))
-        )
-        mean = result.mean
-        metric_lines.append(
-            "%s,mean,,,,,%s,%s,%s,%s"
-            % (variant, rate_text(mean.sensitivity), rate_text(mean.specificity),
-               rate_text(mean.precision), rate_text(mean.balanced_accuracy))
-        )
-        for f, (h, sel) in enumerate(zip(result.chosen, result.selected)):
-            chosen_lines.append(
-                "%s,%d,%.17g,%.17g,%.17g,%s,%s"
-                % (variant, f, h.lambda_interaction, h.lambda_imaging,
-                   h.lambda_genetic,
-                   ";".join(gs.names[l] for l in sel.genetic),
-                   ";".join(gs.names[l] for l in sel.interaction))
+        rows = [*enumerate(result.fold_metrics), ("pooled", result.pooled), ("mean", result.mean)]
+        for fold, report in rows:
+            # one-class folds (None) and the mean have no counts
+            counts = [getattr(report, c, "") for c in ("tp", "fp", "tn", "fn")]
+            metric_rows.append(
+                [variant, fold, *counts, *_format_rates(report, "%.17g", "")]
             )
-        table_rows.append((
-            variant, "mean", mean.sensitivity, mean.specificity,
-            mean.precision, mean.balanced_accuracy,
-        ))
-        table_rows.append((
-            variant, "pooled", pooled.sensitivity, pooled.specificity,
-            pooled.precision, pooled.balanced_accuracy,
-        ))
+        for f, (h, sel) in enumerate(zip(result.chosen, result.selected)):
+            chosen_rows.append([
+                variant, f,
+                *("%.17g" % v for v in (h.lambda_interaction, h.lambda_imaging, h.lambda_genetic)),
+                ";".join(gs.names[l] for l in sel.genetic),
+                ";".join(gs.names[l] for l in sel.interaction),
+            ])
+        for source, report in (("mean", result.mean), ("pooled", result.pooled)):
+            table_rows.append([variant, source, *_format_rates(report, "%.1f", "--")])
 
     table = _results_table(table_rows)
-    with open(os.path.join(args.out, "cv_metrics.csv"), "w") as fh:
-        fh.write("\n".join(metric_lines) + "\n")
-    with open(os.path.join(args.out, "cv_chosen.csv"), "w") as fh:
-        fh.write("\n".join(chosen_lines) + "\n")
+    _write_csv(os.path.join(args.out, "cv_metrics.csv"), metric_rows)
+    _write_csv(os.path.join(args.out, "cv_chosen.csv"), chosen_rows)
     with open(os.path.join(args.out, "table.txt"), "w") as fh:
         fh.write(table + "\n")
     print(table)

@@ -75,10 +75,10 @@ def save_matrix_csv(path, names, X) -> None:
         raise ValueError(
             "matrix shape %r does not match %d column names" % (X.shape, len(names))
         )
-    with open(path, "w") as fh:
-        fh.write(",".join(str(n) for n in names) + "\n")
-        for row in X:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(["%.17g" % v for v in row] for row in X)
 
 
 def load_labels_csv(path) -> np.ndarray:
@@ -196,9 +196,12 @@ def load_params(path):
         raise ValueError("%s: bad variant line" % path)
     variant = v_parts[1]
     d_parts = lines[2].split("\t")
-    if len(d_parts) != 3 or d_parts[0] != "dims":
-        raise ValueError("%s: bad dims line" % path)
-    n_imaging, expanded = int(d_parts[1]), int(d_parts[2])
+    try:
+        n_imaging, expanded = map(int, d_parts[1:])
+        if d_parts[0] != "dims" or min(n_imaging, expanded) < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError("%s: bad dims line" % path) from None
     p = ParameterSet.zeros(n_imaging, expanded)
 
     def index(text, dim):
@@ -208,6 +211,12 @@ def load_params(path):
             raise ValueError
         return k
 
+    def value(text):
+        v = float(text)
+        if not np.isfinite(v):
+            raise ValueError
+        return v
+
     saw_intercept = False
     for lineno, line in enumerate(lines[3:], start=4):
         parts = line.split("\t")
@@ -215,18 +224,18 @@ def load_params(path):
         try:
             if tag == "interaction" and len(parts) == 4:
                 i, g = index(parts[1], n_imaging), index(parts[2], expanded)
-                p.interaction[i, g] = float(parts[3])
+                p.interaction[i, g] = value(parts[3])
             elif tag == "imaging" and len(parts) == 3:
-                p.imaging[index(parts[1], n_imaging)] = float(parts[2])
+                p.imaging[index(parts[1], n_imaging)] = value(parts[2])
             elif tag == "genetic" and len(parts) == 3:
-                p.genetic[index(parts[1], expanded)] = float(parts[2])
+                p.genetic[index(parts[1], expanded)] = value(parts[2])
             elif tag == "intercept" and len(parts) == 2:
-                p.intercept = float(parts[1])
+                p.intercept = value(parts[1])
                 saw_intercept = True
             else:
                 raise ValueError
         except ValueError:
-            raise ValueError("%s: line %d is malformed" % (path, lineno))
+            raise ValueError("%s: line %d is malformed" % (path, lineno)) from None
     if not saw_intercept:
         raise ValueError("%s: missing intercept line" % path)
     return p, variant

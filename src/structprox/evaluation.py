@@ -1,20 +1,23 @@
 """Prediction, classification metrics, cross-validation, and the reduced
 parameter summaries used in reports.
 
+A single model is trained by the three stage calls ``fit_scaler``,
+``make_design`` and ``fit``; this module scores what they produce.
 Rates are expressed as percentages.  Cross-validation keeps scaling and
 model selection strictly inside each training fold.  Each split, outer or
 inner, gets one scaler fitted on its training rows and one design for each
 side, reused by every grid point fitted on it.  Independent fold fits
 may run in parallel when the ``STRUCTPROX_THREADS`` environment variable
 asks for more than one worker, and results are always reduced in fold
-order so reruns are reproducible.
+order so reruns are reproducible.  The pooled report is computed from the
+out-of-fold predictions themselves.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -22,20 +25,18 @@ import numpy as np
 from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet
 from .objective import margins, sigmoid
 from .preprocessing import ScalingRecord, fit_scaler, make_design
-from .solver import SolverState, fit
+from .solver import fit
 
 __all__ = [
     "MetricsReport",
     "MeanMetrics",
     "ReducedParameters",
     "SelectedGroups",
-    "FittedModel",
     "CvResult",
     "balanced_accuracy",
     "confusion",
     "metrics",
     "predict",
-    "fit_pipeline",
     "log_grid",
     "make_grid",
     "stratified_folds",
@@ -97,7 +98,9 @@ def confusion(y_true, y_pred):
     return tp, fp, tn, fn
 
 
-def _report_from_counts(tp: int, fp: int, tn: int, fn: int) -> MetricsReport:
+def metrics(y_true, y_pred) -> MetricsReport:
+    """Sensitivity, specificity, precision, and balanced accuracy."""
+    tp, fp, tn, fn = confusion(y_true, y_pred)
     if tp + fn == 0:
         raise ValueError("no positive samples: sensitivity is undefined")
     if tn + fp == 0:
@@ -112,34 +115,6 @@ def _report_from_counts(tp: int, fp: int, tn: int, fn: int) -> MetricsReport:
         precision=pre,
         balanced_accuracy=balanced_accuracy(sen, spe),
     )
-
-
-def metrics(y_true, y_pred) -> MetricsReport:
-    """Sensitivity, specificity, precision, and balanced accuracy."""
-    return _report_from_counts(*confusion(y_true, y_pred))
-
-
-@dataclass
-class FittedModel:
-    """A trained model together with its preprocessing statistics."""
-
-    params: ParameterSet
-    record: ScalingRecord
-    state: SolverState
-    hyper: Hyperparameters
-
-
-def fit_pipeline(
-    d: Dataset,
-    gs: GroupStructure,
-    h: Hyperparameters,
-    normalization: str = "sd",
-) -> FittedModel:
-    """Scale, build the design, and run the solver in one call."""
-    record = fit_scaler(d, normalization)
-    design = make_design(d, gs, record)
-    params, state = fit(design, gs, h)
-    return FittedModel(params=params, record=record, state=state, hyper=h)
 
 
 def predict(
@@ -424,43 +399,28 @@ def kfold_cv(
     probabilities = np.empty(d.n_samples)
     predictions = np.empty(d.n_samples, dtype=np.intp)
     fold_metrics: list[MetricsReport | None] = []
-    chosen = []
-    selected = []
-    tp = fp = tn = fn = 0
-    for f, (best, params, probs, preds) in enumerate(results):
-        test_idx = folds[f]
+    for test_idx, (_, _, probs, preds) in zip(folds, results):
         probabilities[test_idx] = probs
         predictions[test_idx] = preds
-        a, b, c, e = confusion(labels[test_idx], preds)
-        tp += a; fp += b; tn += c; fn += e
-        if a + e > 0 and b + c > 0:
-            fold_metrics.append(_report_from_counts(a, b, c, e))
-        else:
-            fold_metrics.append(None)
-        chosen.append(best)
-        selected.append(selected_groups(params, gs))
+        fold_labels = labels[test_idx]
+        one_class = np.unique(fold_labels).size < 2
+        fold_metrics.append(None if one_class else metrics(fold_labels, preds))
 
-    pooled = _report_from_counts(tp, fp, tn, fn)
     defined = [m for m in fold_metrics if m is not None]
-    if defined:
-        precisions = [m.precision for m in defined if m.precision is not None]
-        mean = MeanMetrics(
-            sensitivity=float(np.mean([m.sensitivity for m in defined])),
-            specificity=float(np.mean([m.specificity for m in defined])),
-            precision=float(np.mean(precisions)) if precisions else None,
-            balanced_accuracy=float(np.mean([m.balanced_accuracy for m in defined])),
-        )
-    else:
-        mean = MeanMetrics(None, None, None, None)
+
+    def fold_mean(rate):
+        values = [getattr(m, rate) for m in defined if getattr(m, rate) is not None]
+        return float(np.mean(values)) if values else None
+
     return CvResult(
         k=k,
         selection=selection,
         fold_test_indices=folds,
         fold_metrics=fold_metrics,
-        pooled=pooled,
-        mean=mean,
-        chosen=chosen,
-        selected=selected,
+        pooled=metrics(labels, predictions),
+        mean=MeanMetrics(*(fold_mean(f.name) for f in fields(MeanMetrics))),
+        chosen=[best for best, _, _, _ in results],
+        selected=[selected_groups(params, gs) for _, params, _, _ in results],
         probabilities=probabilities,
         predictions=predictions,
     )

@@ -55,7 +55,8 @@ class ScalingRecord:
 
     Cross-product statistics are stored per (imaging row, original genetic
     column); expanded copies of a shared genetic feature reuse the original
-    column's entry.  Every statistic must be finite and every scale > 0.
+    column's entry.  Every statistic must be finite and every scale > 0;
+    column names, when given, must not hold a tab, CR or LF.
     """
 
     def __init__(
@@ -104,6 +105,12 @@ class ScalingRecord:
                 raise ValueError(
                     "%s_names holds %d names, expected %d" % (kind, len(names), count)
                 )
+            # the scaler file is tab-separated and read line by line
+            for j, name in enumerate(names or ()):
+                if any(c in name for c in "\t\r\n"):
+                    raise ValueError(
+                        "%s column %d name %r holds a tab or line break" % (kind, j, name)
+                    )
 
     @property
     def n_genetic(self) -> int:

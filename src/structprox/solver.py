@@ -17,7 +17,7 @@ two buffers directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,16 +61,24 @@ class IterationRecord:
     backtracks: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverState:
-    """Outcome of a fit: final iterate, trace, and stop diagnostics."""
+    """Outcome of a fit: the per-iteration history, whose first record is
+    the starting point, and why the loop stopped (``"converged"`` or
+    ``"max_iters"``).  The iteration count and the convergence flag are
+    derived from these two."""
 
-    params: ParameterSet
-    iterations: int
-    step: float
-    history: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
-    stop_reason: str = "max_iters"
+    history: list[IterationRecord]
+    stop_reason: str
+
+    @property
+    def iterations(self) -> int:
+        """Accepted iterations, not counting the starting point."""
+        return len(self.history) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def trace(self) -> np.ndarray:
@@ -227,9 +235,7 @@ def fit(
     if not np.isfinite(total0):
         raise SolverFailure("objective is non-finite at the initial point")
     history = [IterationRecord(0, r0, pen0, total0, 0.0, 0)]
-    converged = False
     stop_reason = "max_iters"
-    accepted_step = 0.0
 
     for it in range(1, h.max_iters + 1):
         prev = history[-1]
@@ -243,21 +249,10 @@ def fit(
             raise SolverFailure("objective diverged at iteration %d" % it)
         history.append(IterationRecord(it, cand_risk, cand_pen, total, step, shrinks))
         p = candidate
-        accepted_step = step
         if abs(total - prev.total) <= h.tol * abs(prev.total):
-            converged = True
             stop_reason = "converged"
             break
-
-    state = SolverState(
-        params=p,
-        iterations=len(history) - 1,
-        step=accepted_step,
-        history=history,
-        converged=converged,
-        stop_reason=stop_reason,
-    )
-    return p, state
+    return p, SolverState(history, stop_reason)
 
 
 @dataclass(frozen=True)

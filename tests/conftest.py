@@ -9,7 +9,10 @@ from structprox import (
     ParameterSet,
     SyntheticSpec,
     build_groups,
+    fit,
+    fit_scaler,
     generate,
+    make_design,
 )
 from structprox.objective import Design
 
@@ -63,3 +66,11 @@ def default_hyper(**overrides):
     )
     settings.update(overrides)
     return Hyperparameters(**settings)
+
+
+def fit_stages(d, gs, h, normalization="sd"):
+    """The three stages of a fit, scaler, design and solver, on one
+    dataset; returns ``(params, record)``."""
+    record = fit_scaler(d, normalization)
+    params, _ = fit(make_design(d, gs, record), gs, h)
+    return params, record

@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -30,6 +31,15 @@ def data_dir(tmp_path):
     )
     assert code == 0
     return out
+
+
+def rename_gene003(data_dir, name):
+    """Rename the fixture's group gene003, which carries planted signal, so
+    fits at small penalties select it."""
+    groups = data_dir / "groups.tsv"
+    lines = groups.read_text().splitlines()
+    lines[3] = name + lines[3][lines[3].index("\t"):]
+    groups.write_text("\n".join(lines) + "\n")
 
 
 def data_flags(data_dir):
@@ -96,6 +106,57 @@ class TestFit:
         assert "selected_genetic_groups: none" in summary
         assert "selected_interaction_groups: none" in summary
 
+    @pytest.mark.parametrize(
+        "kind, breaker",
+        [("genetic", "\t"), ("genetic", "\r"), ("genetic", "\n"), ("imaging", "\t")],
+    )
+    def test_name_with_tab_or_line_break_rejected(
+        self, data_dir, tmp_path, monkeypatch, capsys, kind, breaker
+    ):
+        import structprox.cli as cli_mod
+
+        def never(*a, **kw):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli_mod, "fit", never)
+        path = data_dir / (kind + ".csv")
+        header, rest = path.read_text().split("\n", 1)
+        names = header.split(",")
+        bad = names[1] + breaker + "A"
+        names[1] = '"%s"' % bad
+        path.write_text(",".join(names) + "\n" + rest)
+        out = tmp_path / "fit"
+        code = run(
+            ["fit", *data_flags(data_dir),
+             "--lambda-w", 0.1, "--lambda-i", 0.05, "--lambda-g", 0.1,
+             "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:")
+        assert "%s column 1 name %r" % (kind, bad) in err
+        assert not out.exists()
+
+    def test_group_name_with_comma_reads_back(self, data_dir, tmp_path):
+        from structprox.dataio import load_matrix_csv
+
+        rename_gene003(data_dir, "APOE,TOMM40")
+        out = tmp_path / "fit"
+        code = run(
+            ["fit", *data_flags(data_dir),
+             "--lambda-w", 0.001, "--lambda-i", 0.05, "--lambda-g", 0.001,
+             "--out", out]
+        )
+        assert code == 0
+        names, table = load_matrix_csv(str(out / "reduced_interaction.csv"))
+        assert names == ["gene000", "gene001", "gene002", "APOE,TOMM40"]
+        assert table.shape == (3, 4)
+        with open(out / "reduced_genetic.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [2] * 5
+        assert rows[4][0] == "APOE,TOMM40"
+        assert "APOE,TOMM40" in (out / "summary.txt").read_text()
+
     def test_missing_required_flag_is_input_error(self, data_dir, capsys):
         code = run(["fit", *data_flags(data_dir), "--lambda-w", 0.1])
         assert code == 1
@@ -121,7 +182,7 @@ class TestFit:
         def explode(*a, **kw):
             raise SolverFailure("line search failed at iteration 3")
 
-        monkeypatch.setattr(cli_mod, "fit_pipeline", explode)
+        monkeypatch.setattr(cli_mod, "fit", explode)
         code = run(
             ["fit", *data_flags(data_dir),
              "--lambda-w", 0.1, "--lambda-i", 0.05, "--lambda-g", 0.1]
@@ -252,7 +313,8 @@ class TestPredict:
         assert len(lines) == 61
 
         # saved model reproduces the in-memory pipeline probabilities
-        from structprox import fit_pipeline, Hyperparameters
+        from conftest import fit_stages
+        from structprox import Hyperparameters
         from structprox.dataio import (
             load_group_file,
             load_labels_csv,
@@ -267,9 +329,9 @@ class TestPredict:
         labels = load_labels_csv(str(data_dir / "labels.csv"))
         gs = load_group_file(str(data_dir / "groups.tsv"), genetic.shape[1])
         d = Dataset(genetic, imaging, labels.astype(float))
-        model = fit_pipeline(d, gs, Hyperparameters(0.1, 0.05, 0.1))
-        design = make_design(d, gs, model.record)
-        want = sigmoid(margins(model.params, design))
+        params, record = fit_stages(d, gs, Hyperparameters(0.1, 0.05, 0.1))
+        design = make_design(d, gs, record)
+        want = sigmoid(margins(params, design))
         got = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -389,6 +451,19 @@ class TestCv:
              "--out", out]
         )
         assert code == 0
+
+    def test_group_name_with_comma_quoted(self, data_dir, tmp_path):
+        rename_gene003(data_dir, "APOE,TOMM40")
+        out = tmp_path / "cv"
+        code = run(
+            ["cv", *data_flags(data_dir), "--grid", "w=0.001;i=0.05;g=0.001",
+             "--folds", 2, "--out", out]
+        )
+        assert code == 0
+        with open(out / "cv_chosen.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [7] * 3
+        assert all(r[5].split(";")[-1] == "APOE,TOMM40" for r in rows[1:])
 
     def test_bad_grid_rejected(self, data_dir, capsys):
         code = run(["cv", *data_flags(data_dir), "--grid", "w=;i=1;g=1"])

@@ -182,6 +182,38 @@ class TestParamsFile:
         with pytest.raises(ValueError, match="line 4 is malformed"):
             load_params(str(path))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "intercept\tinf",
+            "intercept\tnan",
+            "imaging\t0\t-inf",
+            "genetic\t1\tnan",
+            "interaction\t1\t3\tinf",
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, entry):
+        path = tmp_path / "params.txt"
+        save_params(str(path), ParameterSet.zeros(2, 4))
+        lines = path.read_text().splitlines()
+        lines.insert(3, entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 4 is malformed"):
+            load_params(str(path))
+
+    @pytest.mark.parametrize(
+        "dims",
+        ["dims\tx\ty", "dims\t-3\t12", "dims\t0\t4", "dims\t2\t0", "dims\t2.5\t4", "dims\t2"],
+    )
+    def test_bad_dims_rejected(self, tmp_path, dims):
+        path = tmp_path / "params.txt"
+        save_params(str(path), ParameterSet.zeros(2, 4))
+        lines = path.read_text().splitlines()
+        lines[2] = dims
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="params.txt: bad dims line"):
+            load_params(str(path))
+
 
 class TestTraceAndPredictions:
     def test_trace_csv_columns(self, tmp_path):

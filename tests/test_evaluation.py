@@ -6,7 +6,6 @@ from structprox import (
     Hyperparameters,
     ParameterSet,
     balanced_accuracy,
-    fit_pipeline,
     kfold_cv,
     log_grid,
     make_grid,
@@ -21,7 +20,7 @@ from structprox.evaluation import confusion
 from structprox.preprocessing import fit_scaler, make_design
 from structprox.solver import fit
 
-from conftest import default_hyper, synthetic_instance, tiny_groups
+from conftest import default_hyper, fit_stages, synthetic_instance, tiny_groups
 
 
 def labels_from_rates(sen, spe, n_pos=500, n_neg=500):
@@ -196,25 +195,25 @@ class TestReduceAndSelect:
 class TestPredict:
     def test_zero_parameters_probability_half(self):
         data = synthetic_instance(5)
-        model = fit_pipeline(data.dataset, data.groups, default_hyper())
+        _, record = fit_stages(data.dataset, data.groups, default_hyper())
         p0 = ParameterSet.zeros(
             data.dataset.imaging.shape[1], data.groups.expanded_size
         )
         probs, labels = predict(
-            p0, model.record, data.groups, data.dataset.genetic, data.dataset.imaging
+            p0, record, data.groups, data.dataset.genetic, data.dataset.imaging
         )
         np.testing.assert_array_equal(probs, 0.5)
         np.testing.assert_array_equal(labels, 1)
 
     def test_saturated_intercept(self):
         data = synthetic_instance(6)
-        model = fit_pipeline(data.dataset, data.groups, default_hyper())
+        _, record = fit_stages(data.dataset, data.groups, default_hyper())
         p0 = ParameterSet.zeros(
             data.dataset.imaging.shape[1], data.groups.expanded_size
         )
         p0.intercept = 50.0
         probs, _ = predict(
-            p0, model.record, data.groups, data.dataset.genetic, data.dataset.imaging
+            p0, record, data.groups, data.dataset.genetic, data.dataset.imaging
         )
         assert probs.min() >= 1.0 - 1e-20
 
@@ -223,12 +222,12 @@ class TestPredict:
         from structprox.preprocessing import make_design
 
         data = synthetic_instance(7)
-        model = fit_pipeline(data.dataset, data.groups, default_hyper())
-        design = make_design(data.dataset, data.groups, model.record)
-        want = sigmoid(margins(model.params, design))
+        params, record = fit_stages(data.dataset, data.groups, default_hyper())
+        design = make_design(data.dataset, data.groups, record)
+        want = sigmoid(margins(params, design))
         probs, labels = predict(
-            model.params,
-            model.record,
+            params,
+            record,
             data.groups,
             data.dataset.genetic,
             data.dataset.imaging,
@@ -238,11 +237,11 @@ class TestPredict:
 
     def test_threshold_validated(self):
         data = synthetic_instance(8)
-        model = fit_pipeline(data.dataset, data.groups, default_hyper())
+        params, record = fit_stages(data.dataset, data.groups, default_hyper())
         with pytest.raises(ValueError):
             predict(
-                model.params,
-                model.record,
+                params,
+                record,
                 data.groups,
                 data.dataset.genetic,
                 data.dataset.imaging,

@@ -264,3 +264,16 @@ class TestScalingRecord:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="imaging_scale must have shape"):
             ScalingRecord("sd", [0.0], [1.0], [0.0], [1.0, 1.0, 1.0], [[0.0]], [[1.0]])
+
+    @pytest.mark.parametrize("kind", ["genetic", "imaging"])
+    @pytest.mark.parametrize("breaker", ["\t", "\r", "\n"])
+    def test_rejects_name_with_tab_or_line_break(self, kind, breaker):
+        # the scaler file splits rows on tabs and reads CR and LF as line ends
+        names = {"genetic_names": ("g0", "g1"), "imaging_names": ("i0",)}
+        bad = names[kind + "_names"][:-1] + ("snp" + breaker + "A",)
+        names[kind + "_names"] = bad
+        with pytest.raises(ValueError, match="%s column %d name" % (kind, len(bad) - 1)):
+            ScalingRecord(
+                "sd", [0.0, 0.0], [1.0, 1.0], [0.0], [1.0],
+                [[0.0, 0.0]], [[1.0, 1.0]], **names,
+            )

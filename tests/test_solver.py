@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -285,6 +287,9 @@ class TestFit:
             trace = state.trace
             assert np.all(np.diff(trace) <= 1e-12)
             assert state.converged
+            assert state.stop_reason == "converged"
+            assert state.iterations == len(state.history) - 1 == trace.size - 1
+            assert state.history[-1].iteration == state.iterations
             assert abs(trace[-1] - trace[-2]) <= h.tol * abs(trace[-2])
 
     def test_reported_objective_matches_recomputation(self):
@@ -368,6 +373,8 @@ class TestFit:
         p, state = fit(design, data.groups, default_hyper(tol=1e-14, max_iters=3))
         assert not state.converged
         assert state.stop_reason == "max_iters"
+        assert state.iterations == 3 == len(state.history) - 1
+        assert [f.name for f in dataclasses.fields(state)] == ["history", "stop_reason"]
 
 
 class TestScreening:
