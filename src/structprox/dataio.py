@@ -107,7 +107,8 @@ def load_group_file(path, n_features: int) -> GroupStructure:
 
     Feature indices are 0-based positions into the genetic matrix columns.
     A weight of ``auto`` selects sqrt(group size).  Blank lines and lines
-    starting with ``#`` are skipped.
+    starting with ``#`` are skipped.  A name may not hold ``,`` or ``;``,
+    which separate the group names in ``summary.txt`` and ``cv_chosen.csv``.
     """
     groups = []
     weights = []
@@ -124,6 +125,11 @@ def load_group_file(path, n_features: int) -> GroupStructure:
                     % (path, lineno, len(parts))
                 )
             name, weight_text, index_text = parts
+            name = name.strip()
+            if "," in name or ";" in name:
+                raise ValueError(
+                    "%s: line %d group name %r holds ',' or ';'" % (path, lineno, name)
+                )
             try:
                 indices = [int(v) for v in index_text.split(",") if v.strip() != ""]
             except ValueError:
@@ -143,7 +149,7 @@ def load_group_file(path, n_features: int) -> GroupStructure:
                     )
             groups.append(indices)
             weights.append(weight)
-            names.append(name.strip())
+            names.append(name)
     if not groups:
         raise ValueError("%s: no group lines found" % path)
     return GroupStructure(groups, n_features, weights=weights, names=names)

@@ -305,17 +305,26 @@ def _build_split(d: Dataset, gs, train_idx, test_idx, normalization):
     return make_design(train, gs, record), make_design(d.subset(test_idx), gs, record)
 
 
-def _score_grid(splits, gs, grid, threshold) -> list[float]:
-    """Balanced accuracy of each grid point, pooled over the test sides of
-    ``splits`` (``(train, test)`` design pairs).  Splits run outside the grid,
-    so one split's designs are alive at a time; every fit is cold."""
+def _score_grid(splits, gs, grid, threshold):
+    """The grid point with the best balanced accuracy pooled over the test
+    sides of ``splits`` (``(train, test)`` design pairs), the first on ties,
+    and its ``(params, probabilities, predictions)`` on the last split.
+
+    Splits run outside the grid, so one split's designs are alive at a time;
+    every fit is cold.  On the last split a point's pooled counts are
+    complete once it is fitted, so the running best there is the overall
+    best, and only its fit is kept."""
     counts = np.zeros((len(grid), 4), dtype=np.int64)
     for train, test in splits:
+        best = None
         for j, h in enumerate(grid):
             params, _ = fit(train, gs, h)
-            _, preds = _classify(params, test, h.variant, threshold)
+            probs, preds = _classify(params, test, h.variant, threshold)
             counts[j] += confusion(test.labels, preds)
-    return [_pooled_bacc(*c) for c in counts]
+            score = _pooled_bacc(*counts[j])
+            if best is None or score > best_score:
+                best, best_score, fitted = h, score, (params, probs, preds)
+    return best, fitted
 
 
 def kfold_cv(
@@ -335,7 +344,8 @@ def kfold_cv(
     accuracy over an inner split of that fold's training data, so the test
     fold never informs the choice.  ``selection="oracle"`` picks by test
     fold balanced accuracy instead and is optimistic by construction; it
-    is reported only as an upper reference.  Each split's scaler and
+    is reported only as an upper reference, and the winner's scoring fit on
+    the outer split is the fold's final fit.  Each split's scaler and
     train/test designs are built once and reused for every grid point
     fitted on it, the outer split's also for the final fit.
     """
@@ -363,33 +373,30 @@ def kfold_cv(
 
     def run_fold(f: int):
         train_idx, test_idx = train_sets[f], folds[f]
-        outer = None
+        if selection == "oracle":
+            # The outer split is the only split scored, so the winner's
+            # scoring fit is the fold's final fit.
+            outer = _build_split(d, gs, train_idx, test_idx, normalization)
+            best, fitted = _score_grid([outer], gs, grid, threshold)
+            return (best, *fitted)
         if len(grid) == 1:
             best = grid[0]
         else:
-            if selection == "oracle":
-                outer = _build_split(d, gs, train_idx, test_idx, normalization)
-                splits = [outer]
-            else:
-                train_labels = labels[train_idx]
-                counts = [int(np.sum(train_labels == c)) for c in (0, 1)]
-                inner = min(inner_k, min(counts))
-                if inner < 2:
-                    raise ValueError(
-                        "fold %d training data cannot support an inner split; "
-                        "use a smaller k or a single grid point" % f
-                    )
-                inner_folds = stratified_folds(train_labels, inner, seed + 7919 * (f + 1))
-                splits = (
-                    _build_split(
-                        d, gs, np.delete(train_idx, t), train_idx[t], normalization
-                    )
-                    for t in inner_folds
+            train_labels = labels[train_idx]
+            counts = [int(np.sum(train_labels == c)) for c in (0, 1)]
+            inner = min(inner_k, min(counts))
+            if inner < 2:
+                raise ValueError(
+                    "fold %d training data cannot support an inner split; "
+                    "use a smaller k or a single grid point" % f
                 )
-            best = grid[int(np.argmax(_score_grid(splits, gs, grid, threshold)))]
-        if outer is None:
-            outer = _build_split(d, gs, train_idx, test_idx, normalization)
-        train, test = outer
+            inner_folds = stratified_folds(train_labels, inner, seed + 7919 * (f + 1))
+            splits = (
+                _build_split(d, gs, np.delete(train_idx, t), train_idx[t], normalization)
+                for t in inner_folds
+            )
+            best, _ = _score_grid(splits, gs, grid, threshold)
+        train, test = _build_split(d, gs, train_idx, test_idx, normalization)
         params, _ = fit(train, gs, best)
         probs, preds = _classify(params, test, best.variant, threshold)
         return best, params, probs, preds

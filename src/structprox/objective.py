@@ -10,6 +10,13 @@ and ``C`` the matrix of (optionally standardized) pairwise products
 penalty combines group norms on the (imaging row, group) blocks of the
 interaction matrix and on the genetic groups with a squared norm on the
 imaging coefficients.
+
+The penalty zeroes whole (imaging row, group) blocks of ``W``, so along a
+fit most of ``W`` is often zero.  A zero ``W`` adds no interaction term.
+When the design carries its group layout and at most half of the blocks
+are nonzero, :func:`margins` multiplies only the live blocks; otherwise it
+forms the dense product.  The paths add the same terms in a different
+order, so they differ in rounding only.
 """
 
 from __future__ import annotations
@@ -68,13 +75,19 @@ class Design:
     """Evaluation-ready view of a dataset.
 
     Holds the imaging matrix, the overlap-expanded genetic matrix, the
-    labels, and (optionally) per-entry mean/scale for the pairwise product
-    features.  When the product statistics are present, the interaction
-    term of the model reads the standardized product
-    ``(x_I[i] * x_G[g] - cross_mean[i, g]) / cross_scale[i, g]``.
+    labels, (optionally) per-entry mean/scale for the pairwise product
+    features, and (optionally) the ``GroupStructure`` whose expanded
+    columns the genetic matrix holds.  When the product statistics are
+    present, the interaction term of the model reads the standardized
+    product ``(x_I[i] * x_G[g] - cross_mean[i, g]) / cross_scale[i, g]``.
+    The group layout lets :func:`margins` skip the zero blocks of ``W``;
+    without it a nonzero ``W`` always takes the dense product.
     """
 
-    def __init__(self, imaging, genetic_expanded, labels, cross_mean=None, cross_scale=None):
+    def __init__(
+        self, imaging, genetic_expanded, labels, cross_mean=None, cross_scale=None,
+        groups: GroupStructure | None = None,
+    ):
         imaging = np.asarray(imaging, dtype=float)
         genetic_expanded = np.asarray(genetic_expanded, dtype=float)
         labels = np.asarray(labels, dtype=np.intp)
@@ -99,16 +112,22 @@ class Design:
                 )
             if np.any(cross_scale <= 0):
                 raise ValueError("cross_scale entries must be > 0")
+        if groups is not None and groups.expanded_size != genetic_expanded.shape[1]:
+            raise ValueError(
+                "groups expand to %d columns, the genetic matrix has %d"
+                % (groups.expanded_size, genetic_expanded.shape[1])
+            )
         self.imaging = imaging
         self.genetic = genetic_expanded
         self.labels = labels
         self.cross_mean = cross_mean
         self.cross_scale = cross_scale
+        self.groups = groups
 
     @classmethod
     def from_dataset(cls, d: Dataset, gs: GroupStructure) -> "Design":
         """Expand a raw dataset without any product standardization."""
-        return cls(d.imaging, expand_columns(d.genetic, gs), d.labels)
+        return cls(d.imaging, expand_columns(d.genetic, gs), d.labels, groups=gs)
 
     @property
     def n_samples(self) -> int:
@@ -141,21 +160,56 @@ def _check_shapes(p: ParameterSet, design: Design) -> None:
 
 
 def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.ndarray:
-    """Decision values of every sample in the design."""
+    """Decision values of every sample in the design.
+
+    A zero ``W`` adds no interaction term.  When ``design.groups`` is set
+    and at most half of the (imaging row, group) blocks of ``W`` hold a
+    nonzero entry, the interaction term is summed over those blocks alone;
+    otherwise it comes from the dense product ``genetic @ W.T``.  The
+    choice changes rounding only.
+    """
     _check_shapes(p, design)
     m = np.full(design.n_samples, p.intercept, dtype=float)
     if variant != "multiplicative":
         m += design.imaging @ p.imaging
         m += design.genetic @ p.genetic
-    if variant != "additive":
-        w = p.interaction
-        if design.cross_scale is not None:
-            w = w / design.cross_scale
-        # <W, C_k> for every k via one matrix product and a row-wise dot.
-        m += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)
-        if design.cross_mean is not None:
-            m -= float(np.sum(w * design.cross_mean))
+    w = p.interaction
+    nonzero = np.count_nonzero(w) if variant != "additive" else 0
+    if nonzero:
+        # W with no zero entry has every block live; only a W with some
+        # zeros needs the block mask.  Past half live, one dense product
+        # costs less than the small per-group ones.
+        live = None
+        if design.groups is not None and nonzero < w.size:
+            live = np.logical_or.reduceat(w != 0, design.groups.offsets, axis=1)
+        if live is not None and 2 * np.count_nonzero(live) <= live.size:
+            _add_live_blocks(m, w, design, live)
+        else:
+            if design.cross_scale is not None:
+                w = w / design.cross_scale
+            # <W, C_k> for every k via one matrix product and a row-wise dot.
+            m += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)
+            if design.cross_mean is not None:
+                m -= float(np.sum(w * design.cross_mean))
     return m
+
+
+def _add_live_blocks(m: np.ndarray, w: np.ndarray, design: Design, live: np.ndarray) -> None:
+    """Add the interaction term to ``m`` from the blocks of ``w`` marked in
+    the (n_imaging, n_groups) mask ``live``: one product per group, over
+    that group's live imaging rows."""
+    gs = design.groups
+    offset = 0.0
+    for l in np.flatnonzero(live.any(axis=0)):
+        rows = np.flatnonzero(live[:, l])
+        blk = gs.block(int(l))
+        wb = w[rows, blk]
+        if design.cross_scale is not None:
+            wb = wb / design.cross_scale[rows, blk]
+        m += np.einsum("nr,nr->n", design.genetic[:, blk] @ wb.T, design.imaging[:, rows])
+        if design.cross_mean is not None:
+            offset += float(np.sum(wb * design.cross_mean[rows, blk]))
+    m -= offset
 
 
 def risk(p: ParameterSet, design: Design, variant: str = "multilevel") -> float:

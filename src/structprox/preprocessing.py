@@ -209,7 +209,8 @@ def transform_features(record: ScalingRecord, genetic, imaging):
 
 
 def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design:
-    """Standardize, expand, and attach product statistics for evaluation."""
+    """Standardize, expand, and attach product statistics and the group
+    layout for evaluation."""
     if gs.n_features != record.n_genetic:
         raise ValueError(
             "groups cover %d features, scaler was fit on %d"
@@ -223,6 +224,7 @@ def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design
         d.labels,
         cross_mean=record.cross_mean[:, idx],
         cross_scale=record.cross_scale[:, idx],
+        groups=gs,
     )
 
 

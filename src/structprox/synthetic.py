@@ -165,7 +165,9 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
             / np.sqrt(spec.n_imaging)
         )
 
-    design = Design(imaging, expand_columns(zg, gs), np.zeros(spec.n_samples, dtype=int))
+    design = Design(
+        imaging, expand_columns(zg, gs), np.zeros(spec.n_samples, dtype=int), groups=gs
+    )
     m = margins(truth, design)
     labels = rng.binomial(1, sigmoid(m))
     if spec.label_noise > 0:

@@ -137,10 +137,10 @@ class TestFit:
         assert "%s column 1 name %r" % (kind, bad) in err
         assert not out.exists()
 
-    def test_group_name_with_comma_reads_back(self, data_dir, tmp_path):
+    def test_group_name_with_quote_reads_back(self, data_dir, tmp_path):
         from structprox.dataio import load_matrix_csv
 
-        rename_gene003(data_dir, "APOE,TOMM40")
+        rename_gene003(data_dir, 'APOE"TOMM40')
         out = tmp_path / "fit"
         code = run(
             ["fit", *data_flags(data_dir),
@@ -149,13 +149,30 @@ class TestFit:
         )
         assert code == 0
         names, table = load_matrix_csv(str(out / "reduced_interaction.csv"))
-        assert names == ["gene000", "gene001", "gene002", "APOE,TOMM40"]
+        assert names == ["gene000", "gene001", "gene002", 'APOE"TOMM40']
         assert table.shape == (3, 4)
         with open(out / "reduced_genetic.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [len(r) for r in rows] == [2] * 5
-        assert rows[4][0] == "APOE,TOMM40"
-        assert "APOE,TOMM40" in (out / "summary.txt").read_text()
+        assert rows[4][0] == 'APOE"TOMM40'
+        assert "selected_genetic_groups: gene000,gene001,gene002,APOE\"TOMM40\n" in (
+            out / "summary.txt"
+        ).read_text()
+
+    @pytest.mark.parametrize("name", ["APOE,TOMM40", "APOE;TOMM40"])
+    def test_group_name_with_separator_rejected(self, data_dir, tmp_path, capsys, name):
+        rename_gene003(data_dir, name)
+        out = tmp_path / "fit"
+        code = run(
+            ["fit", *data_flags(data_dir),
+             "--lambda-w", 0.001, "--lambda-i", 0.05, "--lambda-g", 0.001,
+             "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:")
+        assert "%s: line 4 group name %r holds" % (data_dir / "groups.tsv", name) in err
+        assert not out.exists()
 
     def test_missing_required_flag_is_input_error(self, data_dir, capsys):
         code = run(["fit", *data_flags(data_dir), "--lambda-w", 0.1])
@@ -452,8 +469,8 @@ class TestCv:
         )
         assert code == 0
 
-    def test_group_name_with_comma_quoted(self, data_dir, tmp_path):
-        rename_gene003(data_dir, "APOE,TOMM40")
+    def test_group_name_with_quote_quoted(self, data_dir, tmp_path):
+        rename_gene003(data_dir, 'APOE"TOMM40')
         out = tmp_path / "cv"
         code = run(
             ["cv", *data_flags(data_dir), "--grid", "w=0.001;i=0.05;g=0.001",
@@ -463,7 +480,7 @@ class TestCv:
         with open(out / "cv_chosen.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [len(r) for r in rows] == [7] * 3
-        assert all(r[5].split(";")[-1] == "APOE,TOMM40" for r in rows[1:])
+        assert all(r[5].split(";")[-1] == 'APOE"TOMM40' for r in rows[1:])
 
     def test_bad_grid_rejected(self, data_dir, capsys):
         code = run(["cv", *data_flags(data_dir), "--grid", "w=;i=1;g=1"])

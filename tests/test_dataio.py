@@ -105,6 +105,15 @@ class TestGroupFile:
         with pytest.raises(ValueError, match="line 2"):
             load_group_file(str(path), n_features=2)
 
+    @pytest.mark.parametrize("name", ["APOE,TOMM40", "APOE;TOMM40", ";"])
+    def test_name_with_separator_rejected(self, tmp_path, name):
+        # summary.txt joins group names with ',' and cv_chosen.csv with ';'
+        path = tmp_path / "groups.tsv"
+        path.write_text("g1\tauto\t0\n%s\tauto\t1\n" % name)
+        with pytest.raises(ValueError) as err:
+            load_group_file(str(path), n_features=2)
+        assert str(err.value) == "%s: line 2 group name %r holds ',' or ';'" % (path, name)
+
 
 class TestParamsFile:
     def test_round_trip_exact(self, tmp_path):

@@ -383,7 +383,8 @@ class TestSplitsBuiltOnce:
         [
             # k folds, G grid points, I inner folds
             ("nested", lambda k, G, I: k * (I + 1), lambda k, G, I: k * (G * I + 1)),
-            ("oracle", lambda k, G, I: k, lambda k, G, I: k * (G + 1)),
+            # oracle reuses the winner's scoring fit as the final fit
+            ("oracle", lambda k, G, I: k, lambda k, G, I: k * G),
         ],
         ids=["nested", "oracle"],
     )
@@ -438,3 +439,29 @@ class TestSplitsBuiltOnce:
 
         _, probs, _ = fit_and_predict(best, train_idx, test_idx)
         np.testing.assert_array_equal(res.probabilities[test_idx], probs)
+
+    def test_oracle_choice_and_probabilities_match_hand_computation(self):
+        # oracle scores each point on the outer split, keeps the first best
+        # and reuses its scoring fit; a fresh fit of that point must agree
+        data = synthetic_instance(13, n_samples=60, effect_genetic=2.0)
+        d, gs = data.dataset, data.groups
+        grid = make_grid([0.1], [0.05], [0.02, 0.1, 0.5], tol=1e-3)
+        res = kfold_cv(d, gs, grid, k=3, seed=4, selection="oracle")
+        ties = 0
+        for f, test_idx in enumerate(res.fold_test_indices):
+            train = d.subset(np.setdiff1d(np.arange(d.n_samples), test_idx))
+            held = d.subset(test_idx)
+            record = fit_scaler(train)
+            scores, probs = [], []
+            for h in grid:
+                params, _ = fit(make_design(train, gs, record), gs, h)
+                p, preds = predict(
+                    params, record, gs, held.genetic, held.imaging, variant=h.variant
+                )
+                scores.append(metrics(held.labels, preds).balanced_accuracy)
+                probs.append(p)
+            best = int(np.argmax(scores))
+            ties += scores.count(scores[best]) > 1
+            assert res.chosen[f] == grid[best]
+            np.testing.assert_array_equal(res.probabilities[test_idx], probs[best])
+        assert ties > 0, "no fold ties at the top, so the first-best rule is untested"

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from structprox.objective import (
 )
 from structprox.synthetic import finite_difference_gradient
 
-from conftest import default_hyper, random_instance, random_params
+from conftest import default_hyper, random_instance, random_params, synthetic_instance
 
 
 class TestSigmoid:
@@ -117,6 +119,100 @@ class TestMargins:
         k = 3
         one = Design(design.imaging[k : k + 1], design.genetic[k : k + 1], design.labels[k : k + 1])
         np.testing.assert_allclose(margins(p, one), m[k : k + 1], rtol=1e-12)
+
+
+def count_block_path(monkeypatch):
+    """Record the live-block count of every margin evaluation that takes
+    the block path."""
+    module = importlib.import_module("structprox.objective")
+    original = module._add_live_blocks
+    seen = []
+
+    def counting(m, w, design, live):
+        seen.append(int(live.sum()))
+        return original(m, w, design, live)
+
+    monkeypatch.setattr(module, "_add_live_blocks", counting)
+    return seen
+
+
+def without_groups(design):
+    """The same design with no group layout, so margins takes the dense product."""
+    return Design(
+        design.imaging, design.genetic, design.labels, design.cross_mean, design.cross_scale
+    )
+
+
+class TestBlockMargins:
+    # 4 imaging rows x 4 overlapping groups = 16 (row, group) blocks
+    GROUPS = ((0, 1, 2), (2, 3), (3, 4, 5), (0, 5))
+
+    def instance(self, standardized):
+        from structprox.preprocessing import fit_scaler, make_design
+
+        d, gs, design = random_instance(
+            21, n=15, n_imaging=4, groups=self.GROUPS, n_features=6
+        )
+        if standardized:
+            design = make_design(d, gs, fit_scaler(d))
+        return gs, design
+
+    @pytest.mark.parametrize("standardized", [False, True], ids=["raw", "cross-stats"])
+    @pytest.mark.parametrize("variant", ["multilevel", "multiplicative"])
+    # a zero W adds nothing; 1 to 8 of 16 live take the block path; 9 the dense one
+    @pytest.mark.parametrize(
+        "n_live, block_path", [(0, False), (1, True), (8, True), (9, False)]
+    )
+    def test_agrees_with_dense_product(
+        self, monkeypatch, standardized, variant, n_live, block_path
+    ):
+        gs, design = self.instance(standardized)
+        p = random_params(22, design.n_imaging, gs.expanded_size)
+        live = np.zeros((design.n_imaging, gs.n_groups), dtype=bool)
+        live.flat[np.random.default_rng(23).permutation(live.size)[:n_live]] = True
+        p.interaction[~np.repeat(live, gs.sizes, axis=1)] = 0.0
+        seen = count_block_path(monkeypatch)
+
+        m = margins(p, design, variant)
+        assert seen == ([n_live] if block_path else [])
+        margins(p, without_groups(design), variant)
+        assert len(seen) == int(block_path), "a design without groups took the block path"
+
+        # the dense product written out, with every block included
+        dense = np.full(design.n_samples, p.intercept)
+        if variant == "multilevel":
+            dense += design.imaging @ p.imaging + design.genetic @ p.genetic
+        w = p.interaction
+        if standardized:
+            w = w / design.cross_scale
+            dense -= np.sum(w * design.cross_mean)
+        dense += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)
+        assert np.abs(m - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_group_layout_of_other_size_rejected(self):
+        _, gs, design = random_instance(1)
+        other = GroupStructure([[0, 1, 2]], n_features=3)
+        with pytest.raises(ValueError, match="groups expand to 3 columns, the genetic matrix has 4"):
+            Design(design.imaging, design.genetic, design.labels, groups=other)
+
+    def test_small_fit_takes_block_path(self, monkeypatch):
+        from structprox.preprocessing import fit_scaler, make_design
+        from structprox.solver import fit, screen_lambda_max
+
+        data = synthetic_instance(1, n_imaging=4, n_groups=5, effect_interaction=1.0)
+        d, gs = data.dataset, data.groups
+        design = make_design(d, gs, fit_scaler(d))
+        bounds = screen_lambda_max(design, gs)
+        h = default_hyper(
+            lambda_interaction=0.3 * bounds.lambda_interaction_max,
+            lambda_genetic=0.3 * bounds.lambda_genetic_max,
+        )
+        seen = count_block_path(monkeypatch)
+        params, state = fit(design, gs, h)
+        assert seen, "no margin evaluation took the block path"
+        dense_params, dense_state = fit(without_groups(design), gs, h)
+        assert dense_state.iterations == state.iterations
+        np.testing.assert_allclose(params.flat(), dense_params.flat(), rtol=0, atol=1e-12)
 
 
 class TestRisk:
