@@ -188,6 +188,9 @@ def cmd_fit(args) -> int:
            len(sel.genetic), len(sel.interaction))
     )
     print("outputs written to %s" % args.out)
+    if state.stop_reason == "max_iters":
+        print("warning: fit not converged: stopped at the iteration cap of %d iterations"
+              % state.iterations, file=sys.stderr)
     return 0
 
 

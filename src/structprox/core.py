@@ -11,6 +11,7 @@ and the blocks are never copied into one another."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -207,9 +208,6 @@ def _block(name: str, doc: str) -> property:
     copies new values of the same shape into it."""
     slot = "_" + name
 
-    def get(self) -> np.ndarray:
-        return getattr(self, slot)
-
     def set(self, value) -> None:
         view = getattr(self, slot)
         value = np.asarray(value, dtype=float)
@@ -219,7 +217,7 @@ def _block(name: str, doc: str) -> property:
             )
         view[...] = value
 
-    return property(get, set, doc=doc)
+    return property(attrgetter(slot), set, doc=doc)
 
 
 class ParameterSet:
@@ -267,9 +265,7 @@ class ParameterSet:
 
     @classmethod
     def zeros(cls, n_imaging: int, expanded_size: int) -> "ParameterSet":
-        return cls.from_flat(
-            np.zeros(flat_length(n_imaging, expanded_size)), n_imaging, expanded_size
-        )
+        return cls._view(np.zeros(flat_length(n_imaging, expanded_size)), n_imaging, expanded_size)
 
     @property
     def n_imaging(self) -> int:
@@ -298,15 +294,18 @@ class ParameterSet:
             raise ValueError(
                 "flat vector has length %d, expected %d" % (w.size, expected)
             )
+        return cls._view(w, n_imaging, expanded_size)
+
+    @classmethod
+    def _view(cls, w: np.ndarray, n_imaging: int, expanded_size: int) -> "ParameterSet":
+        # from_flat without its checks, for a float64 buffer of the right length.
         p = cls.__new__(cls)
         p._bind(w, n_imaging, expanded_size)
         return p
 
     def copy(self) -> "ParameterSet":
         """Independent parameters with their own buffer."""
-        return ParameterSet.from_flat(
-            self._flat.copy(), self.n_imaging, self.expanded_size
-        )
+        return ParameterSet._view(self._flat.copy(), self.n_imaging, self.expanded_size)
 
     def __reduce__(self):
         # Pickling and deep copies rebuild the views on one buffer.

@@ -17,6 +17,15 @@ When the design carries its group layout and at most half of the blocks
 are nonzero, :func:`margins` multiplies only the live blocks; otherwise it
 forms the dense product.  The paths add the same terms in a different
 order, so they differ in rounding only.
+
+The logistic terms use overflow-free forms with one exponential of
+``-|t|``: :func:`sigmoid` is ``1 / (1 + e)`` for ``t >= 0`` and
+``e / (1 + e)`` below, and ``log(1 + e^t)`` is
+``max(t, 0) + log1p(exp(-|t|))``.  Both equal the two-branch masked forms
+bit for bit.  On small designs (tens of samples, a few features) an
+evaluation costs numpy's per-call overhead far more than arithmetic, so
+the kernels keep their numpy calls few and write the gradient into its
+buffer in place.
 """
 
 from __future__ import annotations
@@ -43,28 +52,22 @@ __all__ = [
 
 
 def sigmoid(t):
-    """Numerically stable logistic function, elementwise on arrays."""
+    """Logistic function, elementwise on arrays; a 0-d input gives a float.
+
+    Evaluated as ``1 / (1 + e)`` for ``t >= 0`` and ``e / (1 + e)`` below,
+    with ``e = exp(-|t|)``, so the exponential never overflows.
+    """
     arr = np.asarray(t, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("sigmoid received NaN input")
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    e = np.exp(flat[~pos])
-    out[~pos] = e / (1.0 + e)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _log1p_exp(t: np.ndarray) -> np.ndarray:
-    # log(1 + e^t) without overflow: for t > 0 use t + log1p(e^-t).
-    out = np.empty_like(t)
-    pos = t > 0
-    out[pos] = t[pos] + np.log1p(np.exp(-t[pos]))
-    out[~pos] = np.log1p(np.exp(t[~pos]))
-    return out
+    # log(1 + e^t) as max(t, 0) + log1p(e^-|t|): the exponential never overflows.
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def _log_sigmoid(t: np.ndarray) -> np.ndarray:
@@ -169,9 +172,11 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
     choice changes rounding only.
     """
     _check_shapes(p, design)
-    m = np.full(design.n_samples, p.intercept, dtype=float)
-    if variant != "multiplicative":
-        m += design.imaging @ p.imaging
+    if variant == "multiplicative":
+        m = np.full(design.n_samples, p.intercept)
+    else:
+        m = design.imaging @ p.imaging
+        m += p.intercept
         m += design.genetic @ p.genetic
     w = p.interaction
     nonzero = np.count_nonzero(w) if variant != "additive" else 0
@@ -190,7 +195,7 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
             # <W, C_k> for every k via one matrix product and a row-wise dot.
             m += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)
             if design.cross_mean is not None:
-                m -= float(np.sum(w * design.cross_mean))
+                m -= float((w * design.cross_mean).sum())
     return m
 
 
@@ -217,8 +222,7 @@ def risk(p: ParameterSet, design: Design, variant: str = "multilevel") -> float:
     if design.n_samples < 1:
         raise ValueError("risk needs at least one sample")
     m = margins(p, design, variant)
-    y = design.labels
-    return float(np.mean(-y * m + _log1p_exp(m)))
+    return float((_log1p_exp(m) - design.labels * m).sum() / design.n_samples)
 
 
 def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.ndarray:
@@ -235,16 +239,22 @@ def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") 
     r = sigmoid(m) - design.labels
     n = design.n_samples
     out = np.zeros(flat_length(design.n_imaging, design.expanded_size))
-    grad = ParameterSet.from_flat(out, design.n_imaging, design.expanded_size)
-    grad.intercept = r.mean()
+    grad = ParameterSet._view(out, design.n_imaging, design.expanded_size)
+    grad.intercept = mean_r = r.sum() / n
     if variant != "additive":
-        gw = design.imaging.T @ (r[:, None] * design.genetic) / n
+        gw = grad.interaction
+        np.matmul(design.imaging.T, r[:, None] * design.genetic, out=gw)
+        gw /= n
         if design.cross_mean is not None:
-            gw = (gw - grad.intercept * design.cross_mean) / design.cross_scale
-        grad.interaction = gw
+            gw -= mean_r * design.cross_mean
+            gw /= design.cross_scale
     if variant != "multiplicative":
-        grad.imaging = design.imaging.T @ r / n
-        grad.genetic = design.genetic.T @ r / n
+        # Through locals: `grad.imaging /= n` would also run the block setter.
+        gi, gg = grad.imaging, grad.genetic
+        np.matmul(design.imaging.T, r, out=gi)
+        gi /= n
+        np.matmul(design.genetic.T, r, out=gg)
+        gg /= n
     return out
 
 

@@ -9,10 +9,13 @@ acceptance inequality.  Iterations stop once the relative change of the
 penalized objective falls to the tolerance.
 
 Iterates and gradients share the one buffer layout of
-:class:`~structprox.core.ParameterSet`: the gradient is read through
-``ParameterSet.from_flat`` views, each proximal result is written into
-the candidate's buffer, and the gradient mapping is computed from the
-two buffers directly.
+:class:`~structprox.core.ParameterSet`: the candidate's buffer starts as
+the gradient step ``flat(p) - step * grad``, each proximal operator works
+in place on its block of it, and the gradient mapping is computed from
+the two buffers directly.  The group soft-threshold divides only where a
+group survives, so a zero block never meets a 0/0.  On small designs an
+iteration costs the per-call overhead of its numpy calls far more than
+arithmetic, so the loop keeps those calls few.
 """
 
 from __future__ import annotations
@@ -111,13 +114,12 @@ def prox_ridge(block, step: float, lam: float) -> np.ndarray:
     return block / (1.0 + 2.0 * step * lam)
 
 
-def _prox_group_rows(omega: np.ndarray, gs: GroupStructure, thresholds: np.ndarray) -> np.ndarray:
-    """Row-wise group soft-thresholding of an (n_rows, expanded) matrix."""
-    sq = np.add.reduceat(omega**2, gs.offsets, axis=1)
-    norms = np.sqrt(sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(norms > thresholds, 1.0 - thresholds / norms, 0.0)
-    return omega * np.repeat(factor, gs.sizes, axis=1)
+def _prox_group_rows(omega: np.ndarray, gs: GroupStructure, thresholds: np.ndarray) -> None:
+    """Row-wise group soft-thresholding of an (n_rows, expanded) matrix, in place."""
+    norms = np.sqrt(np.add.reduceat(omega**2, gs.offsets, axis=1))
+    # thresholds / norms where a group survives, 1 elsewhere: no 0/0 arises.
+    ratio = np.divide(thresholds, norms, out=np.ones_like(norms), where=norms > thresholds)
+    omega *= (1.0 - ratio).repeat(gs.sizes, axis=1)
 
 
 def parameter_update(
@@ -129,29 +131,32 @@ def parameter_update(
 ) -> ParameterSet:
     """One proximal step at the given stepsize; returns the candidate.
 
-    The interaction rows and the genetic vector are soft-thresholded per
-    group with thresholds ``step * lambda * weight``, the imaging block is
-    shrunk by ``1 / (1 + 2 step lambda_imaging)``, and the intercept takes
-    a plain gradient step.  Blocks pinned by the variant stay at zero.
+    The candidate's buffer starts as the gradient step ``flat(p) - step *
+    grad``.  Then the interaction rows and the genetic vector are
+    soft-thresholded per group in place, with thresholds
+    ``step * lambda * weight``, the imaging block is shrunk by
+    ``1 / (1 + 2 step lambda_imaging)``, and the intercept keeps its plain
+    gradient step.  Blocks pinned by the variant are set to zero.
     """
     if step <= 0:
         raise ValueError("step must be > 0, got %r" % step)
-    if not np.all(np.isfinite(grad)):
+    grad = np.asarray(grad, dtype=float)
+    x = p.flat()
+    if grad.shape != x.shape:
+        raise ValueError("gradient has shape %r, expected %r" % (grad.shape, x.shape))
+    if not np.isfinite(grad).all():
         raise ValueError("gradient contains non-finite entries")
-    g = ParameterSet.from_flat(grad, p.n_imaging, p.expanded_size)
-    candidate = ParameterSet.zeros(p.n_imaging, p.expanded_size)
-    if h.variant != "additive":
-        thr_w = step * h.lambda_interaction * gs.weights
-        candidate.interaction = _prox_group_rows(
-            p.interaction - step * g.interaction, gs, thr_w
-        )
-    if h.variant != "multiplicative":
-        candidate.imaging = prox_ridge(p.imaging - step * g.imaging, step, h.lambda_imaging)
-        thr_g = step * h.lambda_genetic * gs.weights
-        candidate.genetic = _prox_group_rows(
-            (p.genetic - step * g.genetic)[None, :], gs, thr_g
-        )[0]
-    candidate.intercept = p.intercept - step * g.intercept
+    candidate = ParameterSet._view(x - step * grad, p.n_imaging, p.expanded_size)
+    if h.variant == "additive":
+        candidate.interaction.fill(0.0)
+    else:
+        _prox_group_rows(candidate.interaction, gs, step * h.lambda_interaction * gs.weights)
+    if h.variant == "multiplicative":
+        candidate.imaging.fill(0.0)
+        candidate.genetic.fill(0.0)
+    else:
+        np.divide(candidate.imaging, 1.0 + 2.0 * step * h.lambda_imaging, out=candidate.imaging)
+        _prox_group_rows(candidate.genetic[None, :], gs, step * h.lambda_genetic * gs.weights)
     return candidate
 
 
@@ -176,9 +181,10 @@ def backtracking_step(
     Returns ``(candidate, step, n_shrinks, candidate_risk)``.
     """
     step = STEP_INIT
+    x = p.flat()
     for shrinks in range(MAX_BACKTRACKS + 1):
         candidate = parameter_update(p, grad, step, gs, h)
-        ghat = (p.flat() - candidate.flat()) / step
+        ghat = (x - candidate.flat()) / step
         bound = (
             risk_current
             - step * float(grad @ ghat)

@@ -260,6 +260,25 @@ class TestFit:
                     "--lambda-i", 0.05, "--lambda-g", 0.1, "--out", tmp_path / "fit"])
         assert code == 1
 
+    def test_iteration_cap_warns_on_stderr_only(self, data_dir, tmp_path, capsys):
+        flags = [*data_flags(data_dir), "--lambda-w", 0.1, "--lambda-i", 0.05,
+                 "--lambda-g", 0.1]
+        out = tmp_path / "capped"
+        assert run(["fit", *flags, "--max-iters", 3, "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: fit not converged: stopped at the iteration cap of 3 iterations\n"
+        )
+        lines = captured.out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("fit: max_iters, 3 iterations, objective ")
+        assert lines[1] == "outputs written to %s" % out
+        summary = (out / "summary.txt").read_text()
+        assert "converged: False\nstop_reason: max_iters\n" in summary
+        # a converged fit writes nothing to stderr
+        assert run(["fit", *flags, "--out", tmp_path / "full"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestScreen:
     def test_prints_bounds_and_fit_above_them_is_empty(self, data_dir, tmp_path,

@@ -6,6 +6,7 @@ import pytest
 from structprox import Dataset, GroupStructure, ParameterSet
 from structprox.objective import (
     Design,
+    _log1p_exp,
     log_posterior_unnormalized,
     margins,
     objective,
@@ -39,6 +40,64 @@ class TestSigmoid:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             sigmoid(np.array([0.0, np.nan]))
+        with pytest.raises(ValueError):
+            sigmoid(np.nan)
+
+    def test_zero_dim_input_gives_python_float(self):
+        assert type(sigmoid(0.3)) is float
+        assert type(sigmoid(np.float64(-2.0))) is float
+        assert type(sigmoid(np.array(1.0))) is float
+        assert sigmoid(np.array([1.0])).shape == (1,)
+        assert sigmoid(np.zeros((2, 3))).shape == (2, 3)
+
+
+# Zeros of both signs, subnormals, values near the exp overflow point, the
+# largest finite magnitudes and infinities.
+EDGE_GRID = np.array([
+    s * v
+    for v in (0.0, 5e-324, 1e-300, 1.0, 36.7, 709.8, 710.0, 1e308, np.inf)
+    for s in (1.0, -1.0)
+])
+
+
+def two_branch_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def two_branch_log1p_exp(t):
+    out = np.empty_like(t)
+    pos = t > 0
+    out[pos] = t[pos] + np.log1p(np.exp(-t[pos]))
+    out[~pos] = np.log1p(np.exp(t[~pos]))
+    return out
+
+
+class TestOverflowFreeForms:
+    """The one-expression forms equal the two-branch masked formulas bit
+    for bit and raise no overflow, divide or invalid warning (underflow to
+    zero is expected)."""
+
+    def test_sigmoid_matches_two_branch_form(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid(EDGE_GRID)
+        want = two_branch_sigmoid(EDGE_GRID)
+        assert got.tobytes() == want.tobytes()
+
+    def test_log1p_exp_matches_two_branch_form(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _log1p_exp(EDGE_GRID)
+        want = two_branch_log1p_exp(EDGE_GRID)
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_margins_match(self):
+        t = np.random.default_rng(8).normal(0, 30, size=1000)
+        assert sigmoid(t).tobytes() == two_branch_sigmoid(t).tobytes()
+        assert _log1p_exp(t).tobytes() == two_branch_log1p_exp(t).tobytes()
 
 
 class TestMargins:

@@ -142,6 +142,23 @@ class TestParameterUpdate:
         candidate = parameter_update(p, np.zeros(p.flat().size), 1.0, gs, h)
         np.testing.assert_allclose(candidate.flat(), p.flat(), rtol=1e-12)
 
+    def test_zero_block_with_zero_thresholds_divides_nothing(self):
+        # zero norms against zero thresholds must not be divided (0/0)
+        gs = GroupStructure([[0, 1], [2]], n_features=3)
+        p = ParameterSet.zeros(2, 3)
+        h = default_hyper()
+        # Hyperparameters rejects zero strengths, so zero them after construction.
+        h.lambda_interaction = h.lambda_genetic = 0.0
+        with np.errstate(all="raise"):
+            candidate = parameter_update(p, np.zeros(p.flat().size), 1.0, gs, h)
+        assert candidate.flat().tobytes() == np.zeros(p.flat().size).tobytes()
+
+    def test_gradient_of_wrong_length_rejected(self):
+        d, gs, design = random_instance(52)
+        p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
+        with pytest.raises(ValueError, match="gradient has shape"):
+            parameter_update(p, np.zeros(1), 1.0, gs, default_hyper())
+
     def test_screening_keeps_block_at_zero(self):
         # gradient block norm 10 against threshold 20: stays zero
         gs = GroupStructure([[0, 1]], n_features=2, weights=[1.0])
