@@ -210,6 +210,9 @@ def _block(name: str, doc: str) -> property:
 
     def set(self, value) -> None:
         view = getattr(self, slot)
+        if value is view:
+            # `p.genetic *= 2` hands back the view it already wrote to
+            return
         value = np.asarray(value, dtype=float)
         if value.shape != view.shape:
             raise ValueError(

@@ -8,6 +8,7 @@ loading reproduces the stored float64 values exactly.
 from __future__ import annotations
 
 import csv
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -35,6 +36,14 @@ def load_matrix_csv(path):
 
     Returns ``(column_names, matrix)`` with the matrix as float64.  Column
     names must be distinct, because prediction matches columns by name.
+
+    The header is read with ``csv.reader`` and the body is parsed in C by
+    ``np.loadtxt``.  When that parse fails (a quoted field, an underscore
+    in a number, a ragged row, any text that is not a number), finds no
+    rows, or finds rows of another width than the header, the body is read
+    again row by row with ``csv.reader`` and Python's ``float``.  That loop
+    defines the accepted inputs, their values and the line-numbered errors;
+    the C parse only takes the common case faster.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -48,25 +57,55 @@ def load_matrix_csv(path):
             raise ValueError(
                 "%s: column name '%s' appears twice in the header" % (path, repeated[0])
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ValueError(
-                    "%s: line %d has %d fields, header has %d"
-                    % (path, lineno, len(row), len(names))
-                )
-            try:
-                # a row of Python floats takes four times its array's memory
-                rows.append(np.array([float(v) for v in row]))
-            except ValueError:
-                raise ValueError(
-                    "%s: line %d holds a non-numeric value" % (path, lineno)
-                )
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported by the row loop below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                X = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            X = None
+        if X is None or not len(X) or X.shape[1] != len(names):
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            X = _read_rows(reader, len(names), path)
+    return names, X
+
+
+# np.loadtxt strips these ASCII separators around a number as whitespace,
+# and float() rejects them.
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _plain_lines(fh):
+    """The remaining lines of ``fh``; a ValueError at a line holding a
+    character on which np.loadtxt and float() disagree."""
+    for line in fh:
+        if any(c in line for c in _SEPARATORS):
+            raise ValueError("line holds an ASCII separator")
+        yield line
+
+
+def _read_rows(reader, n_fields: int, path) -> np.ndarray:
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise ValueError(
+                "%s: line %d has %d fields, header has %d"
+                % (path, lineno, len(row), n_fields)
+            )
+        try:
+            # a row of Python floats takes four times its array's memory
+            rows.append(np.array([float(v) for v in row]))
+        except ValueError:
+            raise ValueError(
+                "%s: line %d holds a non-numeric value" % (path, lineno)
+            )
     if not rows:
         raise ValueError("%s: no data rows" % path)
-    return names, np.array(rows, dtype=float)
+    return np.array(rows, dtype=float)
 
 
 def save_matrix_csv(path, names, X) -> None:

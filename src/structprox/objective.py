@@ -14,9 +14,15 @@ imaging coefficients.
 The penalty zeroes whole (imaging row, group) blocks of ``W``, so along a
 fit most of ``W`` is often zero.  A zero ``W`` adds no interaction term.
 When the design carries its group layout and at most half of the blocks
-are nonzero, :func:`margins` multiplies only the live blocks; otherwise it
-forms the dense product.  The paths add the same terms in a different
-order, so they differ in rounding only.
+are nonzero, :func:`margins` multiplies only the live blocks, in a loop
+over the groups that have one: one product of the group's live rows of
+``W`` with its genetic columns, then a row-wise dot with the matching
+imaging columns.  Each pass allocates at most N x (live rows of one group)
+values, on top of vectors as long as the live entries of ``W``, which
+are gathered once.  Otherwise it forms the dense product.  The paths add
+the same terms in a different order, so they differ in rounding only.
+The interaction gradient scales the imaging matrix by the residuals, an
+N x n_imaging temporary, rather than the N x E genetic one.
 
 The logistic terms use overflow-free forms with one exponential of
 ``-|t|``: :func:`sigmoid` is ``1 / (1 + e)`` for ``t >= 0`` and
@@ -178,42 +184,70 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
         m = design.imaging @ p.imaging
         m += p.intercept
         m += design.genetic @ p.genetic
+        if variant == "additive":
+            return m
     w = p.interaction
-    nonzero = np.count_nonzero(w) if variant != "additive" else 0
-    if nonzero:
-        # W with no zero entry has every block live; only a W with some
-        # zeros needs the block mask.  Past half live, one dense product
-        # costs less than the small per-group ones.
-        live = None
-        if design.groups is not None and nonzero < w.size:
-            live = np.logical_or.reduceat(w != 0, design.groups.offsets, axis=1)
-        if live is not None and 2 * np.count_nonzero(live) <= live.size:
-            _add_live_blocks(m, w, design, live)
-        else:
-            if design.cross_scale is not None:
-                w = w / design.cross_scale
-            # <W, C_k> for every k via one matrix product and a row-wise dot.
-            m += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)
-            if design.cross_mean is not None:
-                m -= float((w * design.cross_mean).sum())
+    if design.groups is not None:
+        # One pass over W gives the live mask, which also tells a zero W
+        # (no block live) apart; logical_or reads a nonzero float as true.
+        # Past half live, one dense product costs less than the small
+        # per-group ones.
+        live = np.logical_or.reduceat(w, design.groups.offsets, axis=1)
+        n_live = np.count_nonzero(live)
+        if 2 * n_live <= live.size:
+            if n_live:
+                _add_live_blocks(m, w, design, live)
+            return m
+    elif not np.count_nonzero(w):
+        return m
+    if design.cross_scale is not None:
+        w = w / design.cross_scale
+    # <W, C_k> for every k via one matrix product and a row-wise dot.
+    m += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)
+    if design.cross_mean is not None:
+        m -= float((w * design.cross_mean).sum())
     return m
 
 
 def _add_live_blocks(m: np.ndarray, w: np.ndarray, design: Design, live: np.ndarray) -> None:
     """Add the interaction term to ``m`` from the blocks of ``w`` marked in
-    the (n_imaging, n_groups) mask ``live``: one product per group, over
-    that group's live imaging rows."""
+    the (n_imaging, n_groups) mask ``live``.
+
+    The entries of all live blocks are gathered, scaled and dotted with the
+    cross means at once, into vectors as long as those entries (at most
+    half of ``w``).  Then one pass per live group forms one (live rows, N)
+    product of the group's gathered rows with its genetic columns and adds
+    its row-wise dot with the same imaging columns, so a pass allocates at
+    most N x (live rows of that group) values.  The products are not
+    stacked: with thousands of live blocks a (live blocks, N) buffer would
+    outweigh the design.
+    """
     gs = design.groups
+    genetic_t, imaging_t = design.genetic.T, design.imaging.T
+    # (group, row) pairs of the live blocks in group order, and where each
+    # block starts among the gathered entries
+    groups, rows = np.nonzero(live.T)
+    sizes = gs.sizes[groups]
+    starts = np.cumsum(sizes) - sizes
+    entry_rows = rows.repeat(sizes)
+    entry_cols = (gs.offsets[groups] - starts).repeat(sizes)
+    entry_cols += np.arange(entry_cols.size)
+    wl = w[entry_rows, entry_cols]
     offset = 0.0
-    for l in np.flatnonzero(live.any(axis=0)):
-        rows = np.flatnonzero(live[:, l])
-        blk = gs.block(int(l))
-        wb = w[rows, blk]
-        if design.cross_scale is not None:
-            wb = wb / design.cross_scale[rows, blk]
-        m += np.einsum("nr,nr->n", design.genetic[:, blk] @ wb.T, design.imaging[:, rows])
-        if design.cross_mean is not None:
-            offset += float(np.sum(wb * design.cross_mean[rows, blk]))
+    if design.cross_scale is not None:
+        wl /= design.cross_scale[entry_rows, entry_cols]
+    if design.cross_mean is not None:
+        offset = float(wl @ design.cross_mean[entry_rows, entry_cols])
+    del entry_rows, entry_cols  # freed before the passes allocate theirs
+    firsts = np.flatnonzero(np.diff(groups, prepend=-1)).tolist()
+    groups, starts = groups.tolist(), starts.tolist()
+    offsets, widths = gs.offsets.tolist(), gs.sizes.tolist()
+    for a, b in zip(firsts, [*firsts[1:], len(groups)]):
+        # pairs a .. b-1 are the live rows of group l
+        l = groups[a]
+        cols = slice(offsets[l], offsets[l] + widths[l])
+        wb = wl[starts[a] : starts[a] + (b - a) * widths[l]].reshape(b - a, widths[l])
+        m += np.einsum("rn,rn->n", wb @ genetic_t[cols], imaging_t[rows[a:b]])
     m -= offset
 
 
@@ -233,7 +267,10 @@ def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") 
     ``ParameterSet.from_flat`` gives block views of it.  Blocks pinned at
     zero by the variant are returned as zeros (they never enter an update).
     Sample contributions are reduced with numpy sums, which keeps the
-    reduction order fixed for a given shape.
+    reduction order fixed for a given shape.  The interaction block is
+    ``(imaging * r[:, None]).T @ genetic`` for residuals ``r``: besides the
+    margins and the output it allocates one N x n_imaging temporary, never
+    an N x (expanded genetic) one.
     """
     m = margins(p, design, variant)
     r = sigmoid(m) - design.labels
@@ -243,7 +280,7 @@ def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") 
     grad.intercept = mean_r = r.sum() / n
     if variant != "additive":
         gw = grad.interaction
-        np.matmul(design.imaging.T, r[:, None] * design.genetic, out=gw)
+        np.matmul((design.imaging * r[:, None]).T, design.genetic, out=gw)
         gw /= n
         if design.cross_mean is not None:
             gw -= mean_r * design.cross_mean

@@ -206,6 +206,27 @@ class TestParameterSet:
         np.testing.assert_array_equal(r.flat(), w)
 
 
+    def test_augmented_assignment_writes_through(self):
+        w = np.arange(1.0, flat_length(2, 3) + 1)
+        want = w.copy()
+        want[:6] *= 2
+        want[6:8] += 1
+        want[8:11] /= 4
+        p = ParameterSet.from_flat(w, 2, 3)
+        p.interaction *= 2
+        p.imaging += 1
+        p.genetic /= 4
+        np.testing.assert_array_equal(p.flat(), want)
+        assert p.flat() is w
+        for block in (p.interaction, p.imaging, p.genetic):
+            assert np.shares_memory(w, block)
+        # a block of the wrong shape is still rejected
+        with pytest.raises(ValueError, match=r"interaction must have shape \(2, 3\)"):
+            p.interaction = np.zeros((3, 2))
+        with pytest.raises(ValueError, match=r"genetic must have shape \(3,\)"):
+            p.genetic = p.imaging
+        np.testing.assert_array_equal(p.flat(), want)
+
 class TestDataset:
     def test_validation(self):
         g = np.zeros((4, 2))

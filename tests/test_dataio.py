@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,58 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_matrix_csv(str(path))
 
+
+    # Fields np.loadtxt parses like float(), and fields only float() takes
+    # ('1_0'), which send the file through the row loop.
+    FIELDS = (
+        " 1.5", "+1", "-0", "1e400", "-Infinity", "nan", "1_0", "5e-324",
+        "2.2250738585072011e-308", ".5",
+    )
+
+    @pytest.mark.parametrize("fields", [FIELDS, FIELDS[:6] + FIELDS[7:]], ids=["row-loop", "c-parse"])
+    def test_values_bit_identical_to_float(self, tmp_path, fields):
+        path = tmp_path / "m.csv"
+        names = ["c%d" % k for k in range(len(fields))]
+        path.write_text(",".join(names) + "\n" + ",".join(fields) + "\n" + ",".join(fields[::-1]) + "\n")
+        want = np.array([[float(v) for v in fields], [float(v) for v in fields[::-1]]])
+        got_names, X = load_matrix_csv(str(path))
+        assert got_names == names
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        assert X.tobytes() == want.tobytes()
+        for v in fields:
+            path.write_text("x\n%s\n" % v)
+            assert load_matrix_csv(str(path))[1].tobytes() == np.array([[float(v)]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("1,2\n#3,4\n", 3),  # no comment syntax
+            ("1,2\n3,4\x1c\n", 3),  # np.loadtxt strips 0x1C as whitespace, float() does not
+            ("1,2\n\n1,,\n", 4),
+        ],
+    )
+    def test_rejected_rows_report_line_number(self, tmp_path, body, line):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n" + body, newline="")
+        with pytest.raises(ValueError, match="line %d " % line):
+            load_matrix_csv(str(path))
+
+    def test_quoted_fields_and_line_endings_read_as_csv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text('"a","b"\r\n"1.5",2\r\n\r\n3,"-4e1"\r', newline="")
+        names, X = load_matrix_csv(str(path))
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(X, [[1.5, 2.0], [3.0, -40.0]])
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\r\n"])
+    def test_header_only_rejected_without_warning(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_matrix_csv(str(path))
+        assert caught == []
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):

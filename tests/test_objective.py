@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,31 @@ class TestBlockMargins:
         dense_params, dense_state = fit(without_groups(design), gs, h)
         assert dense_state.iterations == state.iterations
         np.testing.assert_allclose(params.flat(), dense_params.flat(), rtol=0, atol=1e-12)
+
+    def test_peak_memory_below_half_the_genetic_matrix(self, monkeypatch):
+        # A (live blocks, N) buffer or an N x E temporary would exceed the bound.
+        from structprox.preprocessing import fit_scaler, make_design
+
+        n, n_imaging, n_groups, size = 400, 40, 30, 10
+        groups = tuple(tuple(range(size * l, size * (l + 1))) for l in range(n_groups))
+        d, gs, _ = random_instance(
+            31, n=n, n_imaging=n_imaging, groups=groups, n_features=n_groups * size
+        )
+        design = make_design(d, gs, fit_scaler(d))
+        p = random_params(32, n_imaging, gs.expanded_size, scale=0.1)
+        live = np.random.default_rng(33).random((n_imaging, n_groups)) < 0.45
+        p.interaction[~np.repeat(live, gs.sizes, axis=1)] = 0.0
+        seen = count_block_path(monkeypatch)
+        bound = 0.5 * n * gs.expanded_size * 8
+        for evaluate in (margins, risk_gradient):
+            tracemalloc.start()
+            try:
+                evaluate(p, design)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, "%s peaked at %d B" % (evaluate.__name__, peak)
+        assert seen == [live.sum()] * 2, "the evaluations did not take the block path"
 
 
 class TestRisk:
