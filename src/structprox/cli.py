@@ -11,7 +11,6 @@ config and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -113,11 +112,6 @@ def _results_table(rows) -> str:
     return "\n".join([header, "-" * len(header), *(line % tuple(r) for r in rows)])
 
 
-def _write_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-
-
 def _save_reduced(out_dir, red, i_names, group_names) -> None:
     dataio.save_matrix_csv(
         os.path.join(out_dir, "reduced_interaction.csv"), group_names, red.interaction
@@ -126,7 +120,7 @@ def _save_reduced(out_dir, red, i_names, group_names) -> None:
         ("reduced_imaging.csv", "feature", i_names, red.imaging),
         ("reduced_genetic.csv", "group", group_names, red.genetic),
     ):
-        _write_csv(
+        dataio.write_csv(
             os.path.join(out_dir, name),
             [[header, "max_abs"], *([n, "%.17g" % v] for n, v in zip(names, values))],
         )
@@ -278,8 +272,8 @@ def cmd_cv(args) -> int:
             table_rows.append([variant, source, *_format_rates(report, "%.1f", "--")])
 
     table = _results_table(table_rows)
-    _write_csv(os.path.join(args.out, "cv_metrics.csv"), metric_rows)
-    _write_csv(os.path.join(args.out, "cv_chosen.csv"), chosen_rows)
+    dataio.write_csv(os.path.join(args.out, "cv_metrics.csv"), metric_rows)
+    dataio.write_csv(os.path.join(args.out, "cv_chosen.csv"), chosen_rows)
     with open(os.path.join(args.out, "table.txt"), "w") as fh:
         fh.write(table + "\n")
     print(table)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import warnings
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "load_params",
     "save_trace_csv",
     "save_predictions_csv",
+    "write_csv",
 ]
 
 _PARAMS_HEADER = "structprox-params v1"
@@ -114,10 +116,14 @@ def save_matrix_csv(path, names, X) -> None:
         raise ValueError(
             "matrix shape %r does not match %d column names" % (X.shape, len(names))
         )
+    write_csv(path, chain([names], (["%.17g" % v for v in row] for row in X)))
+
+
+def write_csv(path, rows) -> None:
+    """Write an iterable of rows as CSV with LF line ends; a field holding
+    a comma, quote or line break is quoted."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(["%.17g" % v for v in row] for row in X)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def load_labels_csv(path) -> np.ndarray:
@@ -134,11 +140,7 @@ def load_labels_csv(path) -> np.ndarray:
 
 
 def save_labels_csv(path, labels, name: str = "label") -> None:
-    labels = np.asarray(labels)
-    with open(path, "w") as fh:
-        fh.write("%s\n" % name)
-        for v in labels:
-            fh.write("%d\n" % int(v))
+    write_csv(path, chain([[name]], ([int(v)] for v in np.asarray(labels))))
 
 
 def load_group_file(path, n_features: int) -> GroupStructure:
@@ -288,19 +290,15 @@ def load_params(path):
 
 def save_trace_csv(path, state) -> None:
     """Write the per-iteration objective trace of a fit."""
-    with open(path, "w") as fh:
-        fh.write("iteration,risk,penalty,total,step,backtracks\n")
-        for rec in state.history:
-            fh.write(
-                "%d,%.17g,%.17g,%.17g,%.17g,%d\n"
-                % (rec.iteration, rec.risk, rec.penalty, rec.total, rec.step, rec.backtracks)
-            )
+    rows = (
+        [r.iteration, *("%.17g" % v for v in (r.risk, r.penalty, r.total, r.step)), r.backtracks]
+        for r in state.history
+    )
+    write_csv(path, chain([["iteration", "risk", "penalty", "total", "step", "backtracks"]], rows))
 
 
 def save_predictions_csv(path, probabilities, labels) -> None:
     probabilities = np.asarray(probabilities, dtype=float)
     labels = np.asarray(labels)
-    with open(path, "w") as fh:
-        fh.write("index,probability,label\n")
-        for k in range(probabilities.size):
-            fh.write("%d,%.17g,%d\n" % (k, probabilities[k], int(labels[k])))
+    rows = ([k, "%.17g" % probabilities[k], int(labels[k])] for k in range(probabilities.size))
+    write_csv(path, chain([["index", "probability", "label"]], rows))

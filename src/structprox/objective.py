@@ -5,24 +5,28 @@ The decision value of a sample is
     m = <W, C> + beta_I . x_I + beta_G . x_G + beta_0
 
 where ``x_G`` is the expanded genetic vector, ``x_I`` the imaging vector,
-and ``C`` the matrix of (optionally standardized) pairwise products
-``x_I[i] * x_G[g]``.  The empirical risk is the mean logistic loss and the
-penalty combines group norms on the (imaging row, group) blocks of the
-interaction matrix and on the genetic groups with a squared norm on the
-imaging coefficients.
+and ``C`` the matrix of standardized pairwise products
+``(x_I[i] * x_G[g] - mu[i, g]) / s[i, g]``.  Every design carries the
+product statistics ``mu`` and ``s``; a raw design holds the identity
+(mean 0, scale 1), under which the standardized product equals the raw
+one bit for bit, so each kernel has one standardization path.  The
+empirical risk is the mean logistic loss and the penalty combines group
+norms on the (imaging row, group) blocks of the interaction matrix and on
+the genetic groups with a squared norm on the imaging coefficients.
 
 The penalty zeroes whole (imaging row, group) blocks of ``W``, so along a
-fit most of ``W`` is often zero.  A zero ``W`` adds no interaction term.
-When the design carries its group layout and at most half of the blocks
-are nonzero, :func:`margins` multiplies only the live blocks, in a loop
-over the groups that have one: one product of the group's live rows of
-``W`` with its genetic columns, then a row-wise dot with the matching
-imaging columns.  Each pass allocates at most N x (live rows of one group)
-values, on top of vectors as long as the live entries of ``W``, which
-are gathered once.  Otherwise it forms the dense product.  The paths add
-the same terms in a different order, so they differ in rounding only.
-The interaction gradient scales the imaging matrix by the residuals, an
-N x n_imaging temporary, rather than the N x E genetic one.
+fit most of ``W`` is often zero.  When the design carries its group layout
+and at most half of the blocks are nonzero, :func:`margins` multiplies
+only the live blocks (none for a zero ``W``), in a loop over the groups
+that have one: one product of the group's live rows of ``W`` with its
+genetic columns, then a row-wise dot with the matching imaging columns.
+Each pass allocates at most N x (live rows of one group) values, on top
+of vectors as long as the live entries of ``W``, which are gathered once.
+Otherwise, and always for a design without groups, it forms the dense
+product.  The paths add the same terms in a different order, so they
+differ in rounding only.  The interaction gradient scales the imaging
+matrix by the residuals, an N x n_imaging temporary, rather than the
+N x E genetic one.
 
 The logistic terms use overflow-free forms with one exponential of
 ``-|t|``: :func:`sigmoid` is ``1 / (1 + e)`` for ``t >= 0`` and
@@ -84,13 +88,15 @@ class Design:
     """Evaluation-ready view of a dataset.
 
     Holds the imaging matrix, the overlap-expanded genetic matrix, the
-    labels, (optionally) per-entry mean/scale for the pairwise product
-    features, and (optionally) the ``GroupStructure`` whose expanded
-    columns the genetic matrix holds.  When the product statistics are
-    present, the interaction term of the model reads the standardized
-    product ``(x_I[i] * x_G[g] - cross_mean[i, g]) / cross_scale[i, g]``.
-    The group layout lets :func:`margins` skip the zero blocks of ``W``;
-    without it a nonzero ``W`` always takes the dense product.
+    labels, the per-entry mean and scale of the pairwise product features,
+    and (optionally) the ``GroupStructure`` whose expanded columns the
+    genetic matrix holds.  The interaction term of the model reads the
+    standardized product
+    ``(x_I[i] * x_G[g] - cross_mean[i, g]) / cross_scale[i, g]``.  Given
+    statistics are stored C-contiguous; without them the design holds the
+    identity, read-only zero-stride views of 0 and 1 that allocate no
+    (n_imaging, E) array.  The group layout lets :func:`margins` skip the
+    zero blocks of ``W``; without it ``W`` always takes the dense product.
     """
 
     def __init__(
@@ -110,10 +116,14 @@ class Design:
             )
         if (cross_mean is None) != (cross_scale is None):
             raise ValueError("cross_mean and cross_scale must be given together")
-        if cross_mean is not None:
-            cross_mean = np.asarray(cross_mean, dtype=float)
-            cross_scale = np.asarray(cross_scale, dtype=float)
-            shape = (imaging.shape[1], genetic_expanded.shape[1])
+        shape = (imaging.shape[1], genetic_expanded.shape[1])
+        if cross_mean is None:
+            # zero-stride identity: no n_imaging x E array is allocated
+            cross_mean = np.broadcast_to(0.0, shape)
+            cross_scale = np.broadcast_to(1.0, shape)
+        else:
+            cross_mean = np.ascontiguousarray(cross_mean, dtype=float)
+            cross_scale = np.ascontiguousarray(cross_scale, dtype=float)
             if cross_mean.shape != shape or cross_scale.shape != shape:
                 raise ValueError(
                     "cross statistics must have shape %r, got %r and %r"
@@ -171,11 +181,11 @@ def _check_shapes(p: ParameterSet, design: Design) -> None:
 def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.ndarray:
     """Decision values of every sample in the design.
 
-    A zero ``W`` adds no interaction term.  When ``design.groups`` is set
-    and at most half of the (imaging row, group) blocks of ``W`` hold a
-    nonzero entry, the interaction term is summed over those blocks alone;
-    otherwise it comes from the dense product ``genetic @ W.T``.  The
-    choice changes rounding only.
+    When ``design.groups`` is set and at most half of the (imaging row,
+    group) blocks of ``W`` hold a nonzero entry, the interaction term is
+    summed over those blocks alone, and a zero ``W`` adds none; otherwise,
+    and always without ``groups``, it comes from the dense product
+    ``genetic @ W.T``.  The choice changes rounding only.
     """
     _check_shapes(p, design)
     if variant == "multiplicative":
@@ -198,14 +208,10 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
             if n_live:
                 _add_live_blocks(m, w, design, live)
             return m
-    elif not np.count_nonzero(w):
-        return m
-    if design.cross_scale is not None:
-        w = w / design.cross_scale
+    w = w / design.cross_scale
     # <W, C_k> for every k via one matrix product and a row-wise dot.
     m += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)
-    if design.cross_mean is not None:
-        m -= float((w * design.cross_mean).sum())
+    m -= float((w * design.cross_mean).sum())
     return m
 
 
@@ -233,11 +239,8 @@ def _add_live_blocks(m: np.ndarray, w: np.ndarray, design: Design, live: np.ndar
     entry_cols = (gs.offsets[groups] - starts).repeat(sizes)
     entry_cols += np.arange(entry_cols.size)
     wl = w[entry_rows, entry_cols]
-    offset = 0.0
-    if design.cross_scale is not None:
-        wl /= design.cross_scale[entry_rows, entry_cols]
-    if design.cross_mean is not None:
-        offset = float(wl @ design.cross_mean[entry_rows, entry_cols])
+    wl /= design.cross_scale[entry_rows, entry_cols]
+    offset = float(wl @ design.cross_mean[entry_rows, entry_cols])
     del entry_rows, entry_cols  # freed before the passes allocate theirs
     firsts = np.flatnonzero(np.diff(groups, prepend=-1)).tolist()
     groups, starts = groups.tolist(), starts.tolist()
@@ -282,9 +285,8 @@ def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") 
         gw = grad.interaction
         np.matmul((design.imaging * r[:, None]).T, design.genetic, out=gw)
         gw /= n
-        if design.cross_mean is not None:
-            gw -= mean_r * design.cross_mean
-            gw /= design.cross_scale
+        gw -= mean_r * design.cross_mean
+        gw /= design.cross_scale
     if variant != "multiplicative":
         # Through locals: `grad.imaging /= n` would also run the block setter.
         gi, gg = grad.imaging, grad.genetic

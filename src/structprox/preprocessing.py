@@ -222,8 +222,9 @@ def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design
         zi,
         zg[:, idx],
         d.labels,
-        cross_mean=record.cross_mean[:, idx],
-        cross_scale=record.cross_scale[:, idx],
+        # take() returns C order; [:, idx] would return Fortran order
+        cross_mean=record.cross_mean.take(idx, axis=1),
+        cross_scale=record.cross_scale.take(idx, axis=1),
         groups=gs,
     )
 

@@ -300,6 +300,77 @@ class TestBlockMargins:
         assert seen == [live.sum()] * 2, "the evaluations did not take the block path"
 
 
+class TestProductStatistics:
+    GROUPS = TestBlockMargins.GROUPS
+
+    def raw_pair(self):
+        """A raw design, the same design given explicit zeros and ones, and
+        both without their group layout."""
+        _, gs, raw = random_instance(41, n=15, n_imaging=4, groups=self.GROUPS, n_features=6)
+        shape = (raw.n_imaging, raw.expanded_size)
+        explicit = Design(
+            raw.imaging, raw.genetic, raw.labels, np.zeros(shape), np.ones(shape), groups=gs
+        )
+        plain = Design(raw.imaging, raw.genetic, raw.labels)
+        return gs, [(raw, explicit), (plain, without_groups(explicit))]
+
+    def test_raw_design_holds_identity(self):
+        _, pairs = self.raw_pair()
+        for design, _ in pairs:
+            shape = (design.n_imaging, design.expanded_size)
+            assert design.cross_mean.shape == design.cross_scale.shape == shape
+            assert (design.cross_mean == 0.0).all() and (design.cross_scale == 1.0).all()
+
+    @pytest.mark.parametrize("variant", ["multilevel", "additive", "multiplicative"])
+    @pytest.mark.parametrize("n_live", [0, 3, 16])
+    def test_identity_statistics_change_no_bit(self, variant, n_live):
+        gs, pairs = self.raw_pair()
+        raw = pairs[0][0]
+        p = random_params(42, raw.n_imaging, gs.expanded_size)
+        live = np.zeros((raw.n_imaging, gs.n_groups), dtype=bool)
+        live.flat[np.random.default_rng(43).permutation(live.size)[:n_live]] = True
+        p.interaction[~np.repeat(live, gs.sizes, axis=1)] = 0.0
+        for implicit, explicit in pairs:
+            for evaluate in (margins, risk_gradient):
+                a, b = evaluate(p, implicit, variant), evaluate(p, explicit, variant)
+                assert a.tobytes() == b.tobytes(), evaluate.__name__
+
+    def test_raw_design_allocates_no_statistics_array(self):
+        rng = np.random.default_rng(44)
+        imaging, genetic = rng.normal(size=(2, 300)), rng.normal(size=(2, 400))
+        tracemalloc.start()
+        try:
+            Design(imaging, genetic, [0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 400 * 8 / 10
+
+    def test_fortran_statistics_stored_c_contiguous(self):
+        _, _, raw = random_instance(45, n=10, n_imaging=3)
+        rng = np.random.default_rng(46)
+        shape = (raw.n_imaging, raw.expanded_size)
+        mean = np.asfortranarray(rng.normal(size=shape))
+        scale = np.asfortranarray(rng.uniform(0.5, 2.0, size=shape))
+        design = Design(raw.imaging, raw.genetic, raw.labels, mean, scale)
+        for stored, given in ((design.cross_mean, mean), (design.cross_scale, scale)):
+            assert stored.flags.c_contiguous
+            np.testing.assert_array_equal(stored, given)
+
+    @pytest.mark.parametrize(
+        "mean, scale, message",
+        [
+            (np.zeros((3, 4)), None, "given together"),
+            (np.zeros((3, 3)), np.ones((3, 3)), "must have shape"),
+            (np.zeros((3, 4)), np.zeros((3, 4)), "must be > 0"),
+        ],
+    )
+    def test_bad_statistics_rejected(self, mean, scale, message):
+        _, _, raw = random_instance(47, n=10, n_imaging=3)
+        with pytest.raises(ValueError, match=message):
+            Design(raw.imaging, raw.genetic, raw.labels, mean, scale)
+
+
 class TestRisk:
     def test_zero_parameters_give_log2(self):
         d, gs, design = random_instance(8)

@@ -47,6 +47,17 @@ class TestFitScaler:
         assert record.genetic_mean[0] == 0.0
         assert record.imaging_scale[0] == 1.0
 
+    def test_inexact_constant_product_keeps_scale_one(self):
+        # The standardized product of these columns is 1 up to rounding, so
+        # its spread is rounding noise that the two-pass form keeps under the
+        # constant-column tolerance; a one-pass E[p^2] - mean^2 does not.
+        d = Dataset(
+            np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 2.0], [2.0, 1.0], [0.0, 0.0], [2.0, 1.0]]),
+            np.array([[0.1], [0.7], [0.1], [0.7], [0.1], [0.7]]),
+            np.array([0.0, 1.0] * 3),
+        )
+        assert fit_scaler(d).cross_scale[0, 0] == 1.0
+
     def test_matches_two_pass_brute_force(self):
         rng = np.random.default_rng(5)
         X = rng.normal(3.0, 2.5, size=(10, 3))
@@ -145,6 +156,12 @@ class TestCrossStats:
         np.testing.assert_array_equal(
             design.cross_scale[:, 1], design.cross_scale[:, 2]
         )
+
+    def test_design_statistics_c_contiguous(self):
+        d, gs, _ = random_instance(15, groups=((0, 1), (1, 2)))
+        design = make_design(d, gs, fit_scaler(d))
+        assert design.cross_mean.flags.c_contiguous
+        assert design.cross_scale.flags.c_contiguous
 
     def test_cross_stats_match_brute_force(self):
         d, gs, _ = random_instance(14, n=25)
