@@ -154,6 +154,11 @@ def cmd_fit(args) -> int:
 
     sel = selected_groups(params, gs)
     final = state.history[-1]
+    # With one class the risk keeps falling as the intercept grows, so the
+    # fit drifts and its stop reason says nothing about an optimum.
+    one_class = d.labels.min() == d.labels.max()
+    notes = ["labels hold one class (%d): the intercept has no finite optimum"
+             % d.labels[0]] if one_class else []
     elapsed = time.perf_counter() - started
     summary = [
         "variant: %s" % h.variant,
@@ -172,6 +177,7 @@ def cmd_fit(args) -> int:
         % (",".join(gs.names[l] for l in sel.genetic) or "none"),
         "selected_interaction_groups: %s"
         % (",".join(gs.names[l] for l in sel.interaction) or "none"),
+        *("warning: " + note for note in notes),
         "wall_time_seconds: %.3f" % elapsed,
     ]
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:
@@ -185,6 +191,8 @@ def cmd_fit(args) -> int:
     if state.stop_reason == "max_iters":
         print("warning: fit not converged: stopped at the iteration cap of %d iterations"
               % state.iterations, file=sys.stderr)
+    for note in notes:
+        print("warning: " + note, file=sys.stderr)
     return 0
 
 

@@ -12,10 +12,14 @@ Iterates and gradients share the one buffer layout of
 :class:`~structprox.core.ParameterSet`: the candidate's buffer starts as
 the gradient step ``flat(p) - step * grad``, each proximal operator works
 in place on its block of it, and the gradient mapping is computed from
-the two buffers directly.  The group soft-threshold divides only where a
-group survives, so a zero block never meets a 0/0.  On small designs an
-iteration costs the per-call overhead of its numpy calls far more than
-arithmetic, so the loop keeps those calls few.
+the two buffers directly.  A line search starts at ``STEP_INIT``, or
+higher when the last accepted move measured a curvature below
+``GROWTH_MARGIN`` (see :func:`fit`); the curvature comes from the two
+inner products the acceptance bound already forms.  The group
+soft-threshold divides only where a group survives, so a zero block never
+meets a 0/0.  On small designs an iteration costs the per-call overhead of
+its numpy calls far more than arithmetic, so the loop keeps those calls
+few.
 """
 
 from __future__ import annotations
@@ -41,11 +45,13 @@ __all__ = [
     "MAX_BACKTRACKS",
     "BACKTRACK_FACTOR",
     "STEP_INIT",
+    "GROWTH_MARGIN",
 ]
 
 MAX_BACKTRACKS = 200
 BACKTRACK_FACTOR = 0.8
 STEP_INIT = 1.0
+GROWTH_MARGIN = 0.05
 
 
 class SolverFailure(RuntimeError):
@@ -167,32 +173,41 @@ def backtracking_step(
     h: Hyperparameters,
     grad: np.ndarray,
     risk_current: float,
+    step: float = STEP_INIT,
 ):
     """Shrink the stepsize until the acceptance inequality holds.
 
     ``grad`` and ``risk_current`` are the risk gradient and risk at ``p``.
-    Starting from :data:`STEP_INIT` the candidate from
+    Starting from the trial ``step`` the candidate from
     :func:`parameter_update` is accepted once
 
         risk(candidate) <= risk(p) - step * <grad, ghat> + step/2 * ||ghat||^2
 
     with the gradient mapping ``ghat = (flat(p) - flat(candidate)) / step``,
     and otherwise the step is multiplied by :data:`BACKTRACK_FACTOR`.
-    Returns ``(candidate, step, n_shrinks, candidate_risk)``.
+    Returns ``(candidate, step, n_shrinks, candidate_risk, curvature)``,
+    where ``curvature`` is the risk's measured curvature along the accepted
+    move ``d = flat(candidate) - flat(p)``,
+    ``2 (risk(candidate) - risk(p) - <grad, d>) / ||d||^2``, formed from the
+    two inner products of the bound (0 for a zero move).
     """
-    step = STEP_INIT
     x = p.flat()
     for shrinks in range(MAX_BACKTRACKS + 1):
         candidate = parameter_update(p, grad, step, gs, h)
         ghat = (x - candidate.flat()) / step
-        bound = (
-            risk_current
-            - step * float(grad @ ghat)
-            + 0.5 * step * float(ghat @ ghat)
-        )
+        g_ghat = float(grad @ ghat)
+        ghat_sq = float(ghat @ ghat)
+        bound = risk_current - step * g_ghat + 0.5 * step * ghat_sq
         candidate_risk = risk(candidate, design, h.variant)
         if candidate_risk <= bound:
-            return candidate, step, shrinks, candidate_risk
+            # d = -step * ghat: <grad, d> = -step * g_ghat, ||d||^2 = step^2 * ghat_sq
+            curvature = 0.0
+            if ghat_sq > 0.0:
+                curvature = (
+                    2.0 * (candidate_risk - risk_current + step * g_ghat)
+                    / (step * step * ghat_sq)
+                )
+            return candidate, step, shrinks, candidate_risk, curvature
         step *= BACKTRACK_FACTOR
     raise SolverFailure(
         "line search failed: %d shrinkages reached step %.3e without acceptance"
@@ -219,10 +234,13 @@ def fit(
 ):
     """Run the solver to convergence.
 
-    Starts from zeros (or ``init``), resets the stepsize each outer
-    iteration, and stops once ``|S_new - S_old| <= tol * |S_old|`` for the
-    penalized objective S, or when ``max_iters`` is hit.  Returns
-    ``(params, SolverState)``.
+    Starts from zeros (or ``init``).  The first line search starts at
+    :data:`STEP_INIT`, each next one at ``max(STEP_INIT, min(step /
+    BACKTRACK_FACTOR, GROWTH_MARGIN / κ))`` for the last accepted step and
+    its measured curvature κ (no ``min`` when κ <= 0), so only κ below
+    ``GROWTH_MARGIN`` lets it grow.  Stops once ``|S_new - S_old| <= tol *
+    |S_old|`` for the penalized objective S, or when ``max_iters`` is hit.
+    Returns ``(params, SolverState)``.
     """
     if gs.expanded_size != design.expanded_size:
         raise ValueError(
@@ -242,12 +260,13 @@ def fit(
         raise SolverFailure("objective is non-finite at the initial point")
     history = [IterationRecord(0, r0, pen0, total0, 0.0, 0)]
     stop_reason = "max_iters"
+    trial = STEP_INIT
 
     for it in range(1, h.max_iters + 1):
         prev = history[-1]
         grad = risk_gradient(p, design, h.variant)
-        candidate, step, shrinks, cand_risk = backtracking_step(
-            p, design, gs, h, grad, prev.risk
+        candidate, step, shrinks, cand_risk, curvature = backtracking_step(
+            p, design, gs, h, grad, prev.risk, trial
         )
         cand_pen = penalty(candidate, gs, h)
         total = cand_risk + cand_pen
@@ -255,6 +274,10 @@ def fit(
             raise SolverFailure("objective diverged at iteration %d" % it)
         history.append(IterationRecord(it, cand_risk, cand_pen, total, step, shrinks))
         p = candidate
+        trial = step / BACKTRACK_FACTOR
+        if curvature > 0:
+            trial = min(trial, GROWTH_MARGIN / curvature)
+        trial = max(STEP_INIT, trial)
         if abs(total - prev.total) <= h.tol * abs(prev.total):
             stop_reason = "converged"
             break

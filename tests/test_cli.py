@@ -279,6 +279,20 @@ class TestFit:
         assert run(["fit", *flags, "--out", tmp_path / "full"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_one_class_labels_warn_on_stderr_and_in_summary(self, data_dir, tmp_path, capsys):
+        # with one class the intercept has no finite optimum, whatever the stop
+        labels = data_dir / "labels.csv"
+        n = len(labels.read_text().splitlines()) - 1
+        labels.write_text("label\n" + "1\n" * n)
+        out = tmp_path / "fit"
+        assert run(["fit", *data_flags(data_dir), "--lambda-w", 0.1, "--lambda-i", 0.05,
+                    "--lambda-g", 0.1, "--out", out]) == 0
+        warning = "warning: labels hold one class (1): the intercept has no finite optimum"
+        assert capsys.readouterr().err == warning + "\n"
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary.count(warning) == 1
+        assert summary[-1].startswith("wall_time_seconds: ")
+
 
 class TestScreen:
     def test_prints_bounds_and_fit_above_them_is_empty(self, data_dir, tmp_path,

@@ -10,13 +10,17 @@ from structprox import (
     Hyperparameters,
     ParameterSet,
     SolverFailure,
+    SyntheticSpec,
     fit,
+    generate,
     screen_lambda_max,
 )
+from structprox import solver
 from structprox.objective import Design, objective, risk, risk_gradient, sigmoid, margins
 from structprox.preprocessing import fit_scaler, make_design
 from structprox.solver import (
     BACKTRACK_FACTOR,
+    GROWTH_MARGIN,
     STEP_INIT,
     backtracking_step,
     parameter_update,
@@ -225,6 +229,29 @@ class TestParameterUpdate:
         assert not upd.genetic.any()
 
 
+def steep_instance():
+    """Large raw features: the line search must shrink below step 1.0."""
+    rng = np.random.default_rng(61)
+    gs = GroupStructure([[0, 1]], n_features=2)
+    d = Dataset(
+        rng.binomial(2, 0.5, size=(20, 2)).astype(float) * 30.0,
+        rng.normal(0, 30, size=(20, 2)),
+        rng.integers(0, 2, 20).astype(float),
+    )
+    return gs, Design.from_dataset(d, gs)
+
+
+def cli_fixture_design():
+    """The CLI tests' generated fixture (60 samples, 3 imaging features, 4
+    groups of 3, seed 11), standardized."""
+    data = generate(SyntheticSpec(
+        n_samples=60, n_imaging=3, n_groups=4, group_size=3, n_active=2,
+        effect_genetic=1.5, label_noise=0.1, seed=11,
+    ))
+    d, gs = data.dataset, data.groups
+    return gs, make_design(d, gs, fit_scaler(d))
+
+
 class TestBacktracking:
     def test_zero_gradient_accepts_initial_step(self):
         # with grad = 0 both sides of the acceptance inequality equal R_N
@@ -232,11 +259,13 @@ class TestBacktracking:
         p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
         grad = np.zeros(p.flat().size)
         h = default_hyper()
-        _, step, shrinks, _ = backtracking_step(
+        _, step, shrinks, _, curvature = backtracking_step(
             p, design, gs, h, grad=grad, risk_current=risk(p, design)
         )
         assert shrinks == 0
         assert step == STEP_INIT
+        # the candidate equals p: a zero move measures no curvature
+        assert curvature == 0.0
 
     def test_accepted_step_satisfies_inequality(self):
         for seed in range(10):
@@ -244,7 +273,7 @@ class TestBacktracking:
             p = random_params(1200 + seed, design.n_imaging, gs.expanded_size, scale=0.5)
             h = default_hyper()
             grad = risk_gradient(p, design)
-            candidate, step, shrinks, cand_risk = backtracking_step(
+            candidate, step, shrinks, cand_risk, _ = backtracking_step(
                 p, design, gs, h, grad, risk(p, design)
             )
             ghat = (p.flat() - candidate.flat()) / step
@@ -256,21 +285,88 @@ class TestBacktracking:
 
     def test_steep_instance_shrinks(self):
         # large features force at least one shrink from step 1.0
-        rng = np.random.default_rng(61)
-        gs = GroupStructure([[0, 1]], n_features=2)
-        d = Dataset(
-            rng.binomial(2, 0.5, size=(20, 2)).astype(float) * 30.0,
-            rng.normal(0, 30, size=(20, 2)),
-            rng.integers(0, 2, 20).astype(float),
-        )
-        design = Design.from_dataset(d, gs)
+        gs, design = steep_instance()
         p = random_params(62, 2, 2, scale=0.3)
         h = default_hyper()
-        _, step, shrinks, _ = backtracking_step(
+        _, step, shrinks, _, _ = backtracking_step(
             p, design, gs, h, risk_gradient(p, design), risk(p, design)
         )
         assert shrinks >= 1
         np.testing.assert_allclose(step, BACKTRACK_FACTOR**shrinks)
+
+    def test_start_above_step_init_shrinks_from_start(self):
+        start = 40.0 * STEP_INIT
+        shrunk = 0
+        for seed in range(10):
+            d, gs, design = random_instance(1100 + seed)
+            p = random_params(1200 + seed, design.n_imaging, gs.expanded_size, scale=0.5)
+            h = default_hyper()
+            grad = risk_gradient(p, design)
+            r = risk(p, design)
+            candidate, step, shrinks, cand_risk, curvature = backtracking_step(
+                p, design, gs, h, grad, r, start
+            )
+            shrunk += shrinks
+            np.testing.assert_allclose(step, start * BACKTRACK_FACTOR**shrinks, rtol=1e-12)
+            ghat = (p.flat() - candidate.flat()) / step
+            bound = r - step * float(grad @ ghat) + 0.5 * step * float(ghat @ ghat)
+            assert cand_risk <= bound + 1e-12
+            # the returned curvature is that of the accepted move, and the
+            # acceptance inequality bounds it by 1 / step
+            move = candidate.flat() - p.flat()
+            want = 2.0 * (cand_risk - r - float(grad @ move)) / float(move @ move)
+            np.testing.assert_allclose(curvature, want, rtol=1e-7)
+            assert curvature <= (1.0 + 1e-9) / step
+        assert shrunk > 0
+
+
+class TestStepGrowth:
+    def test_steep_instance_never_starts_above_step_init(self):
+        gs, design = steep_instance()
+        _, state = fit(design, gs, default_hyper(max_iters=20))
+        assert any(rec.backtracks for rec in state.history)
+        assert all(rec.step <= STEP_INIT for rec in state.history)
+
+    def test_weak_penalty_fit_grows_step_and_stops_near_optimum(self):
+        gs, design = cli_fixture_design()
+        bounds = screen_lambda_max(design, gs)
+        h = Hyperparameters(
+            0.001 * bounds.lambda_interaction_max, 0.01, 0.001 * bounds.lambda_genetic_max
+        )
+        _, state = fit(design, gs, h)
+        _, ref = fit(design, gs, dataclasses.replace(h, tol=1e-13))
+        assert state.converged and ref.converged
+        assert state.iterations <= 300
+        best = ref.history[-1].total
+        assert 0.0 <= state.history[-1].total - best <= 5e-3 * best
+        assert max(rec.step for rec in state.history) > STEP_INIT
+
+    @pytest.mark.parametrize("c", [0.3, 0.001])
+    def test_first_trial_follows_curvature_capped_growth(self, monkeypatch, c):
+        searches = []  # (first trial, accepted step, curvature) per iteration
+
+        def recording(*args):
+            result = backtracking_step(*args)
+            searches.append((args[6], result[1], result[4]))
+            return result
+
+        monkeypatch.setattr(solver, "backtracking_step", recording)
+        gs, design = cli_fixture_design()
+        bounds = screen_lambda_max(design, gs)
+        h = Hyperparameters(
+            c * bounds.lambda_interaction_max, 0.01, c * bounds.lambda_genetic_max
+        )
+        _, state = fit(design, gs, h)
+        assert len(searches) == state.iterations
+        assert searches[0][0] == STEP_INIT
+        capped = 0
+        for (_, step, curvature), (trial, _, _) in zip(searches, searches[1:]):
+            grown = step / BACKTRACK_FACTOR
+            cap = GROWTH_MARGIN / curvature if curvature > 0 else np.inf
+            assert trial == max(STEP_INIT, min(grown, cap))
+            capped += cap < grown
+        # the curvature, not the growth factor, sets most trials
+        assert capped > len(searches) / 2
 
 
 class TestFit:
