@@ -71,6 +71,11 @@ def _parse_config_file(path, options) -> dict:
     return settings
 
 
+_DATA_OPTIONS = {
+    "genetic": "--genetic", "imaging": "--imaging", "labels": "--labels", "groups": "--groups",
+}
+
+
 def _require(args, names: dict) -> None:
     for dest, flag in names.items():
         if getattr(args, dest, None) is None:
@@ -128,8 +133,7 @@ def _save_reduced(out_dir, red, i_names, group_names) -> None:
 
 def cmd_fit(args) -> int:
     _require(args, {
-        "genetic": "--genetic", "imaging": "--imaging", "labels": "--labels",
-        "groups": "--groups", "lambda_w": "--lambda-w", "lambda_i": "--lambda-i",
+        **_DATA_OPTIONS, "lambda_w": "--lambda-w", "lambda_i": "--lambda-i",
         "lambda_g": "--lambda-g",
     })
     started = time.perf_counter()
@@ -200,9 +204,11 @@ def _parse_variants(text: str) -> list[str]:
     variants = [v.strip() for v in text.split(",") if v.strip()]
     if not variants:
         raise ValueError("no variant named in %r" % text)
-    for v in variants:
+    for k, v in enumerate(variants):
         if v not in VARIANTS:
             raise ValueError("variant must be one of %r, got %r" % (VARIANTS, v))
+        if v in variants[:k]:
+            raise ValueError("variant %r is named twice in %r" % (v, text))
     return variants
 
 
@@ -241,10 +247,7 @@ def _parse_grid(text: str):
 
 
 def cmd_cv(args) -> int:
-    _require(args, {
-        "genetic": "--genetic", "imaging": "--imaging", "labels": "--labels",
-        "groups": "--groups",
-    })
+    _require(args, _DATA_OPTIONS)
     d, gs, _, _ = _load_data(args)
     variants = _parse_variants(args.variant)
     w_values, i_values, g_values = _parse_grid(args.grid)
@@ -290,10 +293,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    _require(args, {
-        "genetic": "--genetic", "imaging": "--imaging", "labels": "--labels",
-        "groups": "--groups",
-    })
+    _require(args, _DATA_OPTIONS)
     d, gs, _, _ = _load_data(args)
     record = fit_scaler(d, args.normalization)
     design = make_design(d, gs, record)
@@ -302,13 +302,9 @@ def cmd_screen(args) -> int:
         "lambda_g_max\t%.17g" % result.lambda_genetic_max,
         "lambda_w_max\t%.17g" % result.lambda_interaction_max,
         "group\tweight\tgenetic_bound\tinteraction_bound",
+        *("%s\t%.17g\t%.17g\t%.17g" % row for row in zip(
+            gs.names, gs.weights, result.genetic_bounds, result.interaction_bounds)),
     ]
-    for l in range(gs.n_groups):
-        lines.append(
-            "%s\t%.17g\t%.17g\t%.17g"
-            % (gs.names[l], gs.weights[l],
-               result.genetic_bounds[l], result.interaction_bounds[l])
-        )
     text = "\n".join(lines)
     print(text)
     if args.out:

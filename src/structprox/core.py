@@ -48,6 +48,9 @@ class GroupStructure:
         Positive per-group penalty weights.  Defaults to sqrt(group size).
     names : sequence of str, optional
         Group labels used in reports.  Defaults to ``group0000`` style.
+
+    Index and weight arrays are kept as read-only views: an ``intp`` index
+    array or a float64 weight array given is aliased, not copied.
     """
 
     def __init__(self, groups, n_features, weights=None, names=None):
@@ -58,7 +61,7 @@ class GroupStructure:
             raise ValueError("at least one group is required")
         index_sets = []
         for l, grp in enumerate(groups):
-            idx = np.asarray(grp, dtype=np.intp)
+            idx = np.asarray(grp, dtype=np.intp).view()
             if idx.ndim != 1 or idx.size == 0:
                 raise ValueError("group %d is empty" % l)
             if idx.min() < 0 or idx.max() >= n_features:
@@ -84,7 +87,7 @@ class GroupStructure:
         if weights is None:
             weights = np.sqrt(sizes.astype(float))
         else:
-            weights = np.asarray(weights, dtype=float)
+            weights = np.asarray(weights, dtype=float).view()
             if weights.shape != (len(index_sets),):
                 raise ValueError(
                     "expected %d group weights, got shape %r"
@@ -109,10 +112,8 @@ class GroupStructure:
         self.expansion_index = np.concatenate(index_sets)
         self.weights = weights
         self.names = names
-        self.sizes.setflags(write=False)
-        self.offsets.setflags(write=False)
-        self.expansion_index.setflags(write=False)
-        self.weights.setflags(write=False)
+        for arr in (self.sizes, self.offsets, self.expansion_index, self.weights):
+            arr.setflags(write=False)
 
     @property
     def n_groups(self) -> int:
@@ -138,11 +139,13 @@ class Dataset:
 
     Feature matrices are stored as float64 with one row per sample; labels
     are 0/1 integers.  All values must be finite (missing data is rejected).
+    The matrices are kept as read-only views: a float64 matrix given is
+    aliased, not copied, and stays writeable to its owner.
     """
 
     def __init__(self, genetic, imaging, labels):
-        genetic = np.asarray(genetic, dtype=float)
-        imaging = np.asarray(imaging, dtype=float)
+        genetic = np.asarray(genetic, dtype=float).view()
+        imaging = np.asarray(imaging, dtype=float).view()
         labels = np.asarray(labels)
         if genetic.ndim != 2 or imaging.ndim != 2:
             raise ValueError(

@@ -11,6 +11,7 @@ import csv
 import warnings
 from collections import Counter
 from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 _PARAMS_HEADER = "structprox-params v1"
+# the blocks each variant holds at zero, which its parameter file may not set
+_PINNED_BLOCKS = {"additive": ("interaction",), "multiplicative": ("imaging", "genetic")}
 
 
 def load_matrix_csv(path):
@@ -148,12 +151,13 @@ def load_group_file(path, n_features: int) -> GroupStructure:
 
     Feature indices are 0-based positions into the genetic matrix columns.
     A weight of ``auto`` selects sqrt(group size).  Blank lines and lines
-    starting with ``#`` are skipped.  A name may not hold ``,`` or ``;``,
-    which separate the group names in ``summary.txt`` and ``cv_chosen.csv``.
+    starting with ``#`` are skipped.  Names must be distinct, and a name
+    may not hold ``,`` or ``;``, which separate the group names in
+    ``summary.txt`` and ``cv_chosen.csv``.
     """
     groups = []
     weights = []
-    names = []
+    first_line = {}  # line of each group name read so far
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -171,6 +175,10 @@ def load_group_file(path, n_features: int) -> GroupStructure:
                 raise ValueError(
                     "%s: line %d group name %r holds ',' or ';'" % (path, lineno, name)
                 )
+            if name in first_line:
+                raise ValueError("%s: lines %d and %d both name group %r"
+                                 % (path, first_line[name], lineno, name))
+            first_line[name] = lineno
             try:
                 indices = [int(v) for v in index_text.split(",") if v.strip() != ""]
             except ValueError:
@@ -190,23 +198,15 @@ def load_group_file(path, n_features: int) -> GroupStructure:
                     )
             groups.append(indices)
             weights.append(weight)
-            names.append(name)
     if not groups:
         raise ValueError("%s: no group lines found" % path)
-    return GroupStructure(groups, n_features, weights=weights, names=names)
+    return GroupStructure(groups, n_features, weights=weights, names=list(first_line))
 
 
 def save_group_file(path, gs: GroupStructure) -> None:
     with open(path, "w") as fh:
-        for l in range(gs.n_groups):
-            fh.write(
-                "%s\t%.17g\t%s\n"
-                % (
-                    gs.names[l],
-                    gs.weights[l],
-                    ",".join(str(int(v)) for v in gs.groups[l]),
-                )
-            )
+        for name, weight, idx in zip(gs.names, gs.weights.tolist(), gs.groups):
+            fh.write("%s\t%.17g\t%s\n" % (name, weight, ",".join(map(str, idx.tolist()))))
 
 
 def save_params(path, p: ParameterSet, variant: str = "multilevel") -> None:
@@ -231,7 +231,11 @@ def save_params(path, p: ParameterSet, variant: str = "multilevel") -> None:
 
 
 def load_params(path):
-    """Read a parameter file; returns ``(ParameterSet, variant)``."""
+    """Read a parameter file; returns ``(ParameterSet, variant)``.
+
+    Each entry may appear once, and a file may hold no entry of a block
+    its variant pins at zero.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _PARAMS_HEADER:
@@ -258,32 +262,39 @@ def load_params(path):
             raise ValueError
         return k
 
-    def value(text):
-        v = float(text)
-        if not np.isfinite(v):
-            raise ValueError
-        return v
-
-    saw_intercept = False
+    pinned = _PINNED_BLOCKS.get(variant, ())
+    first_line = {}  # line of each entry read so far, keyed by (tag, *indices)
     for lineno, line in enumerate(lines[3:], start=4):
         parts = line.split("\t")
         tag = parts[0]
         try:
             if tag == "interaction" and len(parts) == 4:
-                i, g = index(parts[1], n_imaging), index(parts[2], expanded)
-                p.interaction[i, g] = value(parts[3])
+                key = (tag, index(parts[1], n_imaging), index(parts[2], expanded))
             elif tag == "imaging" and len(parts) == 3:
-                p.imaging[index(parts[1], n_imaging)] = value(parts[2])
+                key = (tag, index(parts[1], n_imaging))
             elif tag == "genetic" and len(parts) == 3:
-                p.genetic[index(parts[1], expanded)] = value(parts[2])
+                key = (tag, index(parts[1], expanded))
             elif tag == "intercept" and len(parts) == 2:
-                p.intercept = value(parts[1])
-                saw_intercept = True
+                key = (tag,)
             else:
+                raise ValueError
+            v = float(parts[-1])
+            if not isfinite(v):
                 raise ValueError
         except ValueError:
             raise ValueError("%s: line %d is malformed" % (path, lineno)) from None
-    if not saw_intercept:
+        if tag in pinned:
+            raise ValueError("%s: line %d sets the %s block, which the %s variant pins at zero"
+                             % (path, lineno, tag, variant))
+        if key in first_line:
+            raise ValueError("%s: line %d repeats the entry of line %d"
+                             % (path, lineno, first_line[key]))
+        first_line[key] = lineno
+        if tag == "intercept":
+            p.intercept = v
+        else:
+            getattr(p, tag)[key[1:]] = v
+    if ("intercept",) not in first_line:
         raise ValueError("%s: missing intercept line" % path)
     return p, variant
 

@@ -135,9 +135,7 @@ def predict(
         raise ValueError("predict needs a fitted scaling record")
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1), got %r" % threshold)
-    genetic = np.asarray(genetic, dtype=float)
-    imaging = np.asarray(imaging, dtype=float)
-    d = Dataset(genetic, imaging, np.zeros(genetic.shape[0], dtype=int))
+    d = Dataset(genetic, imaging, np.zeros(np.shape(genetic)[:1], dtype=int))
     return _classify(params, make_design(d, gs, record), variant, threshold)
 
 

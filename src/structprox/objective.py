@@ -15,18 +15,12 @@ norms on the (imaging row, group) blocks of the interaction matrix and on
 the genetic groups with a squared norm on the imaging coefficients.
 
 The penalty zeroes whole (imaging row, group) blocks of ``W``, so along a
-fit most of ``W`` is often zero.  When the design carries its group layout
-and at most half of the blocks are nonzero, :func:`margins` multiplies
-only the live blocks (none for a zero ``W``), in a loop over the groups
-that have one: one product of the group's live rows of ``W`` with its
-genetic columns, then a row-wise dot with the matching imaging columns.
-Each pass allocates at most N x (live rows of one group) values, on top
-of vectors as long as the live entries of ``W``, which are gathered once.
-Otherwise, and always for a design without groups, it forms the dense
-product.  The paths add the same terms in a different order, so they
-differ in rounding only.  The interaction gradient scales the imaging
-matrix by the residuals, an N x n_imaging temporary, rather than the
-N x E genetic one.
+fit most of ``W`` is often zero.  Every design carries its group layout,
+and when at most half of the blocks are nonzero :func:`margins` multiplies
+only the live blocks, one group at a time (see :func:`_add_live_blocks`);
+otherwise it forms the dense product.  The two paths differ in rounding
+only.  The interaction gradient scales the imaging matrix by the
+residuals, an N x n_imaging temporary, rather than the N x E genetic one.
 
 The logistic terms use overflow-free forms with one exponential of
 ``-|t|``: :func:`sigmoid` is ``1 / (1 + e)`` for ``t >= 0`` and
@@ -88,20 +82,17 @@ class Design:
     """Evaluation-ready view of a dataset.
 
     Holds the imaging matrix, the overlap-expanded genetic matrix, the
-    labels, the per-entry mean and scale of the pairwise product features,
-    and (optionally) the ``GroupStructure`` whose expanded columns the
-    genetic matrix holds.  The interaction term of the model reads the
-    standardized product
-    ``(x_I[i] * x_G[g] - cross_mean[i, g]) / cross_scale[i, g]``.  Given
-    statistics are stored C-contiguous; without them the design holds the
-    identity, read-only zero-stride views of 0 and 1 that allocate no
-    (n_imaging, E) array.  The group layout lets :func:`margins` skip the
-    zero blocks of ``W``; without it ``W`` always takes the dense product.
+    labels, the ``GroupStructure`` whose expanded columns the genetic
+    matrix holds, which lets :func:`margins` skip the zero blocks of
+    ``W``, and the per-entry mean and scale of the pairwise product
+    features.  Given statistics are stored C-contiguous; without them the
+    design holds the identity, read-only zero-stride views of 0 and 1 that
+    allocate no (n_imaging, E) array.
     """
 
     def __init__(
-        self, imaging, genetic_expanded, labels, cross_mean=None, cross_scale=None,
-        groups: GroupStructure | None = None,
+        self, imaging, genetic_expanded, labels, groups: GroupStructure,
+        cross_mean=None, cross_scale=None,
     ):
         imaging = np.asarray(imaging, dtype=float)
         genetic_expanded = np.asarray(genetic_expanded, dtype=float)
@@ -131,7 +122,7 @@ class Design:
                 )
             if np.any(cross_scale <= 0):
                 raise ValueError("cross_scale entries must be > 0")
-        if groups is not None and groups.expanded_size != genetic_expanded.shape[1]:
+        if groups.expanded_size != genetic_expanded.shape[1]:
             raise ValueError(
                 "groups expand to %d columns, the genetic matrix has %d"
                 % (groups.expanded_size, genetic_expanded.shape[1])
@@ -146,7 +137,7 @@ class Design:
     @classmethod
     def from_dataset(cls, d: Dataset, gs: GroupStructure) -> "Design":
         """Expand a raw dataset without any product standardization."""
-        return cls(d.imaging, expand_columns(d.genetic, gs), d.labels, groups=gs)
+        return cls(d.imaging, expand_columns(d.genetic, gs), d.labels, gs)
 
     @property
     def n_samples(self) -> int:
@@ -170,24 +161,20 @@ class ObjectiveValue:
     total: float
 
 
-def _check_shapes(p: ParameterSet, design: Design) -> None:
+def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.ndarray:
+    """Decision values of every sample in the design.
+
+    When at most half of the (imaging row, group) blocks of ``W`` given by
+    ``design.groups`` hold a nonzero entry, the interaction term is summed
+    over those blocks alone, and a zero ``W`` adds none; otherwise it comes
+    from the dense product ``genetic @ W.T``.  The choice changes rounding
+    only.
+    """
     if p.interaction.shape != (design.n_imaging, design.expanded_size):
         raise ValueError(
             "interaction shape %r does not match design (%d, %d)"
             % (p.interaction.shape, design.n_imaging, design.expanded_size)
         )
-
-
-def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.ndarray:
-    """Decision values of every sample in the design.
-
-    When ``design.groups`` is set and at most half of the (imaging row,
-    group) blocks of ``W`` hold a nonzero entry, the interaction term is
-    summed over those blocks alone, and a zero ``W`` adds none; otherwise,
-    and always without ``groups``, it comes from the dense product
-    ``genetic @ W.T``.  The choice changes rounding only.
-    """
-    _check_shapes(p, design)
     if variant == "multiplicative":
         m = np.full(design.n_samples, p.intercept)
     else:
@@ -197,17 +184,15 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
         if variant == "additive":
             return m
     w = p.interaction
-    if design.groups is not None:
-        # One pass over W gives the live mask, which also tells a zero W
-        # (no block live) apart; logical_or reads a nonzero float as true.
-        # Past half live, one dense product costs less than the small
-        # per-group ones.
-        live = np.logical_or.reduceat(w, design.groups.offsets, axis=1)
-        n_live = np.count_nonzero(live)
-        if 2 * n_live <= live.size:
-            if n_live:
-                _add_live_blocks(m, w, design, live)
-            return m
+    # One pass over W gives the live mask, which also tells a zero W (no
+    # block live) apart; logical_or reads a nonzero float as true.  Past
+    # half live, one dense product costs less than the small per-group ones.
+    live = np.logical_or.reduceat(w, design.groups.offsets, axis=1)
+    n_live = np.count_nonzero(live)
+    if 2 * n_live <= live.size:
+        if n_live:
+            _add_live_blocks(m, w, design, live)
+        return m
     w = w / design.cross_scale
     # <W, C_k> for every k via one matrix product and a row-wise dot.
     m += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)

@@ -56,7 +56,9 @@ class ScalingRecord:
     Cross-product statistics are stored per (imaging row, original genetic
     column); expanded copies of a shared genetic feature reuse the original
     column's entry.  Every statistic must be finite and every scale > 0;
-    column names, when given, must not hold a tab, CR or LF.
+    column names, when given, must not hold a tab, CR or LF.  Statistics
+    are stored as read-only views: a float64 array given is aliased, not
+    copied, and stays writeable to its owner.
     """
 
     def __init__(
@@ -77,12 +79,12 @@ class ScalingRecord:
                 % (NORMALIZATION_MODES, normalization)
             )
         self.normalization = normalization
-        self.genetic_mean = np.asarray(genetic_mean, dtype=float)
-        self.genetic_scale = np.asarray(genetic_scale, dtype=float)
-        self.imaging_mean = np.asarray(imaging_mean, dtype=float)
-        self.imaging_scale = np.asarray(imaging_scale, dtype=float)
-        self.cross_mean = np.asarray(cross_mean, dtype=float)
-        self.cross_scale = np.asarray(cross_scale, dtype=float)
+        self.genetic_mean = np.asarray(genetic_mean, dtype=float).view()
+        self.genetic_scale = np.asarray(genetic_scale, dtype=float).view()
+        self.imaging_mean = np.asarray(imaging_mean, dtype=float).view()
+        self.imaging_scale = np.asarray(imaging_scale, dtype=float).view()
+        self.cross_mean = np.asarray(cross_mean, dtype=float).view()
+        self.cross_scale = np.asarray(cross_scale, dtype=float).view()
         ng = self.genetic_mean.size
         ni = self.imaging_mean.size
         shapes = ((ng,), (ng,), (ni,), (ni,), (ni, ng), (ni, ng))
@@ -222,10 +224,10 @@ def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design
         zi,
         zg[:, idx],
         d.labels,
+        gs,
         # take() returns C order; [:, idx] would return Fortran order
         cross_mean=record.cross_mean.take(idx, axis=1),
         cross_scale=record.cross_scale.take(idx, axis=1),
-        groups=gs,
     )
 
 

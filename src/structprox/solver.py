@@ -15,11 +15,11 @@ in place on its block of it, and the gradient mapping is computed from
 the two buffers directly.  A line search starts at ``STEP_INIT``, or
 higher when the last accepted move measured a curvature below
 ``GROWTH_MARGIN`` (see :func:`fit`); the curvature comes from the two
-inner products the acceptance bound already forms.  The group
-soft-threshold divides only where a group survives, so a zero block never
-meets a 0/0.  On small designs an iteration costs the per-call overhead of
-its numpy calls far more than arithmetic, so the loop keeps those calls
-few.
+inner products the acceptance bound already forms.  One group
+soft-threshold serves every group-lasso block, and :func:`prox_group`
+applies it to a single block.  On small designs an iteration costs the
+per-call overhead of its numpy calls far more than arithmetic, so the
+loop keeps those calls few.
 """
 
 from __future__ import annotations
@@ -98,16 +98,17 @@ class SolverState:
 def prox_group(block, threshold: float) -> np.ndarray:
     """Proximal operator of ``threshold * ||.||_2`` on one block.
 
-    Shrinks the block norm by ``threshold`` and returns exact zeros when
-    the norm does not exceed it (including the zero block).
+    Shrinks the block norm by ``threshold`` and returns zeros when the
+    norm does not exceed it (including the zero block).  A float copy of
+    the block goes through the fit's own soft-threshold as one group, so
+    the result matches :func:`parameter_update` bit for bit.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0, got %r" % threshold)
-    block = np.asarray(block, dtype=float)
-    norm = float(np.linalg.norm(block))
-    if norm <= threshold:
-        return np.zeros_like(block)
-    return (1.0 - threshold / norm) * block
+    out = np.array(block, dtype=float, order="C")
+    if out.size:
+        _prox_group_rows(out.reshape(1, -1), [0], [out.size], threshold)
+    return out
 
 
 def prox_ridge(block, step: float, lam: float) -> np.ndarray:
@@ -120,12 +121,13 @@ def prox_ridge(block, step: float, lam: float) -> np.ndarray:
     return block / (1.0 + 2.0 * step * lam)
 
 
-def _prox_group_rows(omega: np.ndarray, gs: GroupStructure, thresholds: np.ndarray) -> None:
-    """Row-wise group soft-thresholding of an (n_rows, expanded) matrix, in place."""
-    norms = np.sqrt(np.add.reduceat(omega**2, gs.offsets, axis=1))
+def _prox_group_rows(omega: np.ndarray, offsets, sizes, thresholds) -> None:
+    """Soft-threshold, in place, each column block ``offsets[l] : offsets[l]
+    + sizes[l]`` of every row of ``omega`` by ``thresholds[l]`` (or a scalar)."""
+    norms = np.sqrt(np.add.reduceat(omega**2, offsets, axis=1))
     # thresholds / norms where a group survives, 1 elsewhere: no 0/0 arises.
     ratio = np.divide(thresholds, norms, out=np.ones_like(norms), where=norms > thresholds)
-    omega *= (1.0 - ratio).repeat(gs.sizes, axis=1)
+    omega *= (1.0 - ratio).repeat(sizes, axis=1)
 
 
 def parameter_update(
@@ -153,16 +155,17 @@ def parameter_update(
     if not np.isfinite(grad).all():
         raise ValueError("gradient contains non-finite entries")
     candidate = ParameterSet._view(x - step * grad, p.n_imaging, p.expanded_size)
+    blocks = gs.offsets, gs.sizes
     if h.variant == "additive":
         candidate.interaction.fill(0.0)
     else:
-        _prox_group_rows(candidate.interaction, gs, step * h.lambda_interaction * gs.weights)
+        _prox_group_rows(candidate.interaction, *blocks, step * h.lambda_interaction * gs.weights)
     if h.variant == "multiplicative":
         candidate.imaging.fill(0.0)
         candidate.genetic.fill(0.0)
     else:
         np.divide(candidate.imaging, 1.0 + 2.0 * step * h.lambda_imaging, out=candidate.imaging)
-        _prox_group_rows(candidate.genetic[None, :], gs, step * h.lambda_genetic * gs.weights)
+        _prox_group_rows(candidate.genetic[None, :], *blocks, step * h.lambda_genetic * gs.weights)
     return candidate
 
 

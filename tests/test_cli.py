@@ -515,6 +515,19 @@ class TestCv:
         assert [len(r) for r in rows] == [7] * 3
         assert all(r[5].split(";")[-1] == 'APOE"TOMM40' for r in rows[1:])
 
+    def test_repeated_variant_rejected(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "cv"
+        code = run(
+            ["cv", *data_flags(data_dir), "--grid", "w=0.1;i=0.05;g=0.1",
+             "--variant", "multilevel, additive,multilevel", "--folds", 2, "--out", out]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: variant 'multilevel' is named twice in "
+            "'multilevel, additive,multilevel'\n"
+        )
+        assert not out.exists()
+
     def test_bad_grid_rejected(self, data_dir, capsys):
         code = run(["cv", *data_flags(data_dir), "--grid", "w=;i=1;g=1"])
         assert code == 1

@@ -76,6 +76,16 @@ class TestGroupStructure:
         with pytest.raises(ValueError):
             GroupStructure([[0], []], n_features=1)
 
+    def test_caller_arrays_stay_writeable(self):
+        # the stored arrays are read-only views that alias the caller's arrays
+        idx = np.array([0, 1], dtype=np.intp)
+        weights = np.array([1.5, 2.0])
+        gs = GroupStructure([idx, [1, 2]], n_features=3, weights=weights)
+        assert idx.flags.writeable and weights.flags.writeable
+        for stored in (gs.groups[0], gs.weights, gs.sizes, gs.offsets, gs.expansion_index):
+            assert not stored.flags.writeable
+        assert np.shares_memory(gs.groups[0], idx) and np.shares_memory(gs.weights, weights)
+
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
             GroupStructure([[0]], n_features=1, weights=[0.0])
@@ -238,6 +248,17 @@ class TestDataset:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.zeros((2, 1)), np.array([0.0, 2.0]))
+
+    def test_caller_arrays_stay_writeable(self):
+        # float64 matrices are aliased through read-only views, never copied
+        g, i, y = np.zeros((2, 3)), np.ones((2, 1)), np.array([0, 1])
+        d = Dataset(g, i, y)
+        assert g.flags.writeable and i.flags.writeable and y.flags.writeable
+        for stored in (d.genetic, d.imaging, d.labels):
+            assert not stored.flags.writeable
+        assert np.shares_memory(d.genetic, g) and np.shares_memory(d.imaging, i)
+        with pytest.raises(ValueError, match="read-only"):
+            d.genetic[0, 0] = 1.0
 
     def test_rejects_non_finite(self):
         g = np.zeros((2, 1))

@@ -166,6 +166,14 @@ class TestGroupFile:
         with pytest.raises(ValueError, match="line 2"):
             load_group_file(str(path), n_features=2)
 
+    def test_repeated_name_rejected_with_both_lines(self, tmp_path):
+        # a repeated name would repeat a column of reduced_interaction.csv
+        path = tmp_path / "groups.tsv"
+        path.write_text("g1\tauto\t0\n# note\ng2\tauto\t1\ng1\tauto\t1\n")
+        with pytest.raises(ValueError) as err:
+            load_group_file(str(path), n_features=2)
+        assert str(err.value) == "%s: lines 1 and 4 both name group 'g1'" % path
+
     @pytest.mark.parametrize("name", ["APOE,TOMM40", "APOE;TOMM40", ";"])
     def test_name_with_separator_rejected(self, tmp_path, name):
         # summary.txt joins group names with ',' and cv_chosen.csv with ';'
@@ -270,6 +278,48 @@ class TestParamsFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 4 is malformed"):
             load_params(str(path))
+
+    @pytest.mark.parametrize(
+        "variant, entry",
+        [
+            ("additive", "interaction\t1\t3\t0.5"),
+            ("multiplicative", "imaging\t0\t0.5"),
+            ("multiplicative", "genetic\t3\t0.5"),
+        ],
+    )
+    def test_entry_of_pinned_block_rejected(self, tmp_path, variant, entry):
+        path = tmp_path / "params.txt"
+        save_params(str(path), ParameterSet.zeros(2, 4), variant=variant)
+        lines = path.read_text().splitlines()
+        lines.insert(3, entry)
+        path.write_text("\n".join(lines) + "\n")
+        block = entry.split("\t")[0]
+        with pytest.raises(ValueError) as err:
+            load_params(str(path))
+        assert str(err.value) == (
+            "%s: line 4 sets the %s block, which the %s variant pins at zero"
+            % (path, block, variant)
+        )
+
+    @pytest.mark.parametrize(
+        "first, again",
+        [
+            ("interaction\t1\t3\t0.5", "interaction\t1\t3\t0.5"),
+            ("imaging\t1\t0.5", "imaging\t1\t-2.5"),
+            ("genetic\t2\t0.5", "genetic\t02\t0.5"),
+            ("intercept\t0.5", None),
+        ],
+    )
+    def test_repeated_entry_rejected_with_both_lines(self, tmp_path, first, again):
+        # the saved file holds its intercept on line 4; `again=None` repeats it
+        path = tmp_path / "params.txt"
+        save_params(str(path), ParameterSet.zeros(2, 4))
+        lines = path.read_text().splitlines()
+        lines[3:3] = [first] if again is None else [first, again]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_params(str(path))
+        assert str(err.value) == "%s: line 5 repeats the entry of line 4" % path
 
     @pytest.mark.parametrize(
         "dims",

@@ -101,6 +101,7 @@ class TestGrids:
         assert np.all(np.diff(np.log(g)) > 0)
         ratios = g[1:] / g[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
+        np.testing.assert_array_equal(log_grid(1), [1.0])
 
     def test_make_grid_product_order(self):
         grid = make_grid([0.1, 0.2], [0.3], [0.4, 0.5], variant="additive")
@@ -193,6 +194,15 @@ class TestReduceAndSelect:
 
 
 class TestPredict:
+    def test_caller_matrices_stay_writeable(self):
+        data = synthetic_instance(5)
+        _, record = fit_stages(data.dataset, data.groups, default_hyper())
+        genetic = np.array(data.dataset.genetic)
+        imaging = np.array(data.dataset.imaging)
+        p0 = ParameterSet.zeros(imaging.shape[1], data.groups.expanded_size)
+        predict(p0, record, data.groups, genetic, imaging)
+        assert genetic.flags.writeable and imaging.flags.writeable
+
     def test_zero_parameters_probability_half(self):
         data = synthetic_instance(5)
         _, record = fit_stages(data.dataset, data.groups, default_hyper())

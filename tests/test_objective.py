@@ -177,7 +177,9 @@ class TestMargins:
         p = random_params(7, design.n_imaging, gs.expanded_size)
         m = margins(p, design)
         k = 3
-        one = Design(design.imaging[k : k + 1], design.genetic[k : k + 1], design.labels[k : k + 1])
+        one = Design(
+            design.imaging[k : k + 1], design.genetic[k : k + 1], design.labels[k : k + 1], gs
+        )
         np.testing.assert_allclose(margins(p, one), m[k : k + 1], rtol=1e-12)
 
 
@@ -196,11 +198,17 @@ def count_block_path(monkeypatch):
     return seen
 
 
-def without_groups(design):
-    """The same design with no group layout, so margins takes the dense product."""
-    return Design(
-        design.imaging, design.genetic, design.labels, design.cross_mean, design.cross_scale
-    )
+def dense_margins(p, design, variant="multilevel"):
+    """The decision values from the dense product written out, with every
+    block of ``W`` included."""
+    dense = np.full(design.n_samples, p.intercept)
+    if variant != "multiplicative":
+        dense += design.imaging @ p.imaging + design.genetic @ p.genetic
+    if variant != "additive":
+        w = p.interaction / design.cross_scale
+        dense -= np.sum(w * design.cross_mean)
+        dense += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)
+    return dense
 
 
 class TestBlockMargins:
@@ -235,25 +243,14 @@ class TestBlockMargins:
 
         m = margins(p, design, variant)
         assert seen == ([n_live] if block_path else [])
-        margins(p, without_groups(design), variant)
-        assert len(seen) == int(block_path), "a design without groups took the block path"
-
-        # the dense product written out, with every block included
-        dense = np.full(design.n_samples, p.intercept)
-        if variant == "multilevel":
-            dense += design.imaging @ p.imaging + design.genetic @ p.genetic
-        w = p.interaction
-        if standardized:
-            w = w / design.cross_scale
-            dense -= np.sum(w * design.cross_mean)
-        dense += np.einsum("ni,ni->n", design.genetic @ w.T, design.imaging)
+        dense = dense_margins(p, design, variant)
         assert np.abs(m - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_group_layout_of_other_size_rejected(self):
         _, gs, design = random_instance(1)
         other = GroupStructure([[0, 1, 2]], n_features=3)
         with pytest.raises(ValueError, match="groups expand to 3 columns, the genetic matrix has 4"):
-            Design(design.imaging, design.genetic, design.labels, groups=other)
+            Design(design.imaging, design.genetic, design.labels, other)
 
     def test_small_fit_takes_block_path(self, monkeypatch):
         from structprox.preprocessing import fit_scaler, make_design
@@ -270,7 +267,12 @@ class TestBlockMargins:
         seen = count_block_path(monkeypatch)
         params, state = fit(design, gs, h)
         assert seen, "no margin evaluation took the block path"
-        dense_params, dense_state = fit(without_groups(design), gs, h)
+        n_block = len(seen)
+        # the same fit with every margin evaluation taking the dense product
+        module = importlib.import_module("structprox.objective")
+        monkeypatch.setattr(module, "margins", dense_margins)
+        dense_params, dense_state = fit(design, gs, h)
+        assert len(seen) == n_block, "the dense fit took the block path"
         assert dense_state.iterations == state.iterations
         np.testing.assert_allclose(params.flat(), dense_params.flat(), rtol=0, atol=1e-12)
 
@@ -304,15 +306,11 @@ class TestProductStatistics:
     GROUPS = TestBlockMargins.GROUPS
 
     def raw_pair(self):
-        """A raw design, the same design given explicit zeros and ones, and
-        both without their group layout."""
+        """A raw design and the same design given explicit zeros and ones."""
         _, gs, raw = random_instance(41, n=15, n_imaging=4, groups=self.GROUPS, n_features=6)
         shape = (raw.n_imaging, raw.expanded_size)
-        explicit = Design(
-            raw.imaging, raw.genetic, raw.labels, np.zeros(shape), np.ones(shape), groups=gs
-        )
-        plain = Design(raw.imaging, raw.genetic, raw.labels)
-        return gs, [(raw, explicit), (plain, without_groups(explicit))]
+        explicit = Design(raw.imaging, raw.genetic, raw.labels, gs, np.zeros(shape), np.ones(shape))
+        return gs, [(raw, explicit)]
 
     def test_raw_design_holds_identity(self):
         _, pairs = self.raw_pair()
@@ -338,21 +336,22 @@ class TestProductStatistics:
     def test_raw_design_allocates_no_statistics_array(self):
         rng = np.random.default_rng(44)
         imaging, genetic = rng.normal(size=(2, 300)), rng.normal(size=(2, 400))
+        gs = GroupStructure([range(400)], n_features=400)
         tracemalloc.start()
         try:
-            Design(imaging, genetic, [0, 1])
+            Design(imaging, genetic, [0, 1], gs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 300 * 400 * 8 / 10
 
     def test_fortran_statistics_stored_c_contiguous(self):
-        _, _, raw = random_instance(45, n=10, n_imaging=3)
+        _, gs, raw = random_instance(45, n=10, n_imaging=3)
         rng = np.random.default_rng(46)
         shape = (raw.n_imaging, raw.expanded_size)
         mean = np.asfortranarray(rng.normal(size=shape))
         scale = np.asfortranarray(rng.uniform(0.5, 2.0, size=shape))
-        design = Design(raw.imaging, raw.genetic, raw.labels, mean, scale)
+        design = Design(raw.imaging, raw.genetic, raw.labels, gs, mean, scale)
         for stored, given in ((design.cross_mean, mean), (design.cross_scale, scale)):
             assert stored.flags.c_contiguous
             np.testing.assert_array_equal(stored, given)
@@ -366,9 +365,9 @@ class TestProductStatistics:
         ],
     )
     def test_bad_statistics_rejected(self, mean, scale, message):
-        _, _, raw = random_instance(47, n=10, n_imaging=3)
+        _, gs, raw = random_instance(47, n=10, n_imaging=3)
         with pytest.raises(ValueError, match=message):
-            Design(raw.imaging, raw.genetic, raw.labels, mean, scale)
+            Design(raw.imaging, raw.genetic, raw.labels, gs, mean, scale)
 
 
 class TestRisk:

@@ -278,6 +278,16 @@ class TestScalerFile:
 
 
 class TestScalingRecord:
+    def test_caller_arrays_stay_writeable(self):
+        # the six statistics are aliased through read-only views, never copied
+        stats = [np.zeros(2), np.ones(2), np.zeros(3), np.ones(3), np.zeros((3, 2)), np.ones((3, 2))]
+        record = ScalingRecord("sd", *stats)
+        for given, name in zip(stats, ("genetic_mean", "genetic_scale", "imaging_mean",
+                                       "imaging_scale", "cross_mean", "cross_scale")):
+            stored = getattr(record, name)
+            assert given.flags.writeable and not stored.flags.writeable
+            assert np.shares_memory(given, stored)
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="imaging_scale must have shape"):
             ScalingRecord("sd", [0.0], [1.0], [0.0], [1.0, 1.0, 1.0], [[0.0]], [[1.0]])

@@ -89,6 +89,43 @@ class TestProxGroup:
         with pytest.raises(ValueError):
             prox_group(np.ones(2), -0.1)
 
+    def test_empty_block_gives_empty_array(self):
+        out = prox_group(np.zeros(0), 0.3)
+        assert out.shape == (0,) and out.dtype == float
+
+    def test_matrix_block_keeps_shape_and_input(self):
+        # the block norm of a matrix is its Frobenius norm, in any memory order
+        omega = np.asfortranarray(np.arange(1.0, 7.0).reshape(2, 3))
+        before = omega.copy()
+        out = prox_group(omega, 0.5)
+        assert out.shape == (2, 3)
+        np.testing.assert_array_equal(out.ravel(), prox_group(omega.ravel(), 0.5))
+        np.testing.assert_array_equal(omega, before)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_parameter_update_bit_for_bit(self, seed):
+        # the genetic blocks of a zero-gradient, unit-step update are the
+        # soft-thresholds of omega's blocks at lambda_genetic * weight
+        rng = np.random.default_rng(900 + seed)
+        gs = GroupStructure(
+            [[0, 1, 2], [3, 4], [5, 6, 7, 8]], n_features=9, weights=rng.uniform(0.5, 2.0, 3)
+        )
+        omega = rng.normal(0, 1, size=9)
+        norms = [np.linalg.norm(omega[gs.block(l)]) / gs.weights[l] for l in range(3)]
+        # between the smallest and largest weighted norm: one block survives, one is zeroed
+        t = float(np.mean([min(norms), max(norms)]))
+        p = ParameterSet.zeros(2, gs.expanded_size)
+        p.genetic = omega
+        h = Hyperparameters(1.0, 1.0, t)
+        candidate = parameter_update(p, np.zeros(p.flat().size), 1.0, gs, h)
+        survived = []
+        for l in range(gs.n_groups):
+            blk = gs.block(l)
+            ours = prox_group(omega[blk], t * gs.weights[l])
+            assert ours.tobytes() == candidate.genetic[blk].tobytes()
+            survived.append(bool(ours.any()))
+        assert True in survived and False in survived
+
     def test_matches_numerical_oracle(self):
         for seed in range(30):
             rng = np.random.default_rng(700 + seed)
@@ -472,13 +509,60 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(design, data.groups, default_hyper(variant="additive"), init=init)
 
+    @pytest.mark.parametrize("block", ["imaging", "genetic"])
+    def test_warm_start_respects_multiplicative_variant(self, block):
+        d, gs, design = random_instance(68)
+        init = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
+        getattr(init, block)[0] = 1.0
+        with pytest.raises(
+            ValueError, match="multiplicative variant requires zero imaging/genetic blocks at init"
+        ):
+            fit(design, gs, default_hyper(variant="multiplicative"), init=init)
+
+    def test_groups_of_other_size_rejected(self):
+        d, gs, design = random_instance(68)
+        other = GroupStructure([[0, 1, 2]], n_features=3)
+        with pytest.raises(ValueError, match="groups give expanded size 3, design has 4"):
+            fit(design, other, default_hyper())
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergent_objective_raises(self):
         d, gs, design = random_instance(69)
         init = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
         init.intercept = np.finfo(float).max / 4
-        with pytest.raises(SolverFailure):
+        with pytest.raises(SolverFailure, match="objective is non-finite at the initial point"):
             fit(design, gs, default_hyper(), init=init)
+
+    @staticmethod
+    def infinite_after_first_call(monkeypatch, name):
+        """Make the solver's ``name`` (risk or penalty) return inf from its
+        second call on; returns the list of calls made."""
+        original, calls = getattr(solver, name), []
+
+        def patched(*args):
+            calls.append(args)
+            return original(*args) if len(calls) == 1 else np.inf
+
+        monkeypatch.setattr(solver, name, patched)
+        return calls
+
+    def test_line_search_failure_raises(self, monkeypatch):
+        d, gs, design = random_instance(69)
+        calls = self.infinite_after_first_call(monkeypatch, "risk")
+        with pytest.raises(
+            SolverFailure,
+            match="line search failed: %d shrinkages reached step" % solver.MAX_BACKTRACKS,
+        ):
+            fit(design, gs, default_hyper())
+        # the initial risk, then one trial per step of the failed search
+        assert len(calls) == 1 + solver.MAX_BACKTRACKS + 1
+
+    def test_diverged_objective_raises(self, monkeypatch):
+        d, gs, design = random_instance(69)
+        calls = self.infinite_after_first_call(monkeypatch, "penalty")
+        with pytest.raises(SolverFailure, match="objective diverged at iteration 1$"):
+            fit(design, gs, default_hyper())
+        assert len(calls) == 2
 
     def test_max_iters_cap_reported(self):
         data = synthetic_instance(70)
