@@ -25,7 +25,11 @@ __all__ = [
     "flat_length",
 ]
 
-VARIANTS = ("multilevel", "additive", "multiplicative")
+# the blocks each variant holds at zero, one row per variant
+_PINNED_BLOCKS = {
+    "multilevel": (), "additive": ("interaction",), "multiplicative": ("imaging", "genetic"),
+}
+VARIANTS = tuple(_PINNED_BLOCKS)
 
 
 class GroupStructure:
@@ -47,7 +51,7 @@ class GroupStructure:
     weights : array_like, optional
         Positive per-group penalty weights.  Defaults to sqrt(group size).
     names : sequence of str, optional
-        Group labels used in reports.  Defaults to ``group0000`` style.
+        Distinct report labels without ``,`` or ``;``; ``group0000`` style by default.
 
     Index and weight arrays are kept as read-only views: an ``intp`` index
     array or a float64 weight array given is aliased, not copied.
@@ -103,6 +107,13 @@ class GroupStructure:
                     "expected %d group names, got %d" % (len(index_sets), len(names))
                 )
             names = tuple(str(n) for n in names)
+            first = {}  # index of each name seen so far
+            for l, name in enumerate(names):
+                if "," in name or ";" in name:
+                    raise ValueError("group %d name %r holds ',' or ';'" % (l, name))
+                if name in first:
+                    raise ValueError("groups %d and %d are both named %r" % (first[name], l, name))
+                first[name] = l
 
         self.groups = tuple(index_sets)
         self.n_features = n_features
@@ -308,6 +319,16 @@ class ParameterSet:
         p = cls.__new__(cls)
         p._bind(w, n_imaging, expanded_size)
         return p
+
+    def check_variant(self, variant: str) -> None:
+        """Raise ``ValueError`` unless ``variant`` is known and every block it
+        pins at zero holds zeros only (a NaN counts as nonzero)."""
+        if variant not in _PINNED_BLOCKS:
+            raise ValueError("variant must be one of %r, got %r" % (VARIANTS, variant))
+        for block in _PINNED_BLOCKS[variant]:
+            if getattr(self, block).any():
+                raise ValueError("the %s variant pins the %s block at zero, which holds "
+                                 "a nonzero entry" % (variant, block))
 
     def copy(self) -> "ParameterSet":
         """Independent parameters with their own buffer."""

@@ -15,7 +15,7 @@ from math import isfinite
 
 import numpy as np
 
-from .core import GroupStructure, ParameterSet, VARIANTS
+from .core import GroupStructure, ParameterSet, VARIANTS, _PINNED_BLOCKS
 
 __all__ = [
     "load_matrix_csv",
@@ -32,8 +32,6 @@ __all__ = [
 ]
 
 _PARAMS_HEADER = "structprox-params v1"
-# the blocks each variant holds at zero, which its parameter file may not set
-_PINNED_BLOCKS = {"additive": ("interaction",), "multiplicative": ("imaging", "genetic")}
 
 
 def load_matrix_csv(path):
@@ -210,9 +208,9 @@ def save_group_file(path, gs: GroupStructure) -> None:
 
 
 def save_params(path, p: ParameterSet, variant: str = "multilevel") -> None:
-    """Write fitted parameters as versioned text, nonzero entries only."""
-    if variant not in VARIANTS:
-        raise ValueError("variant must be one of %r, got %r" % (VARIANTS, variant))
+    """Write fitted parameters as versioned text, nonzero entries only;
+    parameters ``variant`` does not admit raise before any file is written."""
+    p.check_variant(variant)
     lines = [
         _PARAMS_HEADER,
         "variant\t%s" % variant,
@@ -262,7 +260,7 @@ def load_params(path):
             raise ValueError
         return k
 
-    pinned = _PINNED_BLOCKS.get(variant, ())
+    pinned = _PINNED_BLOCKS[variant]
     first_line = {}  # line of each entry read so far, keyed by (tag, *indices)
     for lineno, line in enumerate(lines[3:], start=4):
         parts = line.split("\t")

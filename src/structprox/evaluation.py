@@ -129,14 +129,17 @@ def predict(
     """Probabilities and thresholded labels for raw feature rows.
 
     The rows are standardized with the stored training statistics before
-    evaluation; returns ``(probabilities, labels)``.
+    evaluation; returns ``(probabilities, labels)``.  ``variant`` is checked
+    (:meth:`ParameterSet.check_variant`), not applied: parameters it admits
+    already hold its pinned blocks at zero.
     """
     if record is None:
         raise ValueError("predict needs a fitted scaling record")
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1), got %r" % threshold)
+    params.check_variant(variant)
     d = Dataset(genetic, imaging, np.zeros(np.shape(genetic)[:1], dtype=int))
-    return _classify(params, make_design(d, gs, record), variant, threshold)
+    return _classify(params, make_design(d, gs, record), threshold)
 
 
 def log_grid(num: int = 7, low: float = 1e-3, high: float = 1.0) -> np.ndarray:
@@ -291,8 +294,8 @@ def _pooled_bacc(tp: int, fp: int, tn: int, fn: int) -> float:
     return balanced_accuracy(100.0 * tp / (tp + fn), 100.0 * tn / (tn + fp))
 
 
-def _classify(params: ParameterSet, design, variant: str, threshold: float):
-    probs = sigmoid(margins(params, design, variant))
+def _classify(params: ParameterSet, design, threshold: float):
+    probs = sigmoid(margins(params, design))
     return probs, (probs >= threshold).astype(np.intp)
 
 
@@ -311,13 +314,14 @@ def _score_grid(splits, gs, grid, threshold):
     Splits run outside the grid, so one split's designs are alive at a time;
     every fit is cold.  On the last split a point's pooled counts are
     complete once it is fitted, so the running best there is the overall
-    best, and only its fit is kept."""
+    best, and only its fit is kept.  A fit holds its variant's pinned
+    blocks at zero, so the margins need no variant."""
     counts = np.zeros((len(grid), 4), dtype=np.int64)
     for train, test in splits:
         best = None
         for j, h in enumerate(grid):
             params, _ = fit(train, gs, h)
-            probs, preds = _classify(params, test, h.variant, threshold)
+            probs, preds = _classify(params, test, threshold)
             counts[j] += confusion(test.labels, preds)
             score = _pooled_bacc(*counts[j])
             if best is None or score > best_score:
@@ -342,10 +346,11 @@ def kfold_cv(
     accuracy over an inner split of that fold's training data, so the test
     fold never informs the choice.  ``selection="oracle"`` picks by test
     fold balanced accuracy instead and is optimistic by construction; it
-    is reported only as an upper reference, and the winner's scoring fit on
-    the outer split is the fold's final fit.  Each split's scaler and
-    train/test designs are built once and reused for every grid point
-    fitted on it, the outer split's also for the final fit.
+    is reported only as an upper reference.  Every fold ends in one scoring
+    pass on its outer split, over the whole grid (oracle), the one point of
+    a one-point grid, or the nested choice, and the winner's scoring fit
+    there is the fold's final fit.  Each split's scaler and train/test
+    designs are built once and reused for every grid point fitted on it.
     """
     grid = list(grid)
     if not grid:
@@ -371,15 +376,9 @@ def kfold_cv(
 
     def run_fold(f: int):
         train_idx, test_idx = train_sets[f], folds[f]
-        if selection == "oracle":
-            # The outer split is the only split scored, so the winner's
-            # scoring fit is the fold's final fit.
-            outer = _build_split(d, gs, train_idx, test_idx, normalization)
-            best, fitted = _score_grid([outer], gs, grid, threshold)
-            return (best, *fitted)
-        if len(grid) == 1:
-            best = grid[0]
-        else:
+        # oracle, and nested on a one-point grid, score the grid on the outer split alone
+        points = grid
+        if selection == "nested" and len(grid) > 1:
             train_labels = labels[train_idx]
             counts = [int(np.sum(train_labels == c)) for c in (0, 1)]
             inner = min(inner_k, min(counts))
@@ -393,11 +392,10 @@ def kfold_cv(
                 _build_split(d, gs, np.delete(train_idx, t), train_idx[t], normalization)
                 for t in inner_folds
             )
-            best, _ = _score_grid(splits, gs, grid, threshold)
-        train, test = _build_split(d, gs, train_idx, test_idx, normalization)
-        params, _ = fit(train, gs, best)
-        probs, preds = _classify(params, test, best.variant, threshold)
-        return best, params, probs, preds
+            points = [_score_grid(splits, gs, grid, threshold)[0]]
+        outer = _build_split(d, gs, train_idx, test_idx, normalization)
+        best, fitted = _score_grid([outer], gs, points, threshold)
+        return (best, *fitted)
 
     results = _ordered_map(run_fold, range(k))
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Dataset, GroupStructure, Hyperparameters, ParameterSet, expand_columns, flat_length,
+    Dataset, GroupStructure, Hyperparameters, ParameterSet, VARIANTS, expand_columns, flat_length,
 )
 
 __all__ = [
@@ -168,13 +168,16 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
     ``design.groups`` hold a nonzero entry, the interaction term is summed
     over those blocks alone, and a zero ``W`` adds none; otherwise it comes
     from the dense product ``genetic @ W.T``.  The choice changes rounding
-    only.
+    only.  The blocks ``variant`` pins are skipped whatever they hold; an
+    unknown variant raises ``ValueError``, in the risk and gradient too.
     """
     if p.interaction.shape != (design.n_imaging, design.expanded_size):
         raise ValueError(
             "interaction shape %r does not match design (%d, %d)"
             % (p.interaction.shape, design.n_imaging, design.expanded_size)
         )
+    if variant not in VARIANTS:
+        raise ValueError("variant must be one of %r, got %r" % (VARIANTS, variant))
     if variant == "multiplicative":
         m = np.full(design.n_samples, p.intercept)
     else:

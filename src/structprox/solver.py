@@ -218,17 +218,6 @@ def backtracking_step(
     )
 
 
-def _check_init(init: ParameterSet, h: Hyperparameters) -> None:
-    if h.variant == "additive" and np.any(init.interaction != 0):
-        raise ValueError("additive variant requires a zero interaction block at init")
-    if h.variant == "multiplicative" and (
-        np.any(init.imaging != 0) or np.any(init.genetic != 0)
-    ):
-        raise ValueError(
-            "multiplicative variant requires zero imaging/genetic blocks at init"
-        )
-
-
 def fit(
     design: Design,
     gs: GroupStructure,
@@ -237,7 +226,8 @@ def fit(
 ):
     """Run the solver to convergence.
 
-    Starts from zeros (or ``init``).  The first line search starts at
+    Starts from zeros or from ``init``, which ``h.variant`` must admit
+    (:meth:`ParameterSet.check_variant`).  The first line search starts at
     :data:`STEP_INIT`, each next one at ``max(STEP_INIT, min(step /
     BACKTRACK_FACTOR, GROWTH_MARGIN / κ))`` for the last accepted step and
     its measured curvature κ (no ``min`` when κ <= 0), so only κ below
@@ -253,7 +243,7 @@ def fit(
     if init is None:
         p = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     else:
-        _check_init(init, h)
+        init.check_variant(h.variant)
         p = init.copy()
 
     r0 = risk(p, design, h.variant)

@@ -68,6 +68,19 @@ def default_hyper(**overrides):
     return Hyperparameters(**settings)
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.<name>`` so every call appends to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def fit_stages(d, gs, h, normalization="sd"):
     """The three stages of a fit, scaler, design and solver, on one
     dataset; returns ``(params, record)``."""

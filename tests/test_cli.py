@@ -439,6 +439,22 @@ class TestPredict:
         assert run(["predict", *flags, "--out", tmp_path / "pred"]) == 1
         assert "'%s'" % names[0] in capsys.readouterr().err
 
+    def test_model_dims_mismatch_rejected(self, data_dir, tmp_path, capsys):
+        from structprox import ParameterSet
+        from structprox.dataio import save_params
+
+        model_dir = self.fit_model(data_dir, tmp_path)
+        # the fixture's 4 groups of 3 expand to 12 columns
+        save_params(str(model_dir / "params.txt"), ParameterSet.zeros(3, 13))
+        code = run(["predict", *self.predict_flags(data_dir, model_dir),
+                    "--out", tmp_path / "pred"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: model dims (imaging 3, expanded 13) do not match "
+            "groups/scaler (imaging 3, expanded 12)\n"
+        )
+        assert not (tmp_path / "pred").exists()
+
     def test_zero_model_gives_half_probabilities(self, data_dir, tmp_path):
         model_dir = self.fit_model(data_dir, tmp_path)
         # blank out every parameter: file with only the intercept line
@@ -532,6 +548,39 @@ class TestCv:
         code = run(["cv", *data_flags(data_dir), "--grid", "w=;i=1;g=1"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: input:")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--variant", " , ", "no variant named in ' , '"),
+            ("--grid", "seven", "grid must be a point count or 'w=...;i=...;g=...', got 'seven'"),
+            ("--grid", "w=1;x=1;g=1", "grid block must be one of w, i, g, got 'x'"),
+            ("--grid", "w=1;i=1,two;g=1", "grid block 'i' holds a non-numeric value"),
+            ("--grid", "w=1;i=1", "grid must define block 'g'"),
+        ],
+    )
+    def test_bad_variant_or_grid_spec_rejected(self, data_dir, tmp_path, capsys, flag,
+                                               value, message):
+        # rejected before the output directory is made
+        out = tmp_path / "cv"
+        code = run(["cv", *data_flags(data_dir), flag, value, "--folds", 2, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: input: %s\n" % message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("selection, fits", [("nested", 50), ("oracle", 16)])
+    def test_fit_count(self, data_dir, tmp_path, monkeypatch, selection, fits):
+        # 2 folds, 2^3 grid points, 3 inner folds: nested fits 2 * 3 * 8 inner
+        # points and one final point per fold, oracle every point per fold
+        from conftest import count_calls
+        from structprox import evaluation
+
+        calls = count_calls(monkeypatch, evaluation, "fit")
+        monkeypatch.delenv("STRUCTPROX_THREADS", raising=False)
+        code = run(["cv", *data_flags(data_dir), "--grid", "2", "--folds", 2,
+                    "--selection", selection, "--out", tmp_path / "cv"])
+        assert code == 0
+        assert len(calls) == fits
 
 
 class TestParser:

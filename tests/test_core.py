@@ -37,6 +37,17 @@ class TestGroupStructure:
         gs = GroupStructure([[0], [1]], n_features=2)
         assert gs.names == ("group0000", "group0001")
 
+    def test_repeated_name_rejected(self):
+        # a group file names each group once, so such a structure could not be saved
+        with pytest.raises(ValueError, match="^groups 0 and 2 are both named 'a'$"):
+            GroupStructure([[0], [1], [2]], n_features=3, names=["a", "b", "a"])
+
+    @pytest.mark.parametrize("name", ["a,b", "a;b"])
+    def test_name_with_separator_rejected(self, name):
+        # summary.txt joins group names with ',' and cv_chosen.csv with ';'
+        with pytest.raises(ValueError, match="^group 1 name %r holds ',' or ';'$" % name):
+            GroupStructure([[0], [1]], n_features=2, names=["c", name])
+
     def test_block_slices_partition_expanded_axis(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -236,6 +247,37 @@ class TestParameterSet:
         with pytest.raises(ValueError, match=r"genetic must have shape \(3,\)"):
             p.genetic = p.imaging
         np.testing.assert_array_equal(p.flat(), want)
+
+    @pytest.mark.parametrize(
+        "variant, block",
+        [("additive", "interaction"), ("multiplicative", "imaging"),
+         ("multiplicative", "genetic")],
+    )
+    @pytest.mark.parametrize("value", [1e-300, np.nan])
+    def test_check_variant_rejects_nonzero_pinned_block(self, variant, block, value):
+        p = ParameterSet.zeros(2, 3)
+        getattr(p, block).flat[-1] = value
+        with pytest.raises(
+            ValueError,
+            match="^the %s variant pins the %s block at zero, which holds a nonzero entry$"
+            % (variant, block),
+        ):
+            p.check_variant(variant)
+        p.check_variant("multilevel")
+
+    def test_check_variant_passes_pinned_zeros_and_free_blocks(self):
+        p = ParameterSet.from_flat(np.arange(1.0, flat_length(2, 3) + 1), 2, 3)
+        p.check_variant("multilevel")
+        p.interaction[...] = 0.0
+        p.check_variant("additive")
+        p = ParameterSet.zeros(2, 3)
+        p.interaction[1, 2] = p.intercept = 3.0
+        p.check_variant("multiplicative")
+
+    def test_check_variant_rejects_unknown_variant(self):
+        with pytest.raises(ValueError, match="^variant must be one of .*, got 'bogus'$"):
+            ParameterSet.zeros(2, 3).check_variant("bogus")
+
 
 class TestDataset:
     def test_validation(self):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from structprox import GroupStructure, ParameterSet
+from structprox import GroupStructure, ParameterSet, SyntheticSpec, build_groups
 from structprox.dataio import (
     load_group_file,
     load_labels_csv,
@@ -174,6 +174,34 @@ class TestGroupFile:
             load_group_file(str(path), n_features=2)
         assert str(err.value) == "%s: lines 1 and 4 both name group 'g1'" % path
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("g1\tauto\t0\ng2\tauto\t , \n", "line 2 lists no feature indices"),
+            ("g1\theavy\t0,1\n", "line 1 weight must be a number or 'auto'"),
+            ("# only a comment\n\n", "no group lines found"),
+        ],
+    )
+    def test_rejected_files_report_the_reason(self, tmp_path, text, message):
+        path = tmp_path / "groups.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_group_file(str(path), n_features=2)
+        assert str(err.value) == "%s: %s" % (path, message)
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.34])
+    def test_synthetic_structure_round_trips(self, tmp_path, overlap):
+        spec = SyntheticSpec(n_samples=10, n_imaging=2, n_groups=5, group_size=3, overlap=overlap)
+        gs = build_groups(spec)
+        path = tmp_path / "groups.tsv"
+        save_group_file(str(path), gs)
+        loaded = load_group_file(str(path), gs.n_features)
+        assert loaded.names == gs.names
+        np.testing.assert_array_equal(loaded.weights, gs.weights)
+        assert len(loaded.groups) == len(gs.groups)
+        for got, want in zip(loaded.groups, gs.groups):
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("name", ["APOE,TOMM40", "APOE;TOMM40", ";"])
     def test_name_with_separator_rejected(self, tmp_path, name):
         # summary.txt joins group names with ',' and cv_chosen.csv with ';'
@@ -220,14 +248,16 @@ class TestParamsFile:
             load_params(str(path))
 
     def test_missing_intercept_rejected(self, tmp_path):
+        # one entry keeps the file at 4 lines, past the truncation check
         p = ParameterSet.zeros(1, 1)
+        p.genetic[0] = 0.5
         path = tmp_path / "params.txt"
         save_params(str(path), p)
         lines = [
             ln for ln in path.read_text().splitlines() if not ln.startswith("intercept")
         ]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="intercept"):
+        with pytest.raises(ValueError, match="params.txt: missing intercept line$"):
             load_params(str(path))
 
     def test_malformed_line_reports_number(self, tmp_path):
@@ -236,8 +266,44 @@ class TestParamsFile:
         save_params(str(path), p)
         with open(path, "a") as fh:
             fh.write("garbage\tnot\tvalid\there\tx\n")
-        with pytest.raises(ValueError, match="line"):
+        with pytest.raises(ValueError, match="params.txt: line 5 is malformed$"):
             load_params(str(path))
+
+    @pytest.mark.parametrize(
+        "line", ["variant\tbogus", "variant", "variant\tadditive\tx", "kind\tadditive"]
+    )
+    def test_bad_variant_line_rejected(self, tmp_path, line):
+        path = tmp_path / "params.txt"
+        save_params(str(path), ParameterSet.zeros(1, 1))
+        lines = path.read_text().splitlines()
+        lines[1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="params.txt: bad variant line$"):
+            load_params(str(path))
+
+    @pytest.mark.parametrize(
+        "variant, block",
+        [("additive", "interaction"), ("multiplicative", "imaging"),
+         ("multiplicative", "genetic")],
+    )
+    def test_save_rejects_nonzero_pinned_block_and_writes_nothing(
+        self, tmp_path, variant, block
+    ):
+        # load_params would refuse such a file
+        p = ParameterSet.zeros(2, 4)
+        getattr(p, block).flat[0] = 0.5
+        path = tmp_path / "params.txt"
+        with pytest.raises(
+            ValueError, match="^the %s variant pins the %s block at zero" % (variant, block)
+        ):
+            save_params(str(path), p, variant)
+        assert not path.exists()
+
+    def test_save_rejects_unknown_variant(self, tmp_path):
+        path = tmp_path / "params.txt"
+        with pytest.raises(ValueError, match="^variant must be one of .*, got 'bogus'$"):
+            save_params(str(path), ParameterSet.zeros(1, 1), "bogus")
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "entry",

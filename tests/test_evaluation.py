@@ -20,7 +20,7 @@ from structprox.evaluation import confusion
 from structprox.preprocessing import fit_scaler, make_design
 from structprox.solver import fit
 
-from conftest import default_hyper, fit_stages, synthetic_instance, tiny_groups
+from conftest import count_calls, default_hyper, fit_stages, synthetic_instance, tiny_groups
 
 
 def labels_from_rates(sen, spe, n_pos=500, n_neg=500):
@@ -245,6 +245,49 @@ class TestPredict:
         np.testing.assert_allclose(probs, want, rtol=1e-12)
         np.testing.assert_array_equal(labels, (want >= 0.5).astype(int))
 
+    @pytest.mark.parametrize(
+        "variant, block",
+        [("additive", "interaction"), ("multiplicative", "imaging"),
+         ("multiplicative", "genetic")],
+    )
+    def test_nonzero_pinned_block_rejected(self, variant, block):
+        # the variant is checked, not applied: the block would otherwise count
+        data = synthetic_instance(5)
+        _, record = fit_stages(data.dataset, data.groups, default_hyper())
+        p = ParameterSet.zeros(data.dataset.n_imaging, data.groups.expanded_size)
+        getattr(p, block).flat[0] = 0.5
+        args = p, record, data.groups, data.dataset.genetic, data.dataset.imaging
+        with pytest.raises(
+            ValueError, match="^the %s variant pins the %s block at zero" % (variant, block)
+        ):
+            predict(*args, variant=variant)
+        predict(*args, variant="multilevel")
+
+    def test_unknown_variant_rejected(self):
+        data = synthetic_instance(5)
+        params, record = fit_stages(data.dataset, data.groups, default_hyper())
+        with pytest.raises(ValueError, match="^variant must be one of .*, got 'bogus'$"):
+            predict(params, record, data.groups, data.dataset.genetic, data.dataset.imaging,
+                    variant="bogus")
+
+    @pytest.mark.parametrize("variant", ["multilevel", "additive", "multiplicative"])
+    def test_fitted_margins_need_no_variant(self, variant):
+        # a fit zeroes its variant's pinned blocks, so scoring without the
+        # variant gives the same bits
+        from structprox.objective import margins, sigmoid
+
+        data = synthetic_instance(9, effect_interaction=1.0)
+        params, record = fit_stages(
+            data.dataset, data.groups, default_hyper(variant=variant, lambda_interaction=0.02)
+        )
+        assert params.interaction.any() == (variant != "additive")
+        design = make_design(data.dataset, data.groups, record)
+        want = margins(params, design, variant)
+        assert margins(params, design).tobytes() == want.tobytes()
+        probs, _ = predict(params, record, data.groups, data.dataset.genetic,
+                           data.dataset.imaging, variant=variant)
+        np.testing.assert_array_equal(probs, sigmoid(want))
+
     def test_threshold_validated(self):
         data = synthetic_instance(8)
         params, record = fit_stages(data.dataset, data.groups, default_hyper())
@@ -370,45 +413,87 @@ class TestKfoldCv:
             kfold_cv(data.dataset, data.groups, grid, k=2, inner_k=inner_k)
 
 
+def _with_positives(data, positives):
+    """The instance's features with label 1 on the rows ``positives`` only."""
+    labels = np.zeros(data.dataset.n_samples)
+    labels[list(positives)] = 1
+    return Dataset(data.dataset.genetic, data.dataset.imaging, labels), data.groups
+
+
+class TestKfoldCvRejections:
+    def test_single_class_training_fold_rejected(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "fit", _fit_must_not_run)
+        # the one positive's fold leaves only negatives to train on
+        d, gs = _with_positives(synthetic_instance(30, n_samples=20), [3])
+        with pytest.raises(
+            ValueError, match=r"^fold [01] leaves a single-class training set; use a smaller k$"
+        ):
+            kfold_cv(d, gs, [default_hyper()], k=2)
+
+    def test_training_fold_without_inner_split_rejected(self, monkeypatch):
+        monkeypatch.delenv("STRUCTPROX_THREADS", raising=False)
+        # two positives over two folds leave one positive per training set
+        d, gs = _with_positives(synthetic_instance(31, n_samples=20), [3, 11])
+        grid = make_grid([0.1], [0.05], [0.05, 0.2], tol=1e-3)
+        with pytest.raises(
+            ValueError,
+            match="^fold 0 training data cannot support an inner split; "
+            "use a smaller k or a single grid point$",
+        ):
+            kfold_cv(d, gs, grid, k=2)
+        # as the message says, a single grid point needs no inner split
+        assert kfold_cv(d, gs, grid[:1], k=2).chosen == grid[:1] * 2
+
+    def test_oracle_one_class_test_fold_keeps_first_grid_point(self):
+        # three positives over four folds: one test fold holds negatives only,
+        # every point scores -inf there and the first one wins
+        d, gs = _with_positives(synthetic_instance(32, n_samples=24), [2, 9, 17])
+        grid = make_grid([0.1], [0.05], [0.5, 0.1, 0.01], tol=1e-3)
+        res = kfold_cv(d, gs, grid, k=4, selection="oracle")
+        one_class = [f for f, t in enumerate(res.fold_test_indices) if not d.labels[t].any()]
+        assert len(one_class) == 1
+        f = one_class[0]
+        assert res.fold_metrics[f] is None
+        assert res.chosen[f] == grid[0]
+
+
 def _fit_must_not_run(*args, **kwargs):
     raise AssertionError("a solver fit ran before argument validation")
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap ``evaluation.<name>`` so every call appends to the returned list."""
-    calls = []
-    real = getattr(evaluation, name)
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(evaluation, name, counted)
-    return calls
-
-
 class TestSplitsBuiltOnce:
     @pytest.mark.parametrize(
-        "selection, scalers, fits",
+        "selection, G, scalers, fits",
         [
-            # k folds, G grid points, I inner folds
-            ("nested", lambda k, G, I: k * (I + 1), lambda k, G, I: k * (G * I + 1)),
-            # oracle reuses the winner's scoring fit as the final fit
-            ("oracle", lambda k, G, I: k, lambda k, G, I: k * G),
+            # k folds, G grid points, I inner folds; every fold's final fit
+            # is its scoring fit on the outer split
+            ("nested", 2, lambda k, G, I: k * (I + 1), lambda k, G, I: k * (G * I + 1)),
+            ("oracle", 2, lambda k, G, I: k, lambda k, G, I: k * G),
+            # a one-point grid is scored on the outer split alone
+            ("nested", 1, lambda k, G, I: k, lambda k, G, I: k),
         ],
-        ids=["nested", "oracle"],
+        ids=["nested", "oracle", "nested-one-point"],
     )
-    def test_scaler_and_solver_call_counts(self, monkeypatch, selection, scalers, fits):
+    def test_scaler_and_solver_call_counts(self, monkeypatch, selection, G, scalers, fits):
         monkeypatch.delenv("STRUCTPROX_THREADS", raising=False)
-        scaler_calls = _count_calls(monkeypatch, "fit_scaler")
-        fit_calls = _count_calls(monkeypatch, "fit")
+        scaler_calls = count_calls(monkeypatch, evaluation, "fit_scaler")
+        fit_calls = count_calls(monkeypatch, evaluation, "fit")
         data = synthetic_instance(20, n_samples=36)
         k, I = 2, 3
-        grid = make_grid([0.1], [0.05], [0.05, 0.2], tol=1e-3)
-        G = len(grid)
+        grid = make_grid([0.1], [0.05], [0.05, 0.2][:G], tol=1e-3)
         kfold_cv(data.dataset, data.groups, grid, k=k, inner_k=I, selection=selection)
         assert len(scaler_calls) == scalers(k, G, I)
         assert len(fit_calls) == fits(k, G, I)
+
+    def test_nested_fit_count_follows_each_fold_inner_split(self, monkeypatch):
+        # five positives over two folds leave two and three to train on, so
+        # the inner splits have min(3, 2) = 2 and 3 folds: (2 + 3) G + k fits
+        monkeypatch.delenv("STRUCTPROX_THREADS", raising=False)
+        fit_calls = count_calls(monkeypatch, evaluation, "fit")
+        d, gs = _with_positives(synthetic_instance(21, n_samples=30), [1, 6, 12, 19, 25])
+        grid = make_grid([0.1], [0.05], [0.05, 0.2], tol=1e-3)
+        kfold_cv(d, gs, grid, k=2, inner_k=3)
+        assert len(fit_calls) == (2 + 3) * len(grid) + 2
 
     def test_nested_choice_and_probabilities_match_hand_computation(self):
         data = synthetic_instance(13, n_samples=60, effect_genetic=2.0)

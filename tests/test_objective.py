@@ -211,6 +211,16 @@ def dense_margins(p, design, variant="multilevel"):
     return dense
 
 
+class TestUnknownVariant:
+    @pytest.mark.parametrize("kernel", [margins, risk, risk_gradient], ids=lambda f: f.__name__)
+    def test_rejected(self, kernel):
+        # a misspelt variant would otherwise evaluate the multilevel model
+        d, gs, design = random_instance(3)
+        p = random_params(4, design.n_imaging, gs.expanded_size)
+        with pytest.raises(ValueError, match="^variant must be one of .*, got 'bogus'$"):
+            kernel(p, design, "bogus")
+
+
 class TestBlockMargins:
     # 4 imaging rows x 4 overlapping groups = 16 (row, group) blocks
     GROUPS = ((0, 1, 2), (2, 3), (3, 4, 5), (0, 5))

@@ -506,7 +506,7 @@ class TestFit:
         design = make_design(data.dataset, data.groups, fit_scaler(data.dataset))
         init = ParameterSet.zeros(design.n_imaging, data.groups.expanded_size)
         init.interaction[0, 0] = 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="additive variant pins the interaction block"):
             fit(design, data.groups, default_hyper(variant="additive"), init=init)
 
     @pytest.mark.parametrize("block", ["imaging", "genetic"])
@@ -515,7 +515,7 @@ class TestFit:
         init = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
         getattr(init, block)[0] = 1.0
         with pytest.raises(
-            ValueError, match="multiplicative variant requires zero imaging/genetic blocks at init"
+            ValueError, match="multiplicative variant pins the %s block at zero" % block
         ):
             fit(design, gs, default_hyper(variant="multiplicative"), init=init)
 
