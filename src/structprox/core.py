@@ -51,7 +51,8 @@ class GroupStructure:
     weights : array_like, optional
         Positive per-group penalty weights.  Defaults to sqrt(group size).
     names : sequence of str, optional
-        Distinct report labels without ``,`` or ``;``; ``group0000`` style by default.
+        Distinct report labels a group file can hold: no ``,``, ``;``, tab,
+        line break, leading ``#`` or surrounding blanks; ``group0000`` by default.
 
     Index and weight arrays are kept as read-only views: an ``intp`` index
     array or a float64 weight array given is aliased, not copied.
@@ -111,6 +112,12 @@ class GroupStructure:
             for l, name in enumerate(names):
                 if "," in name or ";" in name:
                     raise ValueError("group %d name %r holds ',' or ';'" % (l, name))
+                if "\t" in name or "\r" in name or "\n" in name:
+                    raise ValueError("group %d name %r holds a tab or line break" % (l, name))
+                if name != name.strip():
+                    raise ValueError("group %d name %r has leading or trailing blanks" % (l, name))
+                if name.startswith("#"):
+                    raise ValueError("group %d name %r starts with '#'" % (l, name))
                 if name in first:
                     raise ValueError("groups %d and %d are both named %r" % (first[name], l, name))
                 first[name] = l
@@ -369,8 +376,8 @@ class Hyperparameters:
                 "variant must be one of %r, got %r" % (VARIANTS, self.variant)
             )
         self.tol = float(self.tol)
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0, got %r" % self.tol)
+        if not np.isfinite(self.tol) or self.tol <= 0:
+            raise ValueError("tol must be finite and > 0, got %r" % self.tol)
         self.max_iters = int(self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1, got %r" % self.max_iters)

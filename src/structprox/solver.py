@@ -20,6 +20,11 @@ soft-threshold serves every group-lasso block, and :func:`prox_group`
 applies it to a single block.  On small designs an iteration costs the
 per-call overhead of its numpy calls far more than arithmetic, so the
 loop keeps those calls few.
+
+A line search's retries work on the interaction blocks that can move.  A
+block zero at the current point whose gradient norm is at most its
+threshold ``lambda * weight`` enters every trial as ``-step * grad``, of
+norm at most ``step * lambda * weight``, so it stays zero at every step.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def prox_group(block, threshold: float) -> np.ndarray:
     the block goes through the fit's own soft-threshold as one group, so
     the result matches :func:`parameter_update` bit for bit.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be >= 0, got %r" % threshold)
     out = np.array(block, dtype=float, order="C")
     if out.size:
@@ -113,9 +118,9 @@ def prox_group(block, threshold: float) -> np.ndarray:
 
 def prox_ridge(block, step: float, lam: float) -> np.ndarray:
     """Proximal operator of ``step * lam * ||.||_2^2``: uniform shrinkage."""
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be > 0, got %r" % step)
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be >= 0, got %r" % lam)
     block = np.asarray(block, dtype=float)
     return block / (1.0 + 2.0 * step * lam)
@@ -146,7 +151,7 @@ def parameter_update(
     ``1 / (1 + 2 step lambda_imaging)``, and the intercept keeps its plain
     gradient step.  Blocks pinned by the variant are set to zero.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be > 0, got %r" % step)
     grad = np.asarray(grad, dtype=float)
     x = p.flat()
@@ -155,18 +160,43 @@ def parameter_update(
     if not np.isfinite(grad).all():
         raise ValueError("gradient contains non-finite entries")
     candidate = ParameterSet._view(x - step * grad, p.n_imaging, p.expanded_size)
-    blocks = gs.offsets, gs.sizes
-    if h.variant == "additive":
-        candidate.interaction.fill(0.0)
-    else:
-        _prox_group_rows(candidate.interaction, *blocks, step * h.lambda_interaction * gs.weights)
-    if h.variant == "multiplicative":
-        candidate.imaging.fill(0.0)
-        candidate.genetic.fill(0.0)
-    else:
-        np.divide(candidate.imaging, 1.0 + 2.0 * step * h.lambda_imaging, out=candidate.imaging)
-        _prox_group_rows(candidate.genetic[None, :], *blocks, step * h.lambda_genetic * gs.weights)
+    _prox_blocks(candidate.interaction, candidate.imaging, candidate.genetic, step, gs, h,
+                 (gs.offsets, gs.sizes, gs.weights))
     return candidate
+
+
+def _prox_blocks(interaction, imaging, genetic, step, gs, h, blocks) -> None:
+    """:func:`parameter_update`'s proximal operators, in place on the blocks of a
+    gradient step; ``blocks`` are the ``(offsets, sizes, weights)`` of the interaction's."""
+    if h.variant == "additive":
+        interaction.fill(0.0)
+    else:
+        offsets, sizes, weights = blocks
+        _prox_group_rows(interaction, offsets, sizes, step * h.lambda_interaction * weights)
+    if h.variant == "multiplicative":
+        imaging.fill(0.0)
+        genetic.fill(0.0)
+    else:
+        np.divide(imaging, 1.0 + 2.0 * step * h.lambda_imaging, out=imaging)
+        thresholds = step * h.lambda_genetic * gs.weights
+        _prox_group_rows(genetic[None, :], gs.offsets, gs.sizes, thresholds)
+
+
+def _movable_entries(p: ParameterSet, grad: np.ndarray, gs: GroupStructure, h: Hyperparameters):
+    """Flat indices of the entries a retry moves, and its interaction blocks
+    as ``(offsets, sizes, weights)`` among them (see :func:`backtracking_step`).
+    A zero block moves if its gradient norm exceeds ``lambda * weight`` less
+    a relative 1e-12, which covers the rounding of the norms at each step."""
+    cut = p.n_imaging * p.expanded_size
+    gw = grad[:cut].reshape(p.interaction.shape)
+    norms = np.sqrt(np.add.reduceat(gw**2, gs.offsets, axis=1))
+    movable = norms > (1.0 - 1e-12) * h.lambda_interaction * gs.weights
+    movable |= np.logical_or.reduceat(p.interaction, gs.offsets, axis=1)
+    groups = np.nonzero(movable)[1]
+    sizes = gs.sizes[groups]
+    entries = np.flatnonzero(movable.repeat(gs.sizes, axis=1))
+    idx = np.concatenate([entries, np.arange(cut, grad.size)])
+    return idx, (np.cumsum(sizes) - sizes, sizes, gs.weights[groups])
 
 
 def backtracking_step(
@@ -193,12 +223,31 @@ def backtracking_step(
     move ``d = flat(candidate) - flat(p)``,
     ``2 (risk(candidate) - risk(p) - <grad, d>) / ||d||^2``, formed from the
     two inner products of the bound (0 for a zero move).
+
+    The first trial runs :func:`parameter_update`, which checks ``grad``.
+    Retries move only the interaction blocks live at ``p`` or with gradient
+    norm above ``lambda * weight``: a zero block's trial ``-step * grad`` is
+    otherwise within its threshold ``step * lambda * weight`` at every step.
+    The candidates are :func:`parameter_update`'s bit for bit, and only the
+    inner products, summed without the skipped zeros, may round differently.
     """
-    x = p.flat()
+    x, grad = p.flat(), np.asarray(grad, dtype=float)
+    candidate = parameter_update(p, grad, step, gs, h)
+    c = candidate.flat()
+    # the entries a trial moves: every one on the first, the movable ones after
+    xs, gsub, cs = x, grad, c
     for shrinks in range(MAX_BACKTRACKS + 1):
-        candidate = parameter_update(p, grad, step, gs, h)
-        ghat = (x - candidate.flat()) / step
-        g_ghat = float(grad @ ghat)
+        if shrinks:
+            if shrinks == 1:
+                idx, blocks = _movable_entries(p, grad, gs, h)
+                xs, gsub = x[idx], grad[idx]
+                n_w = int(blocks[1].sum())
+                n_wi = n_w + p.n_imaging
+            cs = xs - step * gsub
+            _prox_blocks(cs[None, :n_w], cs[n_w:n_wi], cs[n_wi:-1], step, gs, h, blocks)
+            c[idx] = cs
+        ghat = (xs - cs) / step
+        g_ghat = float(gsub @ ghat)
         ghat_sq = float(ghat @ ghat)
         bound = risk_current - step * g_ghat + 0.5 * step * ghat_sq
         candidate_risk = risk(candidate, design, h.variant)

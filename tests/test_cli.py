@@ -174,6 +174,18 @@ class TestFit:
         assert "%s: line 4 group name %r holds" % (data_dir / "groups.tsv", name) in err
         assert not out.exists()
 
+    def test_nan_tol_rejected(self, data_dir, tmp_path, capsys):
+        # a NaN tolerance would run the fit to the iteration cap
+        out = tmp_path / "fit"
+        code = run(
+            ["fit", *data_flags(data_dir),
+             "--lambda-w", 0.1, "--lambda-i", 0.05, "--lambda-g", 0.1,
+             "--tol", "nan", "--out", out]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: input: tol must be finite and > 0, got nan\n"
+        assert not out.exists()
+
     def test_missing_required_flag_is_input_error(self, data_dir, capsys):
         code = run(["fit", *data_flags(data_dir), "--lambda-w", 0.1])
         assert code == 1

@@ -48,6 +48,26 @@ class TestGroupStructure:
         with pytest.raises(ValueError, match="^group 1 name %r holds ',' or ';'$" % name):
             GroupStructure([[0], [1]], n_features=2, names=["c", name])
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("a\tb", "holds a tab or line break"),
+            ("a\rb", "holds a tab or line break"),
+            ("a\nb", "holds a tab or line break"),
+            (" a", "has leading or trailing blanks"),
+            ("a\t", "holds a tab or line break"),
+            ("a ", "has leading or trailing blanks"),
+            (" #a", "has leading or trailing blanks"),
+            ("#a", "starts with '#'"),
+        ],
+    )
+    def test_name_a_group_file_cannot_hold_rejected(self, name, reason):
+        # save_group_file writes tab-separated lines, and load_group_file strips
+        # the blanks around a name and skips lines starting with '#'
+        with pytest.raises(ValueError) as err:
+            GroupStructure([[0], [1]], n_features=2, names=["c", name])
+        assert str(err.value) == "group 1 name %r %s" % (name, reason)
+
     def test_block_slices_partition_expanded_axis(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -339,6 +359,13 @@ class TestHyperparameters:
             settings[kw] = 0.0
             with pytest.raises(ValueError):
                 Hyperparameters(**settings)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-5])
+    def test_rejects_tol_not_finite_and_positive(self, tol):
+        # a NaN tol never stops a fit, an infinite one stops it after one iteration
+        with pytest.raises(ValueError) as err:
+            Hyperparameters(0.1, 0.1, 0.1, tol=tol)
+        assert str(err.value) == "tol must be finite and > 0, got %r" % tol
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):

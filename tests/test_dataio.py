@@ -202,6 +202,15 @@ class TestGroupFile:
         for got, want in zip(loaded.groups, gs.groups):
             np.testing.assert_array_equal(got, want)
 
+    def test_unusual_names_round_trip(self, tmp_path):
+        # a name may hold inner blanks, '#' after its first character, quotes
+        # and other whitespace than tabs and line breaks
+        names = ["APOE TOMM40", "a#b", "'q\"", "x\x0by", "é"]
+        gs = GroupStructure([[0], [1], [2], [3], [4]], n_features=5, names=names)
+        path = tmp_path / "groups.tsv"
+        save_group_file(str(path), gs)
+        assert load_group_file(str(path), n_features=5).names == tuple(names)
+
     @pytest.mark.parametrize("name", ["APOE,TOMM40", "APOE;TOMM40", ";"])
     def test_name_with_separator_rejected(self, tmp_path, name):
         # summary.txt joins group names with ',' and cv_chosen.csv with ';'

@@ -1,4 +1,5 @@
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from structprox import (
     generate,
     screen_lambda_max,
 )
-from structprox import solver
+from structprox import VARIANTS, solver
 from structprox.objective import Design, objective, risk, risk_gradient, sigmoid, margins
 from structprox.preprocessing import fit_scaler, make_design
 from structprox.solver import (
@@ -88,6 +89,10 @@ class TestProxGroup:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             prox_group(np.ones(2), -0.1)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="^threshold must be >= 0, got nan$"):
+            prox_group(np.ones(2), np.nan)
 
     def test_empty_block_gives_empty_array(self):
         out = prox_group(np.zeros(0), 0.3)
@@ -173,8 +178,27 @@ class TestProxRidge:
                 atol=1e-8,
             )
 
+    @pytest.mark.parametrize("step, lam, message", [
+        (np.nan, 0.5, "step must be > 0, got nan"),
+        (0.0, 0.5, "step must be > 0, got 0.0"),
+        (1.0, np.nan, "lam must be >= 0, got nan"),
+        (1.0, -0.5, "lam must be >= 0, got -0.5"),
+    ])
+    def test_nan_or_out_of_range_argument_rejected(self, step, lam, message):
+        with pytest.raises(ValueError) as err:
+            prox_ridge(np.ones(2), step, lam)
+        assert str(err.value) == message
+
 
 class TestParameterUpdate:
+    @pytest.mark.parametrize("step", [np.nan, 0.0, -1.0])
+    def test_nan_or_nonpositive_step_rejected(self, step):
+        d, gs, design = random_instance(52)
+        p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
+        with pytest.raises(ValueError) as err:
+            parameter_update(p, np.zeros(p.flat().size), step, gs, default_hyper())
+        assert str(err.value) == "step must be > 0, got %r" % step
+
     def test_zero_gradient_zero_thresholds_is_fixed_point(self):
         d, gs, design = random_instance(50)
         p = random_params(51, design.n_imaging, gs.expanded_size)
@@ -355,6 +379,119 @@ class TestBacktracking:
             np.testing.assert_allclose(curvature, want, rtol=1e-7)
             assert curvature <= (1.0 + 1e-9) / step
         assert shrunk > 0
+
+    def test_nan_step_rejected(self):
+        d, gs, design = random_instance(60)
+        p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
+        with pytest.raises(ValueError, match="^step must be > 0, got nan$"):
+            backtracking_step(p, design, gs, default_hyper(), risk_gradient(p, design),
+                              risk(p, design), np.nan)
+
+
+def standardized_instance():
+    """A planted instance with interaction effects, standardized."""
+    data = synthetic_instance(1300, effect_interaction=1.0)
+    return data.groups, make_design(data.dataset, data.groups, fit_scaler(data.dataset))
+
+
+def pin_blocks(p, variant):
+    """``p`` with the blocks ``variant`` pins set to zero."""
+    if variant == "additive":
+        p.interaction.fill(0.0)
+    if variant == "multiplicative":
+        p.imaging.fill(0.0)
+        p.genetic.fill(0.0)
+    return p
+
+
+class TestRetriesMoveMovableBlocks:
+    """Retries of the line search work on the movable blocks only, yet score
+    the candidate of a full parameter_update at their step."""
+
+    @staticmethod
+    def search_matching_full_updates(monkeypatch, p, design, gs, h, start):
+        """Run one line search from ``start``, check that every candidate it
+        scores equals parameter_update's at its step bit for bit, and return
+        the number of shrinks."""
+        grad = risk_gradient(p, design, h.variant)
+        scored, real = [], solver.risk
+
+        def recording(candidate, *args):
+            scored.append(candidate.flat().copy())
+            return real(candidate, *args)
+
+        monkeypatch.setattr(solver, "risk", recording)
+        _, step, shrinks, _, _ = backtracking_step(
+            p, design, gs, h, grad, real(p, design, h.variant), start
+        )
+        assert len(scored) == shrinks + 1
+        trial = start
+        for buf in scored:
+            assert buf.tobytes() == parameter_update(p, grad, trial, gs, h).flat().tobytes()
+            trial *= BACKTRACK_FACTOR
+        assert trial == step * BACKTRACK_FACTOR
+        return shrinks
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_steep_instance(self, monkeypatch, variant):
+        gs, design = steep_instance()
+        p = pin_blocks(random_params(62, 2, 2, scale=0.3), variant)
+        h = default_hyper(variant=variant)
+        assert self.search_matching_full_updates(monkeypatch, p, design, gs, h, STEP_INIT) >= 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fitted_point_searched_from_above(self, monkeypatch, variant):
+        gs, design = standardized_instance()
+        h = default_hyper(variant=variant)
+        p, _ = fit(design, gs, h)
+        # some interaction block sits the retries out
+        idx, _ = solver._movable_entries(p, risk_gradient(p, design, variant), gs, h)
+        assert idx.size < p.flat().size
+        start = 40.0 * STEP_INIT
+        assert self.search_matching_full_updates(monkeypatch, p, design, gs, h, start) >= 3
+
+    @pytest.mark.parametrize("factor", [1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52])
+    def test_zero_block_at_its_threshold(self, monkeypatch, factor):
+        # lambda_interaction puts the threshold of the zero block with the
+        # largest weighted gradient norm on that norm, to within rounding
+        gs, design = standardized_instance()
+        p, _ = fit(design, gs, default_hyper())
+        g = ParameterSet.from_flat(risk_gradient(p, design), p.n_imaging, p.expanded_size)
+        ratios = np.sqrt(np.add.reduceat(g.interaction**2, gs.offsets, axis=1)) / gs.weights
+        ratios[np.logical_or.reduceat(p.interaction, gs.offsets, axis=1)] = 0.0
+        row, group = np.unravel_index(np.argmax(ratios), ratios.shape)
+        assert ratios[row, group] > 0.0
+        h = default_hyper(lambda_interaction=factor * ratios[row, group])
+        idx, _ = solver._movable_entries(p, g.flat(), gs, h)
+        assert row * p.expanded_size + gs.offsets[group] in idx
+        assert idx.size < p.flat().size
+        start = 40.0 * STEP_INIT
+        assert self.search_matching_full_updates(monkeypatch, p, design, gs, h, start) >= 3
+
+
+class TestPinnedPaths:
+    """Iterations, per-iteration backtracks and stop reasons, as the solver
+    gave them before retries were restricted to the movable blocks."""
+
+    def test_steep_instance_fit(self):
+        gs, design = steep_instance()
+        _, state = fit(design, gs, default_hyper())
+        backtracks = [rec.backtracks for rec in state.history[1:]]
+        assert (state.iterations, state.stop_reason, sum(backtracks)) == (771, "converged", 41462)
+        assert backtracks[:24] == [60, 56, 54, 58, 51, 58, 52, 58, 51, 58, 52, 58,
+                                   51, 58, 52, 58, 51, 58, 52, 58, 51, 59, 32, 60]
+        assert zlib.crc32(",".join(map(str, backtracks)).encode()) == 776420341
+
+    @pytest.mark.parametrize("c, iterations", [(0.3, 38), (0.001, 146)])
+    def test_cli_fixture_fit(self, c, iterations):
+        gs, design = cli_fixture_design()
+        bounds = screen_lambda_max(design, gs)
+        h = Hyperparameters(
+            c * bounds.lambda_interaction_max, 0.01, c * bounds.lambda_genetic_max
+        )
+        _, state = fit(design, gs, h)
+        assert (state.iterations, state.stop_reason) == (iterations, "converged")
+        assert [rec.backtracks for rec in state.history] == [0] * (iterations + 1)
 
 
 class TestStepGrowth:
