@@ -167,7 +167,7 @@ def parameter_update(
 
 def _prox_blocks(interaction, imaging, genetic, step, gs, h, blocks) -> None:
     """:func:`parameter_update`'s proximal operators, in place on the blocks of a
-    gradient step; ``blocks`` are the ``(offsets, sizes, weights)`` of the interaction's."""
+    gradient step; ``blocks`` gives the interaction's ``(offsets, sizes, weights)``."""
     if h.variant == "additive":
         interaction.fill(0.0)
     else:
