@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import dataio
-from .core import Dataset, Hyperparameters, VARIANTS
+from .core import Dataset, Hyperparameters, _check_variant_name
 from .evaluation import (
     kfold_cv,
     log_grid,
@@ -205,8 +205,7 @@ def _parse_variants(text: str) -> list[str]:
     if not variants:
         raise ValueError("no variant named in %r" % text)
     for k, v in enumerate(variants):
-        if v not in VARIANTS:
-            raise ValueError("variant must be one of %r, got %r" % (VARIANTS, v))
+        _check_variant_name(v)
         if v in variants[:k]:
             raise ValueError("variant %r is named twice in %r" % (v, text))
     return variants
@@ -252,7 +251,6 @@ def cmd_cv(args) -> int:
     variants = _parse_variants(args.variant)
     w_values, i_values, g_values = _parse_grid(args.grid)
 
-    os.makedirs(args.out, exist_ok=True)
     table_rows = []
     metric_rows = [["variant", "fold", "tp", "fp", "tn", "fn", *_RATES]]
     chosen_rows = [["variant", "fold", "lambda_w", "lambda_i", "lambda_g",
@@ -283,6 +281,7 @@ def cmd_cv(args) -> int:
             table_rows.append([variant, source, *_format_rates(report, "%.1f", "--")])
 
     table = _results_table(table_rows)
+    os.makedirs(args.out, exist_ok=True)
     dataio.write_csv(os.path.join(args.out, "cv_metrics.csv"), metric_rows)
     dataio.write_csv(os.path.join(args.out, "cv_chosen.csv"), chosen_rows)
     with open(os.path.join(args.out, "table.txt"), "w") as fh:

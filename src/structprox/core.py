@@ -32,6 +32,11 @@ _PINNED_BLOCKS = {
 VARIANTS = tuple(_PINNED_BLOCKS)
 
 
+def _check_variant_name(variant) -> None:
+    if variant not in VARIANTS:
+        raise ValueError("variant must be one of %r, got %r" % (VARIANTS, variant))
+
+
 class GroupStructure:
     """Grouping of the genetic features into possibly overlapping blocks.
 
@@ -330,8 +335,7 @@ class ParameterSet:
     def check_variant(self, variant: str) -> None:
         """Raise ``ValueError`` unless ``variant`` is known and every block it
         pins at zero holds zeros only (a NaN counts as nonzero)."""
-        if variant not in _PINNED_BLOCKS:
-            raise ValueError("variant must be one of %r, got %r" % (VARIANTS, variant))
+        _check_variant_name(variant)
         for block in _PINNED_BLOCKS[variant]:
             if getattr(self, block).any():
                 raise ValueError("the %s variant pins the %s block at zero, which holds "
@@ -371,10 +375,7 @@ class Hyperparameters:
             setattr(self, name, value)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError("%s must be finite and > 0, got %r" % (name, value))
-        if self.variant not in VARIANTS:
-            raise ValueError(
-                "variant must be one of %r, got %r" % (VARIANTS, self.variant)
-            )
+        _check_variant_name(self.variant)
         self.tol = float(self.tol)
         if not np.isfinite(self.tol) or self.tol <= 0:
             raise ValueError("tol must be finite and > 0, got %r" % self.tol)
@@ -391,6 +392,12 @@ def expand_columns(X, gs: GroupStructure) -> np.ndarray:
             "expected a matrix with %d columns, got shape %r" % (gs.n_features, X.shape)
         )
     return X[:, gs.expansion_index]
+
+
+def _check_expanded_size(p: ParameterSet, gs: GroupStructure) -> None:
+    if p.expanded_size != gs.expanded_size:
+        raise ValueError("parameters have expanded size %d, groups give %d"
+                         % (p.expanded_size, gs.expanded_size))
 
 
 def flat_length(n_imaging: int, expanded_size: int) -> int:

@@ -198,7 +198,10 @@ def load_group_file(path, n_features: int) -> GroupStructure:
             weights.append(weight)
     if not groups:
         raise ValueError("%s: no group lines found" % path)
-    return GroupStructure(groups, n_features, weights=weights, names=list(first_line))
+    try:
+        return GroupStructure(groups, n_features, weights=weights, names=list(first_line))
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def save_group_file(path, gs: GroupStructure) -> None:

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet
+from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet, _check_expanded_size
 from .objective import margins, sigmoid
 from .preprocessing import ScalingRecord, fit_scaler, make_design
 from .solver import fit
@@ -235,11 +235,7 @@ class ReducedParameters:
 
 
 def reduce_parameters(p: ParameterSet, gs: GroupStructure) -> ReducedParameters:
-    if p.expanded_size != gs.expanded_size:
-        raise ValueError(
-            "parameters have expanded size %d, groups give %d"
-            % (p.expanded_size, gs.expanded_size)
-        )
+    _check_expanded_size(p, gs)
     return ReducedParameters(
         interaction=np.maximum.reduceat(np.abs(p.interaction), gs.offsets, axis=1),
         imaging=np.abs(p.imaging),

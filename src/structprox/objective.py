@@ -38,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Dataset, GroupStructure, Hyperparameters, ParameterSet, VARIANTS, expand_columns, flat_length,
-)
+from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet, expand_columns
+from .core import _check_expanded_size, _check_variant_name
 
 __all__ = [
     "Design",
@@ -176,8 +175,7 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
             "interaction shape %r does not match design (%d, %d)"
             % (p.interaction.shape, design.n_imaging, design.expanded_size)
         )
-    if variant not in VARIANTS:
-        raise ValueError("variant must be one of %r, got %r" % (VARIANTS, variant))
+    _check_variant_name(variant)
     if variant == "multiplicative":
         m = np.full(design.n_samples, p.intercept)
     else:
@@ -266,8 +264,7 @@ def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") 
     m = margins(p, design, variant)
     r = sigmoid(m) - design.labels
     n = design.n_samples
-    out = np.zeros(flat_length(design.n_imaging, design.expanded_size))
-    grad = ParameterSet._view(out, design.n_imaging, design.expanded_size)
+    grad = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     grad.intercept = mean_r = r.sum() / n
     if variant != "additive":
         gw = grad.interaction
@@ -282,7 +279,7 @@ def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") 
         gi /= n
         np.matmul(design.genetic.T, r, out=gg)
         gg /= n
-    return out
+    return grad.flat()
 
 
 def penalty(p: ParameterSet, gs: GroupStructure, h: Hyperparameters) -> float:
@@ -292,11 +289,7 @@ def penalty(p: ParameterSet, gs: GroupStructure, h: Hyperparameters) -> float:
     genetic groups are weighted by the per-group weights; the imaging
     block contributes its squared norm.  The intercept is never penalized.
     """
-    if p.expanded_size != gs.expanded_size:
-        raise ValueError(
-            "parameters have expanded size %d, groups give %d"
-            % (p.expanded_size, gs.expanded_size)
-        )
+    _check_expanded_size(p, gs)
     w_norms = np.sqrt(np.add.reduceat(p.interaction**2, gs.offsets, axis=1))
     g_norms = np.sqrt(np.add.reduceat(p.genetic**2, gs.offsets))
     return float(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, GroupStructure
+from .core import Dataset, GroupStructure, expand_columns
 from .objective import Design
 
 __all__ = [
@@ -50,6 +50,12 @@ _STATISTICS = (
 )
 
 
+def _check_normalization(normalization) -> None:
+    if normalization not in NORMALIZATION_MODES:
+        raise ValueError("normalization must be one of %r, got %r"
+                         % (NORMALIZATION_MODES, normalization))
+
+
 class ScalingRecord:
     """Frozen per-column statistics of one training set.
 
@@ -73,11 +79,7 @@ class ScalingRecord:
         genetic_names=None,
         imaging_names=None,
     ):
-        if normalization not in NORMALIZATION_MODES:
-            raise ValueError(
-                "normalization must be one of %r, got %r"
-                % (NORMALIZATION_MODES, normalization)
-            )
+        _check_normalization(normalization)
         self.normalization = normalization
         self.genetic_mean = np.asarray(genetic_mean, dtype=float).view()
         self.genetic_scale = np.asarray(genetic_scale, dtype=float).view()
@@ -160,11 +162,7 @@ def fit_scaler(
     deviation (1/N denominator); with ``"unit-norm"`` it is the Euclidean
     norm of the centered column.  Needs at least two samples.
     """
-    if normalization not in NORMALIZATION_MODES:
-        raise ValueError(
-            "normalization must be one of %r, got %r"
-            % (NORMALIZATION_MODES, normalization)
-        )
+    _check_normalization(normalization)
     if d.n_samples < 2:
         raise ValueError(
             "scaling needs at least 2 samples, got %d" % d.n_samples
@@ -192,22 +190,16 @@ def fit_scaler(
 
 
 def transform_features(record: ScalingRecord, genetic, imaging):
-    """Apply stored centering and scaling to raw feature matrices."""
-    genetic = np.asarray(genetic, dtype=float)
-    imaging = np.asarray(imaging, dtype=float)
-    if genetic.ndim != 2 or genetic.shape[1] != record.n_genetic:
-        raise ValueError(
-            "genetic matrix has shape %r, scaler expects %d columns"
-            % (genetic.shape, record.n_genetic)
-        )
-    if imaging.ndim != 2 or imaging.shape[1] != record.n_imaging:
-        raise ValueError(
-            "imaging matrix has shape %r, scaler expects %d columns"
-            % (imaging.shape, record.n_imaging)
-        )
-    zg = (genetic - record.genetic_mean) / record.genetic_scale
-    zi = (imaging - record.imaging_mean) / record.imaging_scale
-    return zg, zi
+    """Standardized ``(genetic, imaging)`` matrices under the stored statistics."""
+    standardized = []
+    for kind, X in (("genetic", genetic), ("imaging", imaging)):
+        X = np.asarray(X, dtype=float)
+        mean, scale = getattr(record, kind + "_mean"), getattr(record, kind + "_scale")
+        if X.ndim != 2 or X.shape[1] != mean.size:
+            raise ValueError("%s matrix has shape %r, scaler expects %d columns"
+                             % (kind, X.shape, mean.size))
+        standardized.append((X - mean) / scale)
+    return tuple(standardized)
 
 
 def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design:
@@ -222,7 +214,7 @@ def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design
     idx = gs.expansion_index
     return Design(
         zi,
-        zg[:, idx],
+        expand_columns(zg, gs),
         d.labels,
         gs,
         # take() returns C order; [:, idx] would return Fortran order

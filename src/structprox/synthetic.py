@@ -21,7 +21,6 @@ from .core import (
     GroupStructure,
     Hyperparameters,
     ParameterSet,
-    expand_columns,
     flat_length,
 )
 from .objective import Design, margins, risk, sigmoid
@@ -165,9 +164,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
             / np.sqrt(spec.n_imaging)
         )
 
-    design = Design(
-        imaging, expand_columns(zg, gs), np.zeros(spec.n_samples, dtype=int), groups=gs
-    )
+    design = Design.from_dataset(Dataset(zg, imaging, np.zeros(spec.n_samples, dtype=int)), gs)
     m = margins(truth, design)
     labels = rng.binomial(1, sigmoid(m))
     if spec.label_noise > 0:

@@ -249,6 +249,17 @@ class TestFit:
         assert code == 1
         assert "lambda_q" in capsys.readouterr().err
 
+    def test_config_line_without_equals_rejected(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("# penalties\nlambda_w = 0.1\nlambda_i 0.05\n")
+        out = tmp_path / "fit"
+        code = run(["fit", *data_flags(data_dir), "--config", cfg, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: %s: line 3 is not a key=value setting\n" % cfg
+        )
+        assert not out.exists()
+
     def test_hyphenated_config_key(self, data_dir, tmp_path):
         cfg = tmp_path / "fit.cfg"
         cfg.write_text("lambda-w = 0.1\nlambda_i = 0.05\nlambda_g = 0.1\nmax-iters = 3\n")
@@ -569,6 +580,13 @@ class TestCv:
             ("--grid", "w=1;x=1;g=1", "grid block must be one of w, i, g, got 'x'"),
             ("--grid", "w=1;i=1,two;g=1", "grid block 'i' holds a non-numeric value"),
             ("--grid", "w=1;i=1", "grid must define block 'g'"),
+            ("--variant", "bogus",
+             "variant must be one of ('multilevel', 'additive', 'multiplicative'), got 'bogus'"),
+            # rejected by make_grid or kfold_cv, still before the output directory
+            ("--grid", "w=-1;i=1;g=1", "lambda_interaction must be finite and > 0, got -1.0"),
+            ("--selection", "bogus", "selection must be 'nested' or 'oracle', got 'bogus'"),
+            ("--threshold", "1.5", "threshold must lie in (0, 1), got 1.5"),
+            ("--inner-folds", "1", "inner_k must be >= 2, got 1"),
         ],
     )
     def test_bad_variant_or_grid_spec_rejected(self, data_dir, tmp_path, capsys, flag,

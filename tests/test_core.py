@@ -12,6 +12,8 @@ from structprox import (
     flat_length,
 )
 
+from conftest import tiny_groups
+
 
 class TestGroupStructure:
     def test_basic_layout(self):
@@ -370,3 +372,40 @@ class TestHyperparameters:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             Hyperparameters(0.1, 0.1, 0.1, variant="quadratic")
+
+
+class TestRejectionMessages:
+    # every rejection of the core types through its public entry point, message in full
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: GroupStructure([[0]], n_features=0),
+                     "n_features must be >= 1, got 0", id="no-features"),
+        pytest.param(lambda: GroupStructure([], n_features=2),
+                     "at least one group is required", id="no-groups"),
+        pytest.param(lambda: GroupStructure([[0], [1]], 2, weights=[1.0]),
+                     "expected 2 group weights, got shape (1,)", id="weight-count"),
+        pytest.param(lambda: GroupStructure([[0], [1]], 2, names=["a"]),
+                     "expected 2 group names, got 1", id="name-count"),
+        pytest.param(lambda: tiny_groups().block(2),
+                     "group index 2 outside [0, 2)", id="block-out-of-range"),
+        pytest.param(lambda: Dataset(np.zeros(3), np.zeros((3, 1)), [0, 1, 0]),
+                     "feature matrices must be 2-D, got genetic (3,) and imaging (3, 1)",
+                     id="features-not-2d"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), [[0], [1]]),
+                     "labels must be 1-D, got shape (2, 1)", id="labels-not-1d"),
+        pytest.param(lambda: Dataset(np.zeros((0, 1)), np.zeros((0, 1)), []),
+                     "dataset needs at least one sample", id="no-samples"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), [0.0, np.nan]),
+                     "labels contain NaN or infinite entries", id="nan-label"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), [0.0, 0.5]),
+                     "labels must be integers in {0, 1}", id="fractional-label"),
+        pytest.param(lambda: ParameterSet.from_flat(np.zeros(5), 1, 2),
+                     "flat vector has length 5, expected 6", id="flat-length"),
+        pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=0),
+                     "max_iters must be >= 1, got 0", id="max-iters"),
+        pytest.param(lambda: expand_columns(np.zeros((2, 4)), tiny_groups()),
+                     "expected a matrix with 3 columns, got shape (2, 4)", id="expand-columns"),
+    ])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

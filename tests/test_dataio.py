@@ -52,6 +52,13 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_matrix_csv(str(path))
 
+    def test_save_rejects_names_that_do_not_match_the_columns(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError) as err:
+            save_matrix_csv(str(path), ["a"], np.zeros((2, 2)))
+        assert str(err.value) == "matrix shape (2, 2) does not match 1 column names"
+        assert not path.exists()
+
 
     # Fields np.loadtxt parses like float(), and fields only float() takes
     # ('1_0'), which send the file through the row loop.
@@ -180,6 +187,11 @@ class TestGroupFile:
             ("g1\tauto\t0\ng2\tauto\t , \n", "line 2 lists no feature indices"),
             ("g1\theavy\t0,1\n", "line 1 weight must be a number or 'auto'"),
             ("# only a comment\n\n", "no group lines found"),
+            ("g1\tauto\t0,x\n", "line 1 holds a non-integer feature index"),
+            # rejected by GroupStructure, and still named after the file
+            ("g1\tnan\t0,1\n", "group weights must be finite and > 0"),
+            ("g1\tauto\t0,5\n", "group 0 holds index 5 outside [0, 2)"),
+            ("g1\tauto\t0\n", "feature 1 belongs to no group; every feature must be covered"),
         ],
     )
     def test_rejected_files_report_the_reason(self, tmp_path, text, message):
@@ -255,6 +267,13 @@ class TestParamsFile:
         path.write_text("something else\n")
         with pytest.raises(ValueError, match="header"):
             load_params(str(path))
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("structprox-params v1\nvariant\tmultilevel\ndims\t1\t1\n")
+        with pytest.raises(ValueError) as err:
+            load_params(str(path))
+        assert str(err.value) == "%s: truncated parameter file" % path
 
     def test_missing_intercept_rejected(self, tmp_path):
         # one entry keeps the file at 4 lines, past the truncation check

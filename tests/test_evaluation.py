@@ -560,3 +560,39 @@ class TestSplitsBuiltOnce:
             assert res.chosen[f] == grid[best]
             np.testing.assert_array_equal(res.probabilities[test_idx], probs[best])
         assert ties > 0, "no fold ties at the top, so the first-best rule is untested"
+
+
+def cv_instance():
+    data = synthetic_instance(33, n_samples=20)
+    return data.dataset, data.groups
+
+
+class TestRejectionMessages:
+    # every rejection of the scoring and CV entry points, message in full
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: confusion([0, 1], [0]),
+                     "label arrays must be 1-D and equally long, got (2,) and (1,)",
+                     id="confusion-shapes"),
+        pytest.param(lambda: confusion([0, 2], [0, 1]),
+                     "y_true must take values in {0, 1}", id="confusion-values"),
+        pytest.param(lambda: predict(ParameterSet.zeros(1, 3), None, tiny_groups(),
+                                     np.zeros((2, 3)), np.zeros((2, 1))),
+                     "predict needs a fitted scaling record", id="predict-no-record"),
+        pytest.param(lambda: log_grid(0), "grid needs at least one point", id="log-grid-empty"),
+        pytest.param(lambda: log_grid(3, 1.0, 0.1),
+                     "need 0 < low <= high, got 1.0, 0.1", id="log-grid-bounds"),
+        pytest.param(lambda: stratified_folds([0, 1, 0, 1], 1),
+                     "k must be >= 2, got 1", id="one-fold"),
+        pytest.param(lambda: reduce_parameters(ParameterSet.zeros(1, 3), tiny_groups()),
+                     "parameters have expanded size 3, groups give 4", id="reduce-size"),
+        pytest.param(lambda: kfold_cv(*cv_instance(), []),
+                     "empty hyperparameter grid", id="cv-empty-grid"),
+        pytest.param(lambda: kfold_cv(*cv_instance(), [default_hyper()], selection="bogus"),
+                     "selection must be 'nested' or 'oracle', got 'bogus'",
+                     id="cv-selection"),
+    ])
+    def test_message(self, monkeypatch, call, message):
+        monkeypatch.setattr(evaluation, "fit", _fit_must_not_run)
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

@@ -18,7 +18,7 @@ from structprox.objective import (
 )
 from structprox.synthetic import finite_difference_gradient
 
-from conftest import default_hyper, random_instance, random_params, synthetic_instance
+from conftest import default_hyper, random_instance, random_params, synthetic_instance, tiny_groups
 
 
 class TestSigmoid:
@@ -592,3 +592,30 @@ class TestLogPosterior:
         )
         want = -(0.4 - 0.2) * d.n_samples * (norms1 - norms2)
         np.testing.assert_allclose(d2 - d1, want, rtol=1e-9)
+
+
+def one_row_design(n=3):
+    # one imaging column; tiny_groups expands to 4 genetic columns
+    return Design(np.zeros((n, 1)), np.zeros((n, 4)), np.zeros(n, dtype=int), tiny_groups())
+
+
+class TestRejectionMessages:
+    # every rejection of the design and the evaluation kernels, message in full
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: Design(np.zeros(3), np.zeros((3, 4)), [0, 1, 0], tiny_groups()),
+                     "imaging and genetic matrices must be 2-D", id="design-not-2d"),
+        pytest.param(lambda: Design(np.zeros((3, 1)), np.zeros((2, 4)), [0, 1, 0], tiny_groups()),
+                     "row counts disagree: imaging 3, genetic 2, labels (3,)",
+                     id="design-rows"),
+        pytest.param(lambda: margins(ParameterSet.zeros(2, 4), one_row_design()),
+                     "interaction shape (2, 4) does not match design (1, 4)",
+                     id="margins-shape"),
+        pytest.param(lambda: risk(ParameterSet.zeros(1, 4), one_row_design(n=0)),
+                     "risk needs at least one sample", id="risk-no-samples"),
+        pytest.param(lambda: penalty(ParameterSet.zeros(1, 3), tiny_groups(), default_hyper()),
+                     "parameters have expanded size 3, groups give 4", id="penalty-size"),
+    ])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

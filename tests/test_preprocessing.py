@@ -304,3 +304,38 @@ class TestScalingRecord:
                 "sd", [0.0, 0.0], [1.0, 1.0], [0.0], [1.0],
                 [[0.0, 0.0]], [[1.0, 1.0]], **names,
             )
+
+
+def one_by_one_record(**names):
+    # one genetic and one imaging column
+    return ScalingRecord("sd", [0.0], [1.0], [0.0], [1.0], [[0.0]], [[1.0]], **names)
+
+
+class TestRejectionMessages:
+    # every rejection of the scaler and the design builder, message in full
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: ScalingRecord("bogus", [0.0], [1.0], [0.0], [1.0], [[0.0]],
+                                           [[1.0]]),
+                     "normalization must be one of ('sd', 'unit-norm'), got 'bogus'",
+                     id="normalization"),
+        pytest.param(lambda: ScalingRecord("sd", [0.0], [0.0], [0.0], [1.0], [[0.0]], [[1.0]]),
+                     "genetic_scale must be > 0", id="scale-not-positive"),
+        pytest.param(lambda: one_by_one_record(genetic_names=["a", "b"]),
+                     "genetic_names holds 2 names, expected 1", id="name-count"),
+        pytest.param(lambda: transform_features(one_by_one_record(), np.zeros((2, 3)),
+                                                np.zeros((2, 1))),
+                     "genetic matrix has shape (2, 3), scaler expects 1 columns",
+                     id="genetic-columns"),
+        pytest.param(lambda: transform_features(one_by_one_record(), np.zeros((2, 1)),
+                                                np.zeros((2, 2))),
+                     "imaging matrix has shape (2, 2), scaler expects 1 columns",
+                     id="imaging-columns"),
+        pytest.param(lambda: make_design(
+                         Dataset(np.zeros((2, 2)), np.zeros((2, 1)), [0, 1]),
+                         GroupStructure([[0], [1]], n_features=2), one_by_one_record()),
+                     "groups cover 2 features, scaler was fit on 1", id="groups-vs-scaler"),
+    ])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

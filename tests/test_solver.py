@@ -199,6 +199,16 @@ class TestParameterUpdate:
             parameter_update(p, np.zeros(p.flat().size), step, gs, default_hyper())
         assert str(err.value) == "step must be > 0, got %r" % step
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_rejected(self, bad):
+        d, gs, design = random_instance(52)
+        p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
+        grad = np.zeros(p.flat().size)
+        grad[3] = bad
+        with pytest.raises(ValueError) as err:
+            parameter_update(p, grad, 1.0, gs, default_hyper())
+        assert str(err.value) == "gradient contains non-finite entries"
+
     def test_zero_gradient_zero_thresholds_is_fixed_point(self):
         d, gs, design = random_instance(50)
         p = random_params(51, design.n_imaging, gs.expanded_size)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from structprox import (
     fit,
     generate,
 )
+from structprox import synthetic
 from structprox.dataio import load_group_file, load_labels_csv, load_matrix_csv
 from structprox.objective import objective
 from structprox.preprocessing import fit_scaler, make_design
@@ -58,6 +61,25 @@ class TestSpec:
                 n_samples=5, n_imaging=1, n_groups=1, group_size=1, maf_low=0.6,
                 maf_high=0.4,
             )
+
+
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param(dict(n_groups=0), "n_groups and group_size must be >= 1", id="no-groups"),
+        pytest.param(dict(group_size=0), "n_groups and group_size must be >= 1",
+                     id="empty-groups"),
+        pytest.param(dict(overlap=1.0), "overlap must lie in [0, 1), got 1.0", id="overlap"),
+        pytest.param(dict(overlap=0.6),
+                     "overlap 0.6 leaves no stride between groups of size 1", id="zero-stride"),
+        pytest.param(dict(imaging_correlation=1.0), "imaging_correlation must lie in [0, 1)",
+                     id="imaging-correlation"),
+        pytest.param(dict(effect_imaging=-0.5), "effect_imaging must be >= 0",
+                     id="negative-effect"),
+    ])
+    def test_rejection_message(self, overrides, message):
+        settings = dict(n_samples=5, n_imaging=1, n_groups=1, group_size=1, n_active=0)
+        with pytest.raises(ValueError) as err:
+            SyntheticSpec(**{**settings, **overrides})
+        assert str(err.value) == message
 
 
 class TestGenerate:
@@ -208,6 +230,15 @@ class TestFiniteDifferenceGradient:
         assert e2 < e1 / 2.5
 
 
+    @pytest.mark.parametrize("step", [0.0, -1e-6])
+    def test_non_positive_step_rejected(self, step):
+        d, gs, design = random_instance(33)
+        p = random_params(34, design.n_imaging, gs.expanded_size)
+        with pytest.raises(ValueError) as err:
+            finite_difference_gradient(p, design, step=step)
+        assert str(err.value) == "step must be > 0, got %r" % step
+
+
 class TestReferenceSolve:
     def test_refines_fit_objective(self):
         data = synthetic_instance(34)
@@ -242,3 +273,14 @@ class TestReferenceSolve:
         design = make_design(data.dataset, data.groups, fit_scaler(data.dataset))
         with pytest.raises(ValueError, match="reference"):
             reference_solve(design, data.groups, default_hyper())
+
+    def test_unconverged_run_raises(self, monkeypatch):
+        # the solver stops after one iteration, far short of the 1e-10 tolerance
+        real_fit = synthetic.fit
+        monkeypatch.setattr(synthetic, "fit",
+                            lambda design, gs, h: real_fit(design, gs, replace(h, max_iters=1)))
+        data = synthetic_instance(37)
+        design = make_design(data.dataset, data.groups, fit_scaler(data.dataset))
+        with pytest.raises(SolverFailure) as err:
+            reference_solve(design, data.groups, default_hyper())
+        assert str(err.value) == "reference solve did not converge within 100000 iterations"
