@@ -238,6 +238,11 @@ def _parse_grid(text: str):
             raise ValueError("grid block %r holds a non-numeric value" % key)
         if not values:
             raise ValueError("grid block %r lists no values" % key)
+        if key in blocks:
+            raise ValueError("grid block %r is given twice in %r" % (key, text))
+        for k, v in enumerate(values):
+            if v in values[:k]:
+                raise ValueError("grid block %r lists %r twice" % (key, v))
         blocks[key] = values
     for key in ("w", "i", "g"):
         if key not in blocks:

@@ -394,6 +394,14 @@ def expand_columns(X, gs: GroupStructure) -> np.ndarray:
     return X[:, gs.expansion_index]
 
 
+def _check_statistic(name: str, value: np.ndarray) -> None:
+    """Raise unless a normalization statistic is finite and each ``*_scale`` > 0."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError("%s holds a non-finite value" % name)
+    if name.endswith("_scale") and np.any(value <= 0):
+        raise ValueError("%s must be > 0" % name)
+
+
 def _check_expanded_size(p: ParameterSet, gs: GroupStructure) -> None:
     if p.expanded_size != gs.expanded_size:
         raise ValueError("parameters have expanded size %d, groups give %d"

@@ -100,7 +100,10 @@ def confusion(y_true, y_pred):
 
 def metrics(y_true, y_pred) -> MetricsReport:
     """Sensitivity, specificity, precision, and balanced accuracy."""
-    tp, fp, tn, fn = confusion(y_true, y_pred)
+    return _report(*confusion(y_true, y_pred))
+
+
+def _report(tp, fp, tn, fn) -> MetricsReport:
     if tp + fn == 0:
         raise ValueError("no positive samples: sensitivity is undefined")
     if tn + fp == 0:
@@ -285,9 +288,10 @@ def _ordered_map(fn, items):
 
 
 def _pooled_bacc(tp: int, fp: int, tn: int, fn: int) -> float:
-    if tp + fn == 0 or tn + fp == 0:
+    try:
+        return _report(tp, fp, tn, fn).balanced_accuracy
+    except ValueError:  # a class is absent from the pooled labels
         return float("-inf")
-    return balanced_accuracy(100.0 * tp / (tp + fn), 100.0 * tn / (tn + fp))
 
 
 def _classify(params: ParameterSet, design, threshold: float):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet, expand_columns
-from .core import _check_expanded_size, _check_variant_name
+from .core import _check_expanded_size, _check_statistic, _check_variant_name
 
 __all__ = [
     "Design",
@@ -80,12 +80,14 @@ def _log_sigmoid(t: np.ndarray) -> np.ndarray:
 class Design:
     """Evaluation-ready view of a dataset.
 
-    Holds the imaging matrix, the overlap-expanded genetic matrix, the
-    labels, the ``GroupStructure`` whose expanded columns the genetic
-    matrix holds, which lets :func:`margins` skip the zero blocks of
-    ``W``, and the per-entry mean and scale of the pairwise product
-    features.  Given statistics are stored C-contiguous; without them the
-    design holds the identity, read-only zero-stride views of 0 and 1 that
+    Holds the imaging matrix, the overlap-expanded genetic matrix and the
+    labels, checked and kept read-only by a ``Dataset`` of them, the
+    ``GroupStructure`` whose expanded columns the genetic matrix holds,
+    which lets :func:`margins` skip the zero blocks of ``W``, and the
+    per-entry mean and scale of the pairwise product features.  Given
+    statistics must be finite with every scale > 0, as in a
+    ``ScalingRecord``, and are stored C-contiguous; without them the design
+    holds the identity, read-only zero-stride views of 0 and 1 that
     allocate no (n_imaging, E) array.
     """
 
@@ -93,20 +95,10 @@ class Design:
         self, imaging, genetic_expanded, labels, groups: GroupStructure,
         cross_mean=None, cross_scale=None,
     ):
-        imaging = np.asarray(imaging, dtype=float)
-        genetic_expanded = np.asarray(genetic_expanded, dtype=float)
-        labels = np.asarray(labels, dtype=np.intp)
-        if imaging.ndim != 2 or genetic_expanded.ndim != 2:
-            raise ValueError("imaging and genetic matrices must be 2-D")
-        n = imaging.shape[0]
-        if genetic_expanded.shape[0] != n or labels.shape != (n,):
-            raise ValueError(
-                "row counts disagree: imaging %d, genetic %d, labels %r"
-                % (n, genetic_expanded.shape[0], labels.shape)
-            )
+        data = Dataset(genetic_expanded, imaging, labels)
         if (cross_mean is None) != (cross_scale is None):
             raise ValueError("cross_mean and cross_scale must be given together")
-        shape = (imaging.shape[1], genetic_expanded.shape[1])
+        shape = (data.n_imaging, data.n_genetic)
         if cross_mean is None:
             # zero-stride identity: no n_imaging x E array is allocated
             cross_mean = np.broadcast_to(0.0, shape)
@@ -119,16 +111,16 @@ class Design:
                     "cross statistics must have shape %r, got %r and %r"
                     % (shape, cross_mean.shape, cross_scale.shape)
                 )
-            if np.any(cross_scale <= 0):
-                raise ValueError("cross_scale entries must be > 0")
-        if groups.expanded_size != genetic_expanded.shape[1]:
+            _check_statistic("cross_mean", cross_mean)
+            _check_statistic("cross_scale", cross_scale)
+        if groups.expanded_size != data.n_genetic:
             raise ValueError(
                 "groups expand to %d columns, the genetic matrix has %d"
-                % (groups.expanded_size, genetic_expanded.shape[1])
+                % (groups.expanded_size, data.n_genetic)
             )
-        self.imaging = imaging
-        self.genetic = genetic_expanded
-        self.labels = labels
+        self.imaging = data.imaging
+        self.genetic = data.genetic
+        self.labels = data.labels
         self.cross_mean = cross_mean
         self.cross_scale = cross_scale
         self.groups = groups
@@ -149,6 +141,11 @@ class Design:
     @property
     def expanded_size(self) -> int:
         return self.genetic.shape[1]
+
+
+def _check_groups(design: Design, gs: GroupStructure) -> None:
+    if gs is not design.groups:
+        raise ValueError("groups must be the design's own GroupStructure")
 
 
 @dataclass(frozen=True)
@@ -242,8 +239,6 @@ def _add_live_blocks(m: np.ndarray, w: np.ndarray, design: Design, live: np.ndar
 
 def risk(p: ParameterSet, design: Design, variant: str = "multilevel") -> float:
     """Mean logistic loss (1/N) sum_k [-y_k m_k + log(1 + e^{m_k})]."""
-    if design.n_samples < 1:
-        raise ValueError("risk needs at least one sample")
     m = margins(p, design, variant)
     return float((_log1p_exp(m) - design.labels * m).sum() / design.n_samples)
 
@@ -303,6 +298,7 @@ def objective(
     p: ParameterSet, design: Design, gs: GroupStructure, h: Hyperparameters
 ) -> ObjectiveValue:
     """Penalized objective: empirical risk plus structured penalty."""
+    _check_groups(design, gs)
     r = risk(p, design, h.variant)
     pen = penalty(p, gs, h)
     return ObjectiveValue(risk=r, penalty=pen, total=r + pen)
@@ -321,6 +317,7 @@ def log_posterior_unnormalized(
     computation deliberately shares no code with :func:`risk` or
     :func:`penalty` so the identity can be cross-checked.
     """
+    _check_groups(design, gs)
     m = margins(p, design, h.variant)
     y = design.labels.astype(float)
     loglik = float(np.sum(y * _log_sigmoid(m) + (1.0 - y) * _log_sigmoid(-m)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, GroupStructure, expand_columns
+from .core import Dataset, GroupStructure, _check_statistic, expand_columns
 from .objective import Design
 
 __all__ = [
@@ -96,10 +96,7 @@ class ScalingRecord:
                 raise ValueError(
                     "%s must have shape %r, got %r" % (name, shape, value.shape)
                 )
-            if not np.all(np.isfinite(value)):
-                raise ValueError("%s holds a non-finite value" % name)
-            if name.endswith("_scale") and np.any(value <= 0):
-                raise ValueError("%s must be > 0" % name)
+            _check_statistic(name, value)
             value.setflags(write=False)
         self.genetic_names = None if genetic_names is None else tuple(genetic_names)
         self.imaging_names = None if imaging_names is None else tuple(imaging_names)

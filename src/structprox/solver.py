@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GroupStructure, Hyperparameters, ParameterSet
-from .objective import Design, penalty, risk, risk_gradient
+from .objective import Design, _check_groups, penalty, risk, risk_gradient
 
 __all__ = [
     "SolverFailure",
@@ -117,7 +117,8 @@ def prox_group(block, threshold: float) -> np.ndarray:
 
 
 def prox_ridge(block, step: float, lam: float) -> np.ndarray:
-    """Proximal operator of ``step * lam * ||.||_2^2``: uniform shrinkage."""
+    """Proximal operator of ``step * lam * ||.||_2^2``: uniform shrinkage by
+    ``1 / (1 + 2 step lam)``, the one :func:`parameter_update` applies."""
     if not step > 0:
         raise ValueError("step must be > 0, got %r" % step)
     if not lam >= 0:
@@ -148,7 +149,7 @@ def parameter_update(
     grad``.  Then the interaction rows and the genetic vector are
     soft-thresholded per group in place, with thresholds
     ``step * lambda * weight``, the imaging block is shrunk by
-    ``1 / (1 + 2 step lambda_imaging)``, and the intercept keeps its plain
+    :func:`prox_ridge`, and the intercept keeps its plain
     gradient step.  Blocks pinned by the variant are set to zero.
     """
     if not step > 0:
@@ -177,7 +178,7 @@ def _prox_blocks(interaction, imaging, genetic, step, gs, h, blocks) -> None:
         imaging.fill(0.0)
         genetic.fill(0.0)
     else:
-        np.divide(imaging, 1.0 + 2.0 * step * h.lambda_imaging, out=imaging)
+        imaging[...] = prox_ridge(imaging, step, h.lambda_imaging)
         thresholds = step * h.lambda_genetic * gs.weights
         _prox_group_rows(genetic[None, :], gs.offsets, gs.sizes, thresholds)
 
@@ -231,6 +232,7 @@ def backtracking_step(
     The candidates are :func:`parameter_update`'s bit for bit, and only the
     inner products, summed without the skipped zeros, may round differently.
     """
+    _check_groups(design, gs)
     x, grad = p.flat(), np.asarray(grad, dtype=float)
     candidate = parameter_update(p, grad, step, gs, h)
     c = candidate.flat()
@@ -282,13 +284,9 @@ def fit(
     its measured curvature κ (no ``min`` when κ <= 0), so only κ below
     ``GROWTH_MARGIN`` lets it grow.  Stops once ``|S_new - S_old| <= tol *
     |S_old|`` for the penalized objective S, or when ``max_iters`` is hit.
-    Returns ``(params, SolverState)``.
+    ``gs`` must be ``design.groups``.  Returns ``(params, SolverState)``.
     """
-    if gs.expanded_size != design.expanded_size:
-        raise ValueError(
-            "groups give expanded size %d, design has %d"
-            % (gs.expanded_size, design.expanded_size)
-        )
+    _check_groups(design, gs)
     if init is None:
         p = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     else:
@@ -348,8 +346,9 @@ def screen_lambda_max(design: Design, gs: GroupStructure) -> ScreeningResult:
     A group enters the model on the first iteration only if the norm of
     its gradient block exceeds ``lambda * weight``; strengths strictly
     above the returned bounds therefore keep the corresponding blocks at
-    zero on the first update.
+    zero on the first update.  ``gs`` must be ``design.groups``.
     """
+    _check_groups(design, gs)
     p0 = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     grad = ParameterSet.from_flat(
         risk_gradient(p0, design, "multilevel"), design.n_imaging, design.expanded_size

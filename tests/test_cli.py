@@ -580,6 +580,9 @@ class TestCv:
             ("--grid", "w=1;x=1;g=1", "grid block must be one of w, i, g, got 'x'"),
             ("--grid", "w=1;i=1,two;g=1", "grid block 'i' holds a non-numeric value"),
             ("--grid", "w=1;i=1", "grid must define block 'g'"),
+            ("--grid", "w=0.1;i=1;g=1;w=0.5",
+             "grid block 'w' is given twice in 'w=0.1;i=1;g=1;w=0.5'"),
+            ("--grid", "w=0.1,0.1;i=1;g=1", "grid block 'w' lists 0.1 twice"),
             ("--variant", "bogus",
              "variant must be one of ('multilevel', 'additive', 'multiplicative'), got 'bogus'"),
             # rejected by make_grid or kfold_cv, still before the output directory

@@ -92,6 +92,18 @@ class TestMetrics:
     def test_balanced_accuracy_helper(self):
         assert balanced_accuracy(90.6, 87.0) == pytest.approx(88.8)
 
+    def test_cv_selection_score_is_metrics_balanced_accuracy(self):
+        # CV selects by the pooled score of int64 count rows; it must be the
+        # balanced accuracy metrics reports for the same counts, bit for bit
+        rng = np.random.default_rng(1)
+        for n in rng.integers(2, 60, size=40):
+            y = np.r_[0, 1, rng.integers(0, 2, n)]
+            yhat = rng.integers(0, 2, y.size)
+            counts = np.zeros(4, dtype=np.int64)
+            counts += confusion(y, yhat)
+            assert evaluation._pooled_bacc(*counts) == metrics(y, yhat).balanced_accuracy
+        assert evaluation._pooled_bacc(3, 0, 0, 1) == float("-inf")  # no negatives
+
 
 class TestGrids:
     def test_log_grid_endpoints(self):

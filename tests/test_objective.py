@@ -372,6 +372,11 @@ class TestProductStatistics:
             (np.zeros((3, 4)), None, "given together"),
             (np.zeros((3, 3)), np.ones((3, 3)), "must have shape"),
             (np.zeros((3, 4)), np.zeros((3, 4)), "must be > 0"),
+            # ScalingRecord's rule: a NaN mean would give NaN margins, an
+            # infinite scale would zero the interaction term
+            (np.full((3, 4), np.nan), np.ones((3, 4)), "^cross_mean holds a non-finite value$"),
+            (np.zeros((3, 4)), np.full((3, 4), np.inf),
+             "^cross_scale holds a non-finite value$"),
         ],
     )
     def test_bad_statistics_rejected(self, mean, scale, message):
@@ -600,18 +605,27 @@ def one_row_design(n=3):
 
 
 class TestRejectionMessages:
-    # every rejection of the design and the evaluation kernels, message in full
+    # every rejection of the design and the evaluation kernels, message in full;
+    # a design's data are checked by Dataset
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: Design(np.zeros(3), np.zeros((3, 4)), [0, 1, 0], tiny_groups()),
-                     "imaging and genetic matrices must be 2-D", id="design-not-2d"),
+                     "feature matrices must be 2-D, got genetic (3, 4) and imaging (3,)",
+                     id="design-not-2d"),
         pytest.param(lambda: Design(np.zeros((3, 1)), np.zeros((2, 4)), [0, 1, 0], tiny_groups()),
-                     "row counts disagree: imaging 3, genetic 2, labels (3,)",
+                     "row counts disagree: genetic 2, imaging 3, labels 3",
                      id="design-rows"),
+        pytest.param(lambda: one_row_design(n=0),
+                     "dataset needs at least one sample", id="design-no-samples"),
+        pytest.param(lambda: Design(np.zeros((3, 1)), np.full((3, 4), np.nan), [0, 1, 0],
+                                    tiny_groups()),
+                     "feature matrices contain NaN or infinite entries", id="design-nan-features"),
+        pytest.param(lambda: Design(np.zeros((3, 1)), np.zeros((3, 4)), [0, 1, 2], tiny_groups()),
+                     "labels must take values in {0, 1}", id="design-label-two"),
+        pytest.param(lambda: Design(np.zeros((3, 1)), np.zeros((3, 4)), [0.5, 1, 0], tiny_groups()),
+                     "labels must be integers in {0, 1}", id="design-label-half"),
         pytest.param(lambda: margins(ParameterSet.zeros(2, 4), one_row_design()),
                      "interaction shape (2, 4) does not match design (1, 4)",
                      id="margins-shape"),
-        pytest.param(lambda: risk(ParameterSet.zeros(1, 4), one_row_design(n=0)),
-                     "risk needs at least one sample", id="risk-no-samples"),
         pytest.param(lambda: penalty(ParameterSet.zeros(1, 3), tiny_groups(), default_hyper()),
                      "parameters have expanded size 3, groups give 4", id="penalty-size"),
     ])

@@ -17,7 +17,16 @@ from structprox import (
     screen_lambda_max,
 )
 from structprox import VARIANTS, solver
-from structprox.objective import Design, objective, risk, risk_gradient, sigmoid, margins
+from structprox.core import flat_length
+from structprox.objective import (
+    Design,
+    log_posterior_unnormalized,
+    margins,
+    objective,
+    risk,
+    risk_gradient,
+    sigmoid,
+)
 from structprox.preprocessing import fit_scaler, make_design
 from structprox.solver import (
     BACKTRACK_FACTOR,
@@ -188,6 +197,49 @@ class TestProxRidge:
         with pytest.raises(ValueError) as err:
             prox_ridge(np.ones(2), step, lam)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_parameter_update_bit_for_bit(self, seed):
+        # the imaging block of a zero-gradient update is omega's ridge shrink
+        rng = np.random.default_rng(950 + seed)
+        gs = GroupStructure([[0, 1], [1, 2]], n_features=3)
+        step, lam = float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.01, 2.0))
+        p = ParameterSet.zeros(4, gs.expanded_size)
+        p.imaging = omega = rng.normal(0, 2, size=4)
+        candidate = parameter_update(p, np.zeros(p.flat().size), step, gs,
+                                     Hyperparameters(1.0, lam, 1.0))
+        assert prox_ridge(omega, step, lam).tobytes() == candidate.imaging.tobytes()
+
+
+class TestForeignGroups:
+    """A same-size group layout that is not the design's own is rejected:
+    its groups cut the design's expanded columns in other places."""
+
+    @staticmethod
+    def instance():
+        data = generate(SyntheticSpec(n_samples=30, n_imaging=2, n_groups=3, group_size=3,
+                                      seed=1))
+        design = make_design(data.dataset, data.groups, fit_scaler(data.dataset))
+        foreign = GroupStructure([[0, 1, 2, 3, 4], [5, 6, 7, 8]], 9)
+        assert foreign.expanded_size == design.expanded_size == 9
+        return design, foreign
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda design, gs, h: fit(design, gs, h), id="fit"),
+        pytest.param(lambda design, gs, h: screen_lambda_max(design, gs), id="screen"),
+        pytest.param(lambda design, gs, h: backtracking_step(
+            ParameterSet.zeros(2, 9), design, gs, h, np.zeros(flat_length(2, 9)), np.log(2.0)),
+            id="backtracking_step"),
+        pytest.param(lambda design, gs, h: objective(ParameterSet.zeros(2, 9), design, gs, h),
+                     id="objective"),
+        pytest.param(lambda design, gs, h: log_posterior_unnormalized(
+            ParameterSet.zeros(2, 9), design, gs, h), id="log_posterior"),
+    ])
+    def test_rejected(self, call):
+        design, foreign = self.instance()
+        with pytest.raises(ValueError) as err:
+            call(design, foreign, default_hyper())
+        assert str(err.value) == "groups must be the design's own GroupStructure"
 
 
 class TestParameterUpdate:
@@ -669,7 +721,7 @@ class TestFit:
     def test_groups_of_other_size_rejected(self):
         d, gs, design = random_instance(68)
         other = GroupStructure([[0, 1, 2]], n_features=3)
-        with pytest.raises(ValueError, match="groups give expanded size 3, design has 4"):
+        with pytest.raises(ValueError, match="^groups must be the design's own GroupStructure$"):
             fit(design, other, default_hyper())
 
     @pytest.mark.filterwarnings("ignore:overflow")
