@@ -404,7 +404,6 @@ def _build_parser():
     sp.add_argument("--tol", type=float, default=1e-5, help="relative objective tolerance")
     sp.add_argument("--max-iters", type=int, dest="max_iters", default=10000,
                     help="iteration cap")
-    sp.add_argument("--seed", type=int, help="unused by fit; accepted for config reuse")
     sp.add_argument("--out", type=str, default="structprox-fit", help="output directory")
     sp.set_defaults(func=cmd_fit)
 

@@ -37,6 +37,16 @@ def _check_variant_name(variant) -> None:
         raise ValueError("variant must be one of %r, got %r" % (VARIANTS, variant))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; raise unless it is integral (3.0 and numpy integers pass)."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinite
+        pass
+    raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
 class GroupStructure:
     """Grouping of the genetic features into possibly overlapping blocks.
 
@@ -64,14 +74,20 @@ class GroupStructure:
     """
 
     def __init__(self, groups, n_features, weights=None, names=None):
-        n_features = int(n_features)
+        n_features = _integer("n_features", n_features)
         if n_features < 1:
             raise ValueError("n_features must be >= 1, got %d" % n_features)
         if len(groups) == 0:
             raise ValueError("at least one group is required")
         index_sets = []
         for l, grp in enumerate(groups):
-            idx = np.asarray(grp, dtype=np.intp).view()
+            raw = np.asarray(grp)
+            if raw.dtype.kind == "f":
+                fractional = ~np.isfinite(raw) | (raw != np.floor(raw))
+                if fractional.any():
+                    raise ValueError("group %d holds index %r, which is not an integer"
+                                     % (l, float(raw[fractional][0])))
+            idx = np.asarray(raw, dtype=np.intp).view()
             if idx.ndim != 1 or idx.size == 0:
                 raise ValueError("group %d is empty" % l)
             if idx.min() < 0 or idx.max() >= n_features:
@@ -379,7 +395,7 @@ class Hyperparameters:
         self.tol = float(self.tol)
         if not np.isfinite(self.tol) or self.tol <= 0:
             raise ValueError("tol must be finite and > 0, got %r" % self.tol)
-        self.max_iters = int(self.max_iters)
+        self.max_iters = _integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1, got %r" % self.max_iters)
 

@@ -140,8 +140,8 @@ def load_labels_csv(path) -> np.ndarray:
     return values.astype(np.intp)
 
 
-def save_labels_csv(path, labels, name: str = "label") -> None:
-    write_csv(path, chain([[name]], ([int(v)] for v in np.asarray(labels))))
+def save_labels_csv(path, labels) -> None:
+    write_csv(path, chain([["label"]], ([int(v)] for v in np.asarray(labels))))
 
 
 def load_group_file(path, n_features: int) -> GroupStructure:

@@ -22,7 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet, _check_expanded_size
+from .core import (Dataset, GroupStructure, Hyperparameters, ParameterSet,
+                   _check_expanded_size, _integer)
 from .objective import margins, sigmoid
 from .preprocessing import ScalingRecord, fit_scaler, make_design
 from .solver import fit
@@ -145,15 +146,14 @@ def predict(
     return _classify(params, make_design(d, gs, record), threshold)
 
 
-def log_grid(num: int = 7, low: float = 1e-3, high: float = 1.0) -> np.ndarray:
-    """Logarithmically spaced penalty strengths, ascending."""
+def log_grid(num: int = 7) -> np.ndarray:
+    """``num`` logarithmically spaced penalty strengths from 1e-3 to 1, ascending."""
+    num = _integer("num", num)
     if num < 1:
         raise ValueError("grid needs at least one point")
-    if not 0 < low <= high:
-        raise ValueError("need 0 < low <= high, got %r, %r" % (low, high))
     if num == 1:
-        return np.array([high])
-    return np.geomspace(low, high, num)
+        return np.array([1.0])
+    return np.geomspace(1e-3, 1.0, num)
 
 
 def make_grid(
@@ -161,7 +161,6 @@ def make_grid(
     imaging_values,
     genetic_values,
     variant: str = "multilevel",
-    **solver_settings,
 ) -> list[Hyperparameters]:
     """All combinations of the given strengths, in deterministic order."""
     grid = [
@@ -170,7 +169,6 @@ def make_grid(
             lambda_imaging=float(i),
             lambda_genetic=float(g),
             variant=variant,
-            **solver_settings,
         )
         for w, i, g in product(interaction_values, imaging_values, genetic_values)
     ]
@@ -187,7 +185,7 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list[np.ndarray]:
     given ``(labels, k, seed)``.
     """
     labels = np.asarray(labels)
-    k = int(k)
+    k = _integer("k", k)
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
     if labels.shape[0] < k:
@@ -359,6 +357,8 @@ def kfold_cv(
         raise ValueError("selection must be 'nested' or 'oracle', got %r" % selection)
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1), got %r" % threshold)
+    k = _integer("k", k)
+    inner_k = _integer("inner_k", inner_k)
     if inner_k < 2:
         raise ValueError("inner_k must be >= 2, got %r" % inner_k)
     labels = d.labels

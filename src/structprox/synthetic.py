@@ -2,10 +2,12 @@
 reference tools used to validate the fast paths: a central finite
 difference gradient and a high-precision solver run.
 
-Genetic features are minor-allele counts in {0, 1, 2}; imaging features
-are correlated Gaussians.  Labels are drawn from the model probability at
-a planted sparse parameter set, with optional label flips.  Everything is
-driven by one seeded generator, so a spec maps to exactly one dataset.
+Genetic features are minor-allele counts in {0, 1, 2}, each feature's
+minor-allele frequency drawn uniformly from [0.1, 0.5]; imaging features
+are Gaussians with correlation 0.3 between every pair.  Labels are drawn
+from the model probability at a planted sparse parameter set, with
+optional label flips.  Everything is driven by one seeded generator, so a
+spec maps to exactly one dataset.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import (
     GroupStructure,
     Hyperparameters,
     ParameterSet,
+    _integer,
     flat_length,
 )
 from .objective import Design, margins, risk, sigmoid
@@ -58,12 +61,11 @@ class SyntheticSpec:
     effect_genetic: float = 1.0
     intercept: float = 0.0
     label_noise: float = 0.0
-    maf_low: float = 0.1
-    maf_high: float = 0.5
-    imaging_correlation: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "n_imaging", "n_groups", "group_size", "n_active"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_samples < 1 or self.n_imaging < 1:
             raise ValueError("n_samples and n_imaging must be >= 1")
         if self.n_groups < 1 or self.group_size < 1:
@@ -81,10 +83,6 @@ class SyntheticSpec:
             )
         if not 0.0 <= self.label_noise <= 0.5:
             raise ValueError("label_noise must lie in [0, 0.5]")
-        if not 0.0 < self.maf_low <= self.maf_high <= 0.5:
-            raise ValueError("need 0 < maf_low <= maf_high <= 0.5")
-        if not 0.0 <= self.imaging_correlation < 1.0:
-            raise ValueError("imaging_correlation must lie in [0, 1)")
         for name in ("effect_interaction", "effect_imaging", "effect_genetic"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0" % name)
@@ -130,12 +128,11 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     rng = np.random.default_rng(spec.seed)
     gs = build_groups(spec)
 
-    maf = rng.uniform(spec.maf_low, spec.maf_high, spec.n_genetic)
+    maf = rng.uniform(0.1, 0.5, spec.n_genetic)
     counts = rng.binomial(2, maf, size=(spec.n_samples, spec.n_genetic)).astype(float)
-    rho = spec.imaging_correlation
     shared = rng.standard_normal((spec.n_samples, 1))
     own = rng.standard_normal((spec.n_samples, spec.n_imaging))
-    imaging = np.sqrt(rho) * shared + np.sqrt(1.0 - rho) * own
+    imaging = np.sqrt(0.3) * shared + np.sqrt(0.7) * own
 
     zg = (counts - 2.0 * maf) / np.sqrt(2.0 * maf * (1.0 - maf))
 

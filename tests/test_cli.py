@@ -1,11 +1,17 @@
 import csv
+import importlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import structprox
 from structprox import SolverFailure
 from structprox.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(argv):
@@ -248,6 +254,18 @@ class TestFit:
         code = run(["fit", *data_flags(data_dir), "--config", cfg])
         assert code == 1
         assert "lambda_q" in capsys.readouterr().err
+
+    def test_seed_config_key_rejected(self, data_dir, tmp_path, capsys):
+        # fit draws nothing at random, so it has no --seed
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("lambda_w = 0.1\nlambda_i = 0.05\nlambda_g = 0.1\nseed = 3\n")
+        out = tmp_path / "fit"
+        code = run(["fit", *data_flags(data_dir), "--config", cfg, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: config file sets unknown option 'seed'\n"
+        )
+        assert not out.exists()
 
     def test_config_line_without_equals_rejected(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "fit.cfg"
@@ -628,3 +646,29 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+
+class TestEntryPoints:
+    def test_module_run_exits_with_main_code(self, data_dir, tmp_path):
+        # `python -m structprox.cli` reports main's exit code; fit has no --seed
+        src = os.path.dirname(os.path.dirname(os.path.abspath(structprox.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "fit"
+        argv = ["fit", *data_flags(data_dir), "--lambda-w", 0.1, "--lambda-i", 0.05,
+                "--lambda-g", 0.1, "--out", out, "--seed", 3]
+        done = subprocess.run(
+            [sys.executable, "-m", "structprox.cli", *(str(a) for a in argv)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "error: input: unrecognized arguments: --seed 3\n"
+        assert done.stdout == ""
+        assert not out.exists()
+
+    def test_console_script_names_main(self):
+        # read as text, since tomllib first ships with Python 3.11
+        with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+            scripts = fh.read().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        entries = dict(line.split(" = ", 1) for line in scripts.splitlines() if line.strip())
+        module, _, name = entries["structprox"].strip('"').partition(":")
+        assert getattr(importlib.import_module(module), name) is main

@@ -119,6 +119,11 @@ class TestGroupStructure:
             assert not stored.flags.writeable
         assert np.shares_memory(gs.groups[0], idx) and np.shares_memory(gs.weights, weights)
 
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        gs = GroupStructure([np.array([0.0, 1.0]), [np.int32(2)]], n_features=3.0)
+        assert type(gs.n_features) is int and gs.n_features == 3
+        np.testing.assert_array_equal(gs.expansion_index, [0, 1, 2])
+
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
             GroupStructure([[0]], n_features=1, weights=[0.0])
@@ -369,6 +374,11 @@ class TestHyperparameters:
             Hyperparameters(0.1, 0.1, 0.1, tol=tol)
         assert str(err.value) == "tol must be finite and > 0, got %r" % tol
 
+    @pytest.mark.parametrize("max_iters", [3.0, np.int64(3)])
+    def test_integral_max_iters_accepted(self, max_iters):
+        h = Hyperparameters(0.1, 0.1, 0.1, max_iters=max_iters)
+        assert type(h.max_iters) is int and h.max_iters == 3
+
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             Hyperparameters(0.1, 0.1, 0.1, variant="quadratic")
@@ -379,6 +389,12 @@ class TestRejectionMessages:
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: GroupStructure([[0]], n_features=0),
                      "n_features must be >= 1, got 0", id="no-features"),
+        pytest.param(lambda: GroupStructure([[0], [1, 2]], n_features=3.7),
+                     "n_features must be an integer, got 3.7", id="fractional-features"),
+        pytest.param(lambda: GroupStructure([[0.5, 1.7]], n_features=2),
+                     "group 0 holds index 0.5, which is not an integer", id="fractional-index"),
+        pytest.param(lambda: GroupStructure([[0, np.nan]], n_features=2),
+                     "group 0 holds index nan, which is not an integer", id="nan-index"),
         pytest.param(lambda: GroupStructure([], n_features=2),
                      "at least one group is required", id="no-groups"),
         pytest.param(lambda: GroupStructure([[0], [1]], 2, weights=[1.0]),
@@ -402,6 +418,12 @@ class TestRejectionMessages:
                      "flat vector has length 5, expected 6", id="flat-length"),
         pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=0),
                      "max_iters must be >= 1, got 0", id="max-iters"),
+        pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=2.5),
+                     "max_iters must be an integer, got 2.5", id="fractional-max-iters"),
+        pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=float("inf")),
+                     "max_iters must be an integer, got inf", id="infinite-max-iters"),
+        pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=float("nan")),
+                     "max_iters must be an integer, got nan", id="nan-max-iters"),
         pytest.param(lambda: expand_columns(np.zeros((2, 4)), tiny_groups()),
                      "expected a matrix with 3 columns, got shape (2, 4)", id="expand-columns"),
     ])

@@ -119,13 +119,6 @@ class TestLabelsCsv:
         save_labels_csv(str(path), y)
         np.testing.assert_array_equal(load_labels_csv(str(path)), y)
 
-    def test_name_with_comma_round_trips(self, tmp_path):
-        path = tmp_path / "y.csv"
-        save_labels_csv(str(path), [0, 1], name="dx,AD")
-        names, values = load_matrix_csv(str(path))
-        assert names == ["dx,AD"]
-        np.testing.assert_array_equal(values, [[0.0], [1.0]])
-
     def test_non_binary_rejected(self, tmp_path):
         path = tmp_path / "y.csv"
         path.write_text("label\n0\n2\n")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,13 +109,14 @@ class TestMetrics:
 
 class TestGrids:
     def test_log_grid_endpoints(self):
-        g = log_grid(7, 1e-3, 1.0)
+        g = log_grid(7)
         np.testing.assert_allclose(g[0], 1e-3)
         np.testing.assert_allclose(g[-1], 1.0)
         assert np.all(np.diff(np.log(g)) > 0)
         ratios = g[1:] / g[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
         np.testing.assert_array_equal(log_grid(1), [1.0])
+        np.testing.assert_array_equal(log_grid(np.int64(3)), log_grid(3.0))
 
     def test_make_grid_product_order(self):
         grid = make_grid([0.1, 0.2], [0.3], [0.4, 0.5], variant="additive")
@@ -156,6 +159,11 @@ class TestStratifiedFolds:
         a = stratified_folds(y, 4, seed=9)
         b = stratified_folds(y, 4, seed=9)
         for fa, fb in zip(a, b):
+            np.testing.assert_array_equal(fa, fb)
+
+    def test_integral_float_k_accepted(self):
+        y = np.r_[np.zeros(6), np.ones(6)]
+        for fa, fb in zip(stratified_folds(y, 3.0), stratified_folds(y, 3), strict=True):
             np.testing.assert_array_equal(fa, fb)
 
     def test_too_many_folds_rejected(self):
@@ -348,6 +356,11 @@ class TestKfoldCv:
         assert len(res.chosen) == 2
         assert res.probabilities.shape == (36,)
 
+    def test_integral_float_and_numpy_fold_counts_accepted(self):
+        data = synthetic_instance(10, n_samples=36)
+        res = kfold_cv(data.dataset, data.groups, [default_hyper()], k=2.0, inner_k=np.int64(2))
+        assert type(res.k) is int and res.k == 2
+
     def test_predictions_cover_every_sample_once(self):
         data = synthetic_instance(11, n_samples=30)
         res = kfold_cv(data.dataset, data.groups, [default_hyper()], k=3, seed=2)
@@ -446,7 +459,7 @@ class TestKfoldCvRejections:
         monkeypatch.delenv("STRUCTPROX_THREADS", raising=False)
         # two positives over two folds leave one positive per training set
         d, gs = _with_positives(synthetic_instance(31, n_samples=20), [3, 11])
-        grid = make_grid([0.1], [0.05], [0.05, 0.2], tol=1e-3)
+        grid = [dataclasses.replace(h, tol=1e-3) for h in make_grid([0.1], [0.05], [0.05, 0.2])]
         with pytest.raises(
             ValueError,
             match="^fold 0 training data cannot support an inner split; "
@@ -460,7 +473,7 @@ class TestKfoldCvRejections:
         # three positives over four folds: one test fold holds negatives only,
         # every point scores -inf there and the first one wins
         d, gs = _with_positives(synthetic_instance(32, n_samples=24), [2, 9, 17])
-        grid = make_grid([0.1], [0.05], [0.5, 0.1, 0.01], tol=1e-3)
+        grid = [dataclasses.replace(h, tol=1e-3) for h in make_grid([0.1], [0.05], [0.5, 0.1, 0.01])]
         res = kfold_cv(d, gs, grid, k=4, selection="oracle")
         one_class = [f for f, t in enumerate(res.fold_test_indices) if not d.labels[t].any()]
         assert len(one_class) == 1
@@ -492,7 +505,7 @@ class TestSplitsBuiltOnce:
         fit_calls = count_calls(monkeypatch, evaluation, "fit")
         data = synthetic_instance(20, n_samples=36)
         k, I = 2, 3
-        grid = make_grid([0.1], [0.05], [0.05, 0.2][:G], tol=1e-3)
+        grid = [dataclasses.replace(h, tol=1e-3) for h in make_grid([0.1], [0.05], [0.05, 0.2][:G])]
         kfold_cv(data.dataset, data.groups, grid, k=k, inner_k=I, selection=selection)
         assert len(scaler_calls) == scalers(k, G, I)
         assert len(fit_calls) == fits(k, G, I)
@@ -503,14 +516,14 @@ class TestSplitsBuiltOnce:
         monkeypatch.delenv("STRUCTPROX_THREADS", raising=False)
         fit_calls = count_calls(monkeypatch, evaluation, "fit")
         d, gs = _with_positives(synthetic_instance(21, n_samples=30), [1, 6, 12, 19, 25])
-        grid = make_grid([0.1], [0.05], [0.05, 0.2], tol=1e-3)
+        grid = [dataclasses.replace(h, tol=1e-3) for h in make_grid([0.1], [0.05], [0.05, 0.2])]
         kfold_cv(d, gs, grid, k=2, inner_k=3)
         assert len(fit_calls) == (2 + 3) * len(grid) + 2
 
     def test_nested_choice_and_probabilities_match_hand_computation(self):
         data = synthetic_instance(13, n_samples=60, effect_genetic=2.0)
         d, gs = data.dataset, data.groups
-        grid = make_grid([0.1], [0.05], [0.02, 0.1, 0.5], tol=1e-3)
+        grid = [dataclasses.replace(h, tol=1e-3) for h in make_grid([0.1], [0.05], [0.02, 0.1, 0.5])]
         k, seed, inner_k = 3, 4, 3
         res = kfold_cv(d, gs, grid, k=k, seed=seed, inner_k=inner_k)
 
@@ -552,7 +565,7 @@ class TestSplitsBuiltOnce:
         # and reuses its scoring fit; a fresh fit of that point must agree
         data = synthetic_instance(13, n_samples=60, effect_genetic=2.0)
         d, gs = data.dataset, data.groups
-        grid = make_grid([0.1], [0.05], [0.02, 0.1, 0.5], tol=1e-3)
+        grid = [dataclasses.replace(h, tol=1e-3) for h in make_grid([0.1], [0.05], [0.02, 0.1, 0.5])]
         res = kfold_cv(d, gs, grid, k=3, seed=4, selection="oracle")
         ties = 0
         for f, test_idx in enumerate(res.fold_test_indices):
@@ -591,8 +604,16 @@ class TestRejectionMessages:
                                      np.zeros((2, 3)), np.zeros((2, 1))),
                      "predict needs a fitted scaling record", id="predict-no-record"),
         pytest.param(lambda: log_grid(0), "grid needs at least one point", id="log-grid-empty"),
-        pytest.param(lambda: log_grid(3, 1.0, 0.1),
-                     "need 0 < low <= high, got 1.0, 0.1", id="log-grid-bounds"),
+        pytest.param(lambda: log_grid(2.5), "num must be an integer, got 2.5",
+                     id="log-grid-fractional"),
+        pytest.param(lambda: stratified_folds([0, 1, 0, 1], 2.5),
+                     "k must be an integer, got 2.5", id="fractional-folds"),
+        pytest.param(lambda: kfold_cv(*cv_instance(), [default_hyper()], k=2.5),
+                     "k must be an integer, got 2.5", id="cv-fractional-k"),
+        pytest.param(lambda: kfold_cv(*cv_instance(), [default_hyper()], k=float("nan")),
+                     "k must be an integer, got nan", id="cv-nan-k"),
+        pytest.param(lambda: kfold_cv(*cv_instance(), [default_hyper()], inner_k=2.5),
+                     "inner_k must be an integer, got 2.5", id="cv-fractional-inner-k"),
         pytest.param(lambda: stratified_folds([0, 1, 0, 1], 1),
                      "k must be >= 2, got 1", id="one-fold"),
         pytest.param(lambda: reduce_parameters(ParameterSet.zeros(1, 3), tiny_groups()),

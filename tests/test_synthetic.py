@@ -56,11 +56,6 @@ class TestSpec:
             SyntheticSpec(
                 n_samples=5, n_imaging=1, n_groups=1, group_size=1, label_noise=0.6
             )
-        with pytest.raises(ValueError):
-            SyntheticSpec(
-                n_samples=5, n_imaging=1, n_groups=1, group_size=1, maf_low=0.6,
-                maf_high=0.4,
-            )
 
 
     @pytest.mark.parametrize("overrides, message", [
@@ -70,8 +65,10 @@ class TestSpec:
         pytest.param(dict(overlap=1.0), "overlap must lie in [0, 1), got 1.0", id="overlap"),
         pytest.param(dict(overlap=0.6),
                      "overlap 0.6 leaves no stride between groups of size 1", id="zero-stride"),
-        pytest.param(dict(imaging_correlation=1.0), "imaging_correlation must lie in [0, 1)",
-                     id="imaging-correlation"),
+        pytest.param(dict(n_samples=20.5), "n_samples must be an integer, got 20.5",
+                     id="fractional-samples"),
+        pytest.param(dict(n_active=float("inf")), "n_active must be an integer, got inf",
+                     id="infinite-active"),
         pytest.param(dict(effect_imaging=-0.5), "effect_imaging must be >= 0",
                      id="negative-effect"),
     ])
@@ -91,6 +88,12 @@ class TestGenerate:
         np.testing.assert_array_equal(a.dataset.labels, b.dataset.labels)
         np.testing.assert_array_equal(a.active_groups, b.active_groups)
         np.testing.assert_array_equal(a.truth.flat(), b.truth.flat())
+
+    def test_integral_float_counts_accepted(self):
+        a = synthetic_instance(20, n_samples=20.0, n_imaging=np.int64(3))
+        b = synthetic_instance(20, n_samples=20)
+        np.testing.assert_array_equal(a.dataset.genetic, b.dataset.genetic)
+        np.testing.assert_array_equal(a.dataset.imaging, b.dataset.imaging)
 
     def test_different_seeds_differ(self):
         a = synthetic_instance(21)
