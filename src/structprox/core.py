@@ -160,6 +160,7 @@ class GroupStructure:
 
     def block(self, l: int) -> slice:
         """Slice of group ``l`` in expanded coordinates."""
+        l = _integer("l", l)
         if not 0 <= l < self.n_groups:
             raise ValueError("group index %d outside [0, %d)" % (l, self.n_groups))
         start = int(self.offsets[l])
@@ -233,9 +234,17 @@ class Dataset:
         return self.imaging.shape[1]
 
     def subset(self, rows) -> "Dataset":
-        """New dataset restricted to the given row indices."""
-        rows = np.asarray(rows, dtype=np.intp)
-        return Dataset(self.genetic[rows], self.imaging[rows], self.labels[rows])
+        """New dataset restricted to the given row indices.
+
+        Integral floats pass; a fractional, NaN or infinite index and a
+        boolean mask raise a ``ValueError``.
+        """
+        index = np.asarray(rows)
+        if index.dtype.kind == "f" and np.isfinite(index).all() and (index % 1 == 0).all():
+            index = index.astype(np.intp)
+        if index.dtype.kind not in "iu":
+            raise ValueError("rows must hold integer row indices, got %s values" % index.dtype)
+        return Dataset(self.genetic[index], self.imaging[index], self.labels[index])
 
     def __repr__(self) -> str:
         return "Dataset(n_samples=%d, n_genetic=%d, n_imaging=%d)" % (
@@ -310,6 +319,8 @@ class ParameterSet:
 
     @classmethod
     def zeros(cls, n_imaging: int, expanded_size: int) -> "ParameterSet":
+        n_imaging = _integer("n_imaging", n_imaging)
+        expanded_size = _integer("expanded_size", expanded_size)
         return cls._view(np.zeros(flat_length(n_imaging, expanded_size)), n_imaging, expanded_size)
 
     @property

@@ -186,6 +186,7 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list[np.ndarray]:
     """
     labels = np.asarray(labels)
     k = _integer("k", k)
+    seed = _integer("seed", seed)
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
     if labels.shape[0] < k:

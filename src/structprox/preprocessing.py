@@ -8,13 +8,16 @@ standardized marginal columns and then centered and scaled themselves;
 their statistics are computed one imaging column at a time so the full
 product matrix is never materialized.
 
-A :class:`ScalingRecord` is saved as ``structprox-scaler v2`` text: after
+A :class:`ScalingRecord` is saved as ``structprox-scaler v3`` text: after
 the header, one tab-separated row per statistic vector, led by its tag:
 ``normalization``, then ``genetic_names`` (no fields without names),
 ``genetic_mean`` and ``genetic_scale``, the same three for ``imaging``,
 then one ``cross_mean`` row per imaging feature and one ``cross_scale``
-row per imaging feature.  Values carry 17 significant digits, so every
-statistic loads back bit-identical.
+row per imaging feature.  A statistic row holds one field, the
+little-endian IEEE-754 bytes of its float64 vector as 16 lowercase hex
+digits per value, so every statistic loads back bit-identical and loading
+parses no decimals.  Files of the v1 and v2 layouts are rejected; refit
+the model to write a v3 file.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ NORMALIZATION_MODES = ("sd", "unit-norm")
 # treated as constant: they are centered but their scale is pinned at 1.
 _CONSTANT_TOL = 1e-12
 
-_FORMAT_HEADER = "structprox-scaler v2"
+_FORMAT_HEADER = "structprox-scaler v3"
 
 
 _STATISTICS = (
@@ -221,13 +224,13 @@ def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design
 
 
 def save_scaler(record: ScalingRecord, path) -> None:
-    """Write a scaling record as ``structprox-scaler v2`` text."""
+    """Write a scaling record as ``structprox-scaler v3`` text, each value as float64 hex."""
 
     def row(tag, fields):
         return "\t".join([tag, *fields]) + "\n"
 
     def values(tag, vector):
-        return row(tag, ["%.17g" % v for v in vector.tolist()])
+        return row(tag, [vector.astype("<f8").tobytes().hex()])
 
     with open(path, "w") as fh:
         fh.write(_FORMAT_HEADER + "\n")
@@ -236,7 +239,6 @@ def save_scaler(record: ScalingRecord, path) -> None:
             fh.write(row(kind + "_names", getattr(record, kind + "_names") or ()))
             fh.write(values(kind + "_mean", getattr(record, kind + "_mean")))
             fh.write(values(kind + "_scale", getattr(record, kind + "_scale")))
-        # one row per imaging feature, never the whole matrix as strings
         for tag in ("cross_mean", "cross_scale"):
             fh.writelines(values(tag, r) for r in getattr(record, tag))
 
@@ -244,8 +246,9 @@ def save_scaler(record: ScalingRecord, path) -> None:
 def load_scaler(path) -> ScalingRecord:
     """Read a scaling record written by :func:`save_scaler`.
 
-    Any departure from the v2 layout, a v1 file included, raises a
-    ``ValueError`` that names the file, the line and the expected tag.
+    Any departure from the v3 layout, a v1 or v2 file included, raises a
+    ``ValueError`` that names the file, the line and the expected tag; a
+    model saved in an older layout must be refit.
     """
     with open(path) as fh:
         lineno = 0
@@ -264,15 +267,21 @@ def load_scaler(path) -> ScalingRecord:
             if found != tag:
                 raise error("found %r, expected %s" % (found, tag))
             if count is not None and len(rest) != count:
-                raise error("%s holds %d values, expected %d" % (tag, len(rest), count))
+                raise error("%s holds %d fields, expected %d" % (tag, len(rest), count))
             return rest
 
         def floats(tag, count=None):
-            text = fields(tag, count)
-            try:
-                return np.array(text, dtype=float)
+            (text,) = fields(tag, 1)
+            size = len(text) // 16 if count is None else count
+            if len(text) != 16 * size:
+                raise error("%s holds %d hex digits, expected %d" % (tag, len(text), 16 * size))
+            try:  # fromhex skips blanks, so a field holding one decodes short
+                values = np.frombuffer(bytes.fromhex(text), "<f8")
             except ValueError:
-                raise error("%s holds a non-numeric value" % tag) from None
+                values = ()
+            if len(values) != size:
+                raise error("%s holds a character that is not a hex digit" % tag)
+            return values
 
         fields(_FORMAT_HEADER, 0)
         (normalization,) = fields("normalization", 1)
@@ -289,13 +298,7 @@ def load_scaler(path) -> ScalingRecord:
             lineno += 1
             raise error("follows the last cross_scale row")
     try:
-        return ScalingRecord(
-            normalization,
-            g_mean, g_scale,
-            i_mean, i_scale,
-            x_mean, x_scale,
-            genetic_names=g_names,
-            imaging_names=i_names,
-        )
+        return ScalingRecord(normalization, g_mean, g_scale, i_mean, i_scale, x_mean, x_scale,
+                             genetic_names=g_names, imaging_names=i_names)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None

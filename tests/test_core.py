@@ -350,6 +350,12 @@ class TestDataset:
         np.testing.assert_array_equal(s.genetic, d.genetic[[4, 1]])
         np.testing.assert_array_equal(s.labels, d.labels[[4, 1]])
 
+    @pytest.mark.parametrize("rows", [[4.0, 1.0], np.array([4, 1], dtype=np.int32),
+                                      [np.int64(4), np.uint8(1)]])
+    def test_subset_accepts_integral_rows(self, rows):
+        d = Dataset(np.arange(12.0).reshape(6, 2), np.ones((6, 1)), [0, 1, 0, 1, 0, 1])
+        np.testing.assert_array_equal(d.subset(rows).genetic, d.genetic[[4, 1]])
+
 
 class TestHyperparameters:
     def test_defaults(self):
@@ -384,6 +390,10 @@ class TestHyperparameters:
             Hyperparameters(0.1, 0.1, 0.1, variant="quadratic")
 
 
+def three_samples():
+    return Dataset(np.zeros((3, 1)), np.zeros((3, 1)), [0, 1, 0])
+
+
 class TestRejectionMessages:
     # every rejection of the core types through its public entry point, message in full
     @pytest.mark.parametrize("call, message", [
@@ -403,6 +413,8 @@ class TestRejectionMessages:
                      "expected 2 group names, got 1", id="name-count"),
         pytest.param(lambda: tiny_groups().block(2),
                      "group index 2 outside [0, 2)", id="block-out-of-range"),
+        pytest.param(lambda: tiny_groups().block(1.5),
+                     "l must be an integer, got 1.5", id="block-fractional"),
         pytest.param(lambda: Dataset(np.zeros(3), np.zeros((3, 1)), [0, 1, 0]),
                      "feature matrices must be 2-D, got genetic (3,) and imaging (3, 1)",
                      id="features-not-2d"),
@@ -414,6 +426,17 @@ class TestRejectionMessages:
                      "labels contain NaN or infinite entries", id="nan-label"),
         pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), [0.0, 0.5]),
                      "labels must be integers in {0, 1}", id="fractional-label"),
+        pytest.param(lambda: three_samples().subset([0.5, 1.7]),
+                     "rows must hold integer row indices, got float64 values",
+                     id="subset-fractional"),
+        pytest.param(lambda: three_samples().subset([True, False, True]),
+                     "rows must hold integer row indices, got bool values", id="subset-mask"),
+        pytest.param(lambda: three_samples().subset([0.0, np.nan]),
+                     "rows must hold integer row indices, got float64 values", id="subset-nan"),
+        pytest.param(lambda: ParameterSet.zeros(2.5, 3),
+                     "n_imaging must be an integer, got 2.5", id="zeros-fractional"),
+        pytest.param(lambda: ParameterSet.zeros(2, float("inf")),
+                     "expanded_size must be an integer, got inf", id="zeros-infinite"),
         pytest.param(lambda: ParameterSet.from_flat(np.zeros(5), 1, 2),
                      "flat vector has length 5, expected 6", id="flat-length"),
         pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=0),

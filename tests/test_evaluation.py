@@ -614,6 +614,8 @@ class TestRejectionMessages:
                      "k must be an integer, got nan", id="cv-nan-k"),
         pytest.param(lambda: kfold_cv(*cv_instance(), [default_hyper()], inner_k=2.5),
                      "inner_k must be an integer, got 2.5", id="cv-fractional-inner-k"),
+        pytest.param(lambda: stratified_folds([0, 1, 0, 1], 2, seed=2.5),
+                     "seed must be an integer, got 2.5", id="fractional-seed"),
         pytest.param(lambda: stratified_folds([0, 1, 0, 1], 1),
                      "k must be >= 2, got 1", id="one-fold"),
         pytest.param(lambda: reduce_parameters(ParameterSet.zeros(1, 3), tiny_groups()),

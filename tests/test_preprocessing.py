@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -224,11 +226,55 @@ class TestScalerFile:
         assert len(lines) == 14
         return path, lines
 
+    @staticmethod
+    def hex_row(tag, values):
+        return "%s\t%s\n" % (tag, np.asarray(values, "<f8").tobytes().hex())
+
+    def test_round_trip_full_scale_bit_exact(self, tmp_path):
+        # the criterion-9 shape: 1,105 genetic and 114 imaging columns
+        rng = np.random.default_rng(9)
+        ni, ng = 114, 1105
+        extremes = [-0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 2.2250738585072014e-308]
+        g_mean = rng.normal(size=ng)
+        g_mean[: len(extremes)] = extremes
+        x_mean = rng.normal(size=(ni, ng))
+        x_mean[0, : len(extremes)] = extremes
+        x_scale = rng.uniform(0.5, 2.0, size=(ni, ng))
+        x_scale[1, :4] = [1e-300, 1e300, 5e-324, np.nextafter(1.0, 2.0)]
+        record = ScalingRecord(
+            "unit-norm",
+            g_mean, rng.uniform(0.5, 2.0, ng),
+            np.full(ni, -0.0), rng.uniform(0.5, 2.0, ni),
+            x_mean, x_scale,
+            genetic_names=["snp%04d" % j for j in range(ng)],
+        )
+        path = tmp_path / "scaler.txt"
+        save_scaler(record, str(path))
+        loaded = load_scaler(str(path))
+        assert loaded == record
+        for name in ("genetic_mean", "genetic_scale", "imaging_mean", "imaging_scale",
+                     "cross_mean", "cross_scale"):
+            assert getattr(loaded, name).tobytes() == getattr(record, name).tobytes(), name
+        assert np.signbit(loaded.imaging_mean).all()
+
     def test_rejects_v1_header(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
         path.write_text("".join(["structprox-scaler v1\n"] + lines[1:]))
-        with pytest.raises(ValueError, match="line 1: .*expected structprox-scaler v2"):
+        with pytest.raises(ValueError, match="line 1: .*expected structprox-scaler v3"):
             load_scaler(str(path))
+
+    def test_rejects_v2_file(self, tmp_path):
+        # the decimal layout this format replaced; such a model must be refit
+        record = fit_scaler(small_dataset(18))
+        rows = ["structprox-scaler v2", "normalization\tsd", "genetic_names"]
+        rows += ["genetic_mean\t" + "\t".join("%.17g" % v for v in record.genetic_mean)]
+        path = tmp_path / "scaler.txt"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_scaler(str(path))
+        assert str(err.value) == (
+            "%s: line 1: found 'structprox-scaler v2', expected structprox-scaler v3" % path
+        )
 
     def test_rejects_truncated_file(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
@@ -238,18 +284,49 @@ class TestScalerFile:
 
     def test_rejects_row_one_value_short(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
-        lines[4] = lines[4].rsplit("\t", 1)[0] + "\n"
+        lines[4] = lines[4][:-17] + "\n"
         path.write_text("".join(lines))
         with pytest.raises(
-            ValueError, match="line 5: genetic_scale holds 3 values, expected 4"
+            ValueError, match="line 5: genetic_scale holds 48 hex digits, expected 64"
         ):
+            load_scaler(str(path))
+
+    def test_rejects_second_field(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[6] = lines[6].replace("\t", "\t\t", 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 7: imaging_mean holds 2 fields, expected 1"):
+            load_scaler(str(path))
+
+    def test_rejects_partial_value_in_leading_row(self, tmp_path):
+        # genetic_mean sets the count, so its length alone must be whole values
+        path, lines = self.saved_lines(tmp_path)
+        lines[3] = lines[3][:-2] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 4: genetic_mean holds 63 hex digits, expected 48"):
             load_scaler(str(path))
 
     def test_rejects_non_numeric_value(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
-        lines[9] = lines[9].replace("\t", "\tabc", 1)
+        tag, field = lines[9].rstrip("\n").split("\t")
+        lines[9] = "%s\tx%s\n" % (tag, field[1:])
         path.write_text("".join(lines))
-        with pytest.raises(ValueError, match="line 10: cross_mean holds a non-numeric value"):
+        with pytest.raises(
+            ValueError, match="line 10: cross_mean holds a character that is not a hex digit"
+        ):
+            load_scaler(str(path))
+
+    @pytest.mark.parametrize("blanks", [1, 2, 16])
+    def test_rejects_blank_inside_field(self, tmp_path, blanks):
+        # bytes.fromhex skips blanks: one leaves an odd digit count, two drop a
+        # byte and sixteen a whole value, none of which may pass
+        path, lines = self.saved_lines(tmp_path)
+        tag, field = lines[10].rstrip("\n").split("\t")
+        lines[10] = "%s\t%s%s%s\n" % (tag, field[:16], " " * blanks, field[16 + blanks :])
+        path.write_text("".join(lines))
+        with pytest.raises(
+            ValueError, match="line 11: cross_mean holds a character that is not a hex digit"
+        ):
             load_scaler(str(path))
 
     def test_rejects_trailing_line(self, tmp_path):
@@ -260,9 +337,16 @@ class TestScalerFile:
 
     def test_rejects_non_finite_scale(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
-        lines[4] = "genetic_scale\tnan\t1\t1\t1\n"
+        lines[4] = self.hex_row("genetic_scale", [np.nan, 1.0, 1.0, 1.0])
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="genetic_scale holds a non-finite value"):
+            load_scaler(str(path))
+
+    def test_rejects_scale_not_positive(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[12] = self.hex_row("cross_scale", [1.0, -0.0, 1.0, 1.0])
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="^%s: cross_scale must be > 0" % re.escape(str(path))):
             load_scaler(str(path))
 
     def test_transform_after_reload_identical(self, tmp_path):
