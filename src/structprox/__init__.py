@@ -34,7 +34,6 @@ from .objective import (
     ObjectiveValue,
     log_posterior_unnormalized,
     margins,
-    objective,
     penalty,
     risk,
     risk_gradient,

@@ -49,11 +49,13 @@ def _parse_config_file(path, options) -> dict:
     """Read ``key=value`` lines into ``{option dest: raw string}``.
 
     Blank lines and ``#`` comments are allowed.  Keys may use either hyphens
-    or underscores (``max-iters``/``max_iters``) and must name one of
-    ``options``.  The values stay strings: set as parser defaults, argparse
-    converts them through each option's ``type`` when it parses.
+    or underscores (``max-iters``/``max_iters``), must name one of
+    ``options`` and may be set once.  The values stay strings: set as
+    parser defaults, argparse converts them through each option's ``type``
+    when it parses.
     """
     settings = {}
+    set_on = {}  # line of each option set so far
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -67,6 +69,10 @@ def _parse_config_file(path, options) -> dict:
             dest = key.strip().replace("-", "_")
             if dest not in options:
                 raise ValueError("config file sets unknown option '%s'" % key.strip())
+            if dest in set_on:
+                raise ValueError("%s: lines %d and %d both set '%s'"
+                                 % (path, set_on[dest], lineno, dest))
+            set_on[dest] = lineno
             settings[dest] = value.strip()
     return settings
 

@@ -66,8 +66,9 @@ class GroupStructure:
     weights : array_like, optional
         Positive per-group penalty weights.  Defaults to sqrt(group size).
     names : sequence of str, optional
-        Distinct report labels a group file can hold: no ``,``, ``;``, tab,
-        line break, leading ``#`` or surrounding blanks; ``group0000`` by default.
+        Distinct, non-empty report labels a group file can hold: no ``,``,
+        ``;``, tab, line break, leading ``#`` or surrounding blanks;
+        ``group0000`` by default.
 
     Index and weight arrays are kept as read-only views: an ``intp`` index
     array or a float64 weight array given is aliased, not copied.
@@ -131,6 +132,8 @@ class GroupStructure:
             names = tuple(str(n) for n in names)
             first = {}  # index of each name seen so far
             for l, name in enumerate(names):
+                if not name:
+                    raise ValueError("group %d name is empty" % l)
                 if "," in name or ";" in name:
                     raise ValueError("group %d name %r holds ',' or ';'" % (l, name))
                 if "\t" in name or "\r" in name or "\n" in name:
@@ -419,14 +422,6 @@ def expand_columns(X, gs: GroupStructure) -> np.ndarray:
             "expected a matrix with %d columns, got shape %r" % (gs.n_features, X.shape)
         )
     return X[:, gs.expansion_index]
-
-
-def _check_statistic(name: str, value: np.ndarray) -> None:
-    """Raise unless a normalization statistic is finite and each ``*_scale`` > 0."""
-    if not np.all(np.isfinite(value)):
-        raise ValueError("%s holds a non-finite value" % name)
-    if name.endswith("_scale") and np.any(value <= 0):
-        raise ValueError("%s must be > 0" % name)
 
 
 def _check_expanded_size(p: ParameterSet, gs: GroupStructure) -> None:

@@ -7,12 +7,14 @@ The decision value of a sample is
 where ``x_G`` is the expanded genetic vector, ``x_I`` the imaging vector,
 and ``C`` the matrix of standardized pairwise products
 ``(x_I[i] * x_G[g] - mu[i, g]) / s[i, g]``.  Every design carries the
-product statistics ``mu`` and ``s``; a raw design holds the identity
-(mean 0, scale 1), under which the standardized product equals the raw
-one bit for bit, so each kernel has one standardization path.  The
-empirical risk is the mean logistic loss and the penalty combines group
-norms on the (imaging row, group) blocks of the interaction matrix and on
-the genetic groups with a squared norm on the imaging coefficients.
+product statistics ``mu`` and ``s``, expanded over its groups from the
+``ScalingRecord`` it is built with, which owns their rules; a raw design
+holds the identity (mean 0, scale 1), under which the standardized
+product equals the raw one bit for bit, so each kernel has one
+standardization path.  The empirical risk is the mean logistic loss and
+the penalty combines group norms on the (imaging row, group) blocks of
+the interaction matrix and on the genetic groups with a squared norm on
+the imaging coefficients.
 
 The penalty zeroes whole (imaging row, group) blocks of ``W``, so along a
 fit most of ``W`` is often zero.  Every design carries its group layout,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet, expand_columns
-from .core import _check_expanded_size, _check_statistic, _check_variant_name
+from .core import _check_expanded_size, _check_variant_name
 
 __all__ = [
     "Design",
@@ -80,44 +82,40 @@ def _log_sigmoid(t: np.ndarray) -> np.ndarray:
 class Design:
     """Evaluation-ready view of a dataset.
 
-    Holds the imaging matrix, the overlap-expanded genetic matrix and the
-    labels, checked and kept read-only by a ``Dataset`` of them, the
-    ``GroupStructure`` whose expanded columns the genetic matrix holds,
-    which lets :func:`margins` skip the zero blocks of ``W``, and the
-    per-entry mean and scale of the pairwise product features.  Given
-    statistics must be finite with every scale > 0, as in a
-    ``ScalingRecord``, and are stored C-contiguous; without them the design
-    holds the identity, read-only zero-stride views of 0 and 1 that
-    allocate no (n_imaging, E) array.
+    Built from the imaging matrix, the genetic matrix in its original
+    columns, the labels, the ``GroupStructure`` over those columns and,
+    for a standardized design, the ``ScalingRecord`` whose product
+    statistics it uses (``None`` for a raw design).  The design expands
+    the genetic columns and the per-entry mean and scale of the pairwise
+    product features over the groups itself, keeps the data checked and
+    read-only through a ``Dataset``, and relies on the record for the
+    statistics' rules (finite, every scale > 0).  Its group layout lets
+    :func:`margins` skip the zero blocks of ``W``.  A raw design holds the
+    identity, read-only zero-stride views of 0 and 1 that allocate no
+    (n_imaging, E) array.
     """
 
-    def __init__(
-        self, imaging, genetic_expanded, labels, groups: GroupStructure,
-        cross_mean=None, cross_scale=None,
-    ):
-        data = Dataset(genetic_expanded, imaging, labels)
-        if (cross_mean is None) != (cross_scale is None):
-            raise ValueError("cross_mean and cross_scale must be given together")
-        shape = (data.n_imaging, data.n_genetic)
-        if cross_mean is None:
+    def __init__(self, imaging, genetic, labels, groups: GroupStructure, record=None):
+        if record is not None and groups.n_features != record.n_genetic:
+            raise ValueError(
+                "groups cover %d features, scaler was fit on %d"
+                % (groups.n_features, record.n_genetic)
+            )
+        data = Dataset(expand_columns(genetic, groups), imaging, labels)
+        if record is None:
             # zero-stride identity: no n_imaging x E array is allocated
+            shape = (data.n_imaging, data.n_genetic)
             cross_mean = np.broadcast_to(0.0, shape)
             cross_scale = np.broadcast_to(1.0, shape)
         else:
-            cross_mean = np.ascontiguousarray(cross_mean, dtype=float)
-            cross_scale = np.ascontiguousarray(cross_scale, dtype=float)
-            if cross_mean.shape != shape or cross_scale.shape != shape:
+            if record.n_imaging != data.n_imaging:
                 raise ValueError(
-                    "cross statistics must have shape %r, got %r and %r"
-                    % (shape, cross_mean.shape, cross_scale.shape)
+                    "imaging matrix has %d columns, scaler was fit on %d"
+                    % (data.n_imaging, record.n_imaging)
                 )
-            _check_statistic("cross_mean", cross_mean)
-            _check_statistic("cross_scale", cross_scale)
-        if groups.expanded_size != data.n_genetic:
-            raise ValueError(
-                "groups expand to %d columns, the genetic matrix has %d"
-                % (groups.expanded_size, data.n_genetic)
-            )
+            # take() returns C order; [:, idx] would return Fortran order
+            cross_mean = record.cross_mean.take(groups.expansion_index, axis=1)
+            cross_scale = record.cross_scale.take(groups.expansion_index, axis=1)
         self.imaging = data.imaging
         self.genetic = data.genetic
         self.labels = data.labels
@@ -128,7 +126,7 @@ class Design:
     @classmethod
     def from_dataset(cls, d: Dataset, gs: GroupStructure) -> "Design":
         """Expand a raw dataset without any product standardization."""
-        return cls(d.imaging, expand_columns(d.genetic, gs), d.labels, gs)
+        return cls(d.imaging, d.genetic, d.labels, gs)
 
     @property
     def n_samples(self) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, GroupStructure, _check_statistic, expand_columns
+from .core import Dataset, GroupStructure
 from .objective import Design
 
 __all__ = [
@@ -99,7 +99,10 @@ class ScalingRecord:
                 raise ValueError(
                     "%s must have shape %r, got %r" % (name, shape, value.shape)
                 )
-            _check_statistic(name, value)
+            if not np.all(np.isfinite(value)):
+                raise ValueError("%s holds a non-finite value" % name)
+            if name.endswith("_scale") and np.any(value <= 0):
+                raise ValueError("%s must be > 0" % name)
             value.setflags(write=False)
         self.genetic_names = None if genetic_names is None else tuple(genetic_names)
         self.imaging_names = None if imaging_names is None else tuple(imaging_names)
@@ -123,19 +126,6 @@ class ScalingRecord:
     @property
     def n_imaging(self) -> int:
         return self.imaging_mean.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScalingRecord):
-            return NotImplemented
-        return (
-            self.normalization == other.normalization
-            and self.genetic_names == other.genetic_names
-            and self.imaging_names == other.imaging_names
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in _STATISTICS
-            )
-        )
 
 
 def _column_stats(X: np.ndarray, normalization: str):
@@ -203,24 +193,10 @@ def transform_features(record: ScalingRecord, genetic, imaging):
 
 
 def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design:
-    """Standardize, expand, and attach product statistics and the group
-    layout for evaluation."""
-    if gs.n_features != record.n_genetic:
-        raise ValueError(
-            "groups cover %d features, scaler was fit on %d"
-            % (gs.n_features, record.n_genetic)
-        )
+    """Standardize under ``record`` and build the design, which expands the
+    genetic columns and the product statistics over ``gs``."""
     zg, zi = transform_features(record, d.genetic, d.imaging)
-    idx = gs.expansion_index
-    return Design(
-        zi,
-        expand_columns(zg, gs),
-        d.labels,
-        gs,
-        # take() returns C order; [:, idx] would return Fortran order
-        cross_mean=record.cross_mean.take(idx, axis=1),
-        cross_scale=record.cross_scale.take(idx, axis=1),
-    )
+    return Design(zi, zg, d.labels, gs, record)
 
 
 def save_scaler(record: ScalingRecord, path) -> None:

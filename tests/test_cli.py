@@ -286,6 +286,18 @@ class TestFit:
         assert code == 0
         assert "iterations: 3" in (out / "summary.txt").read_text().splitlines()
 
+    def test_config_key_set_twice_rejected(self, data_dir, tmp_path, capsys):
+        # the hyphen and underscore spellings name the same option
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("lambda-w = 0.1\nlambda_i = 0.05\nlambda_g = 0.1\nlambda_w = 0.5\n")
+        out = tmp_path / "fit"
+        code = run(["fit", *data_flags(data_dir), "--config", cfg, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: %s: lines 1 and 4 both set 'lambda_w'\n" % cfg
+        )
+        assert not out.exists()
+
     def test_mistyped_config_value_rejected(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "fit.cfg"
         cfg.write_text("lambda_w = 0.1\nlambda_i = 0.05\nlambda_g = 0.1\ntol = abc\n")

@@ -44,6 +44,11 @@ class TestGroupStructure:
         with pytest.raises(ValueError, match="^groups 0 and 2 are both named 'a'$"):
             GroupStructure([[0], [1], [2]], n_features=3, names=["a", "b", "a"])
 
+    def test_empty_name_rejected(self):
+        # an empty name would vanish from the name lists of summary.txt
+        with pytest.raises(ValueError, match="^group 1 name is empty$"):
+            GroupStructure([[0], [1]], n_features=2, names=["c", ""])
+
     @pytest.mark.parametrize("name", ["a,b", "a;b"])
     def test_name_with_separator_rejected(self, name):
         # summary.txt joins group names with ',' and cv_chosen.csv with ';'

@@ -185,6 +185,8 @@ class TestGroupFile:
             ("g1\tnan\t0,1\n", "group weights must be finite and > 0"),
             ("g1\tauto\t0,5\n", "group 0 holds index 5 outside [0, 2)"),
             ("g1\tauto\t0\n", "feature 1 belongs to no group; every feature must be covered"),
+            # a line starting with a tab names its group ""
+            ("g1\tauto\t0\n\tauto\t1\n", "group 1 name is empty"),
         ],
     )
     def test_rejected_files_report_the_reason(self, tmp_path, text, message):

@@ -184,6 +184,16 @@ class TestCrossStats:
                 )
 
 
+def assert_same_record(loaded, record):
+    """The normalization, the names and every statistic bit for bit."""
+    for name in ("normalization", "genetic_names", "imaging_names"):
+        assert getattr(loaded, name) == getattr(record, name), name
+    for name in ("genetic_mean", "genetic_scale", "imaging_mean", "imaging_scale",
+                 "cross_mean", "cross_scale"):
+        a, b = getattr(loaded, name), getattr(record, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 class TestScalerFile:
     def test_round_trip(self, tmp_path):
         d = small_dataset(15)
@@ -191,7 +201,7 @@ class TestScalerFile:
         path = tmp_path / "scaler.txt"
         save_scaler(record, str(path))
         loaded = load_scaler(str(path))
-        assert loaded == record
+        assert_same_record(loaded, record)
 
     def test_round_trip_with_names(self, tmp_path):
         d = small_dataset(16, n_genetic=3, n_imaging=2)
@@ -203,7 +213,7 @@ class TestScalerFile:
         path = tmp_path / "scaler.txt"
         save_scaler(record, str(path))
         loaded = load_scaler(str(path))
-        assert loaded == record
+        assert_same_record(loaded, record)
         assert loaded.genetic_names == ("snp_a", "snp_b", "snp_c")
 
     def test_rejects_corrupt_header(self, tmp_path):
@@ -251,10 +261,7 @@ class TestScalerFile:
         path = tmp_path / "scaler.txt"
         save_scaler(record, str(path))
         loaded = load_scaler(str(path))
-        assert loaded == record
-        for name in ("genetic_mean", "genetic_scale", "imaging_mean", "imaging_scale",
-                     "cross_mean", "cross_scale"):
-            assert getattr(loaded, name).tobytes() == getattr(record, name).tobytes(), name
+        assert_same_record(loaded, record)
         assert np.signbit(loaded.imaging_mean).all()
 
     def test_rejects_v1_header(self, tmp_path):
@@ -404,6 +411,16 @@ class TestRejectionMessages:
                      id="normalization"),
         pytest.param(lambda: ScalingRecord("sd", [0.0], [0.0], [0.0], [1.0], [[0.0]], [[1.0]]),
                      "genetic_scale must be > 0", id="scale-not-positive"),
+        # a NaN cross mean would give NaN margins, an infinite cross scale
+        # would zero the interaction term
+        pytest.param(lambda: ScalingRecord("sd", [0.0], [1.0], [0.0], [1.0], [[0.0]], [[0.0]]),
+                     "cross_scale must be > 0", id="cross-scale-zero"),
+        pytest.param(lambda: ScalingRecord("sd", [0.0], [1.0], [0.0], [1.0], [[np.nan]],
+                                           [[1.0]]),
+                     "cross_mean holds a non-finite value", id="cross-mean-nan"),
+        pytest.param(lambda: ScalingRecord("sd", [0.0], [1.0], [0.0], [1.0], [[0.0]],
+                                           [[np.inf]]),
+                     "cross_scale holds a non-finite value", id="cross-scale-inf"),
         pytest.param(lambda: one_by_one_record(genetic_names=["a", "b"]),
                      "genetic_names holds 2 names, expected 1", id="name-count"),
         pytest.param(lambda: transform_features(one_by_one_record(), np.zeros((2, 3)),
@@ -415,7 +432,7 @@ class TestRejectionMessages:
                      "imaging matrix has shape (2, 2), scaler expects 1 columns",
                      id="imaging-columns"),
         pytest.param(lambda: make_design(
-                         Dataset(np.zeros((2, 2)), np.zeros((2, 1)), [0, 1]),
+                         Dataset(np.zeros((2, 1)), np.zeros((2, 1)), [0, 1]),
                          GroupStructure([[0], [1]], n_features=2), one_by_one_record()),
                      "groups cover 2 features, scaler was fit on 1", id="groups-vs-scaler"),
     ])
