@@ -11,7 +11,6 @@ from .core import (
     Hyperparameters,
     ParameterSet,
     VARIANTS,
-    expand_columns,
     flat_length,
 )
 from .evaluation import (

@@ -68,7 +68,8 @@ def _parse_config_file(path, options) -> dict:
             key, _, value = text.partition("=")
             dest = key.strip().replace("-", "_")
             if dest not in options:
-                raise ValueError("config file sets unknown option '%s'" % key.strip())
+                raise ValueError("%s: line %d sets unknown option '%s'"
+                                 % (path, lineno, key.strip()))
             if dest in set_on:
                 raise ValueError("%s: lines %d and %d both set '%s'"
                                  % (path, set_on[dest], lineno, dest))

@@ -1,6 +1,10 @@
 """Core domain types: overlapping feature groups, two-modality datasets,
 model parameters, and penalty settings.
 
+``GroupStructure`` owns the overlap layout: ``expansion_index`` lists the
+original genetic column behind each expanded coordinate, and the
+objective's ``Design`` applies it to the genetic columns.
+
 ``ParameterSet`` is the one place that knows the parameter layout: a single
 float64 buffer holding the row-major interaction matrix, the imaging
 coefficients, the expanded genetic coefficients and the intercept, with
@@ -21,7 +25,6 @@ __all__ = [
     "Dataset",
     "ParameterSet",
     "Hyperparameters",
-    "expand_columns",
     "flat_length",
 ]
 
@@ -58,7 +61,8 @@ class GroupStructure:
     Parameters
     ----------
     groups : sequence of index sequences
-        Original 0-based feature indices of each group.  Every group must
+        Original 0-based feature indices of each group, as integers or
+        integral floats; a boolean mask is rejected.  Every group must
         be non-empty and free of internal duplicates, and every feature
         index in ``range(n_features)`` must appear in at least one group.
     n_features : int
@@ -83,6 +87,9 @@ class GroupStructure:
         index_sets = []
         for l, grp in enumerate(groups):
             raw = np.asarray(grp)
+            if raw.dtype.kind not in "iuf":  # a mask, strings, complex or objects
+                raise ValueError("group %d must hold feature indices, got %s values"
+                                 % (l, raw.dtype))
             if raw.dtype.kind == "f":
                 fractional = ~np.isfinite(raw) | (raw != np.floor(raw))
                 if fractional.any():
@@ -412,16 +419,6 @@ class Hyperparameters:
         self.max_iters = _integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1, got %r" % self.max_iters)
-
-
-def expand_columns(X, gs: GroupStructure) -> np.ndarray:
-    """Column-wise overlap expansion of a (n_samples, n_features) matrix."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != gs.n_features:
-        raise ValueError(
-            "expected a matrix with %d columns, got shape %r" % (gs.n_features, X.shape)
-        )
-    return X[:, gs.expansion_index]
 
 
 def _check_expanded_size(p: ParameterSet, gs: GroupStructure) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (Dataset, GroupStructure, Hyperparameters, ParameterSet,
                    _check_expanded_size, _integer)
-from .objective import margins, sigmoid
+from .objective import Design, margins, sigmoid
 from .preprocessing import ScalingRecord, fit_scaler, make_design
 from .solver import fit
 
@@ -142,8 +142,8 @@ def predict(
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1), got %r" % threshold)
     params.check_variant(variant)
-    d = Dataset(genetic, imaging, np.zeros(np.shape(genetic)[:1], dtype=int))
-    return _classify(params, make_design(d, gs, record), threshold)
+    design = Design(imaging, genetic, np.zeros(np.shape(genetic)[:1], dtype=int), gs, record)
+    return _classify(params, design, threshold)
 
 
 def log_grid(num: int = 7) -> np.ndarray:

@@ -6,10 +6,12 @@ The decision value of a sample is
 
 where ``x_G`` is the expanded genetic vector, ``x_I`` the imaging vector,
 and ``C`` the matrix of standardized pairwise products
-``(x_I[i] * x_G[g] - mu[i, g]) / s[i, g]``.  Every design carries the
-product statistics ``mu`` and ``s``, expanded over its groups from the
-``ScalingRecord`` it is built with, which owns their rules; a raw design
-holds the identity (mean 0, scale 1), under which the standardized
+``(x_I[i] * x_G[g] - mu[i, g]) / s[i, g]``.  A :class:`Design` is built
+from raw rows and the training ``ScalingRecord``, which owns the
+statistics' rules: it standardizes ``x_I`` and ``x_G`` by the record's
+marginal statistics and expands ``x_G``, ``mu`` and ``s`` over its groups.
+A raw design, built without a record, keeps the rows as given and holds
+the identity statistics (mean 0, scale 1), under which the standardized
 product equals the raw one bit for bit, so each kernel has one
 standardization path.  The empirical risk is the mean logistic loss and
 the penalty combines group norms on the (imaging row, group) blocks of
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet, expand_columns
+from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet
 from .core import _check_expanded_size, _check_variant_name
 
 __all__ = [
@@ -82,12 +84,14 @@ def _log_sigmoid(t: np.ndarray) -> np.ndarray:
 class Design:
     """Evaluation-ready view of a dataset.
 
-    Built from the imaging matrix, the genetic matrix in its original
-    columns, the labels, the ``GroupStructure`` over those columns and,
-    for a standardized design, the ``ScalingRecord`` whose product
-    statistics it uses (``None`` for a raw design).  The design expands
-    the genetic columns and the per-entry mean and scale of the pairwise
-    product features over the groups itself, keeps the data checked and
+    Built from the raw imaging matrix, the raw genetic matrix in its
+    original columns, the labels, the ``GroupStructure`` over those columns
+    and, for a standardized design, the training ``ScalingRecord`` (``None``
+    for a raw design).  With a record, the design standardizes both
+    modalities by the record's marginal statistics, so its rows and its
+    product statistics always come from the same training set.  It then
+    expands the genetic columns and the per-entry mean and scale of the
+    pairwise product features over the groups, keeps the data checked and
     read-only through a ``Dataset``, and relies on the record for the
     statistics' rules (finite, every scale > 0).  Its group layout lets
     :func:`margins` skip the zero blocks of ``W``.  A raw design holds the
@@ -96,23 +100,30 @@ class Design:
     """
 
     def __init__(self, imaging, genetic, labels, groups: GroupStructure, record=None):
+        genetic = np.asarray(genetic, dtype=float)
         if record is not None and groups.n_features != record.n_genetic:
             raise ValueError(
                 "groups cover %d features, scaler was fit on %d"
                 % (groups.n_features, record.n_genetic)
             )
-        data = Dataset(expand_columns(genetic, groups), imaging, labels)
+        if genetic.ndim != 2 or genetic.shape[1] != groups.n_features:
+            raise ValueError("genetic matrix has shape %r, groups cover %d features"
+                             % (genetic.shape, groups.n_features))
+        if record is not None:
+            imaging = np.asarray(imaging, dtype=float)
+            if imaging.ndim != 2 or imaging.shape[1] != record.n_imaging:
+                raise ValueError("imaging matrix has shape %r, scaler was fit on %d columns"
+                                 % (imaging.shape, record.n_imaging))
+            genetic = (genetic - record.genetic_mean) / record.genetic_scale
+            imaging = (imaging - record.imaging_mean) / record.imaging_scale
+        # training statistics can overflow on outside rows; Dataset rejects that
+        data = Dataset(genetic[:, groups.expansion_index], imaging, labels)
         if record is None:
             # zero-stride identity: no n_imaging x E array is allocated
             shape = (data.n_imaging, data.n_genetic)
             cross_mean = np.broadcast_to(0.0, shape)
             cross_scale = np.broadcast_to(1.0, shape)
         else:
-            if record.n_imaging != data.n_imaging:
-                raise ValueError(
-                    "imaging matrix has %d columns, scaler was fit on %d"
-                    % (data.n_imaging, record.n_imaging)
-                )
             # take() returns C order; [:, idx] would return Fortran order
             cross_mean = record.cross_mean.take(groups.expansion_index, axis=1)
             cross_scale = record.cross_scale.take(groups.expansion_index, axis=1)

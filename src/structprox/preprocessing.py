@@ -31,7 +31,6 @@ __all__ = [
     "NORMALIZATION_MODES",
     "ScalingRecord",
     "fit_scaler",
-    "transform_features",
     "make_design",
     "save_scaler",
     "load_scaler",
@@ -179,24 +178,9 @@ def fit_scaler(
     )
 
 
-def transform_features(record: ScalingRecord, genetic, imaging):
-    """Standardized ``(genetic, imaging)`` matrices under the stored statistics."""
-    standardized = []
-    for kind, X in (("genetic", genetic), ("imaging", imaging)):
-        X = np.asarray(X, dtype=float)
-        mean, scale = getattr(record, kind + "_mean"), getattr(record, kind + "_scale")
-        if X.ndim != 2 or X.shape[1] != mean.size:
-            raise ValueError("%s matrix has shape %r, scaler expects %d columns"
-                             % (kind, X.shape, mean.size))
-        standardized.append((X - mean) / scale)
-    return tuple(standardized)
-
-
 def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design:
-    """Standardize under ``record`` and build the design, which expands the
-    genetic columns and the product statistics over ``gs``."""
-    zg, zi = transform_features(record, d.genetic, d.imaging)
-    return Design(zi, zg, d.labels, gs, record)
+    """The design of ``d`` under ``gs``, standardized by ``record``."""
+    return Design(d.imaging, d.genetic, d.labels, gs, record)
 
 
 def save_scaler(record: ScalingRecord, path) -> None:

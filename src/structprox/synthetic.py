@@ -161,7 +161,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
             / np.sqrt(spec.n_imaging)
         )
 
-    design = Design.from_dataset(Dataset(zg, imaging, np.zeros(spec.n_samples, dtype=int)), gs)
+    design = Design(imaging, zg, np.zeros(spec.n_samples, dtype=int), gs)
     m = margins(truth, design)
     labels = rng.binomial(1, sigmoid(m))
     if spec.label_noise > 0:

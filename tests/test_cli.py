@@ -253,7 +253,9 @@ class TestFit:
         cfg.write_text("lambda_q = 0.1\n")
         code = run(["fit", *data_flags(data_dir), "--config", cfg])
         assert code == 1
-        assert "lambda_q" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: input: %s: line 1 sets unknown option 'lambda_q'\n" % cfg
+        )
 
     def test_seed_config_key_rejected(self, data_dir, tmp_path, capsys):
         # fit draws nothing at random, so it has no --seed
@@ -263,7 +265,7 @@ class TestFit:
         code = run(["fit", *data_flags(data_dir), "--config", cfg, "--out", out])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: input: config file sets unknown option 'seed'\n"
+            "error: input: %s: line 4 sets unknown option 'seed'\n" % cfg
         )
         assert not out.exists()
 
@@ -570,6 +572,15 @@ class TestCv:
              "--out", out]
         )
         assert code == 0
+
+    def test_empty_grid_part_skipped(self, data_dir, tmp_path):
+        # a trailing ';' leaves an empty part, which changes no output
+        outs = [tmp_path / "plain", tmp_path / "trailing"]
+        for out, grid in zip(outs, ("w=0.1;i=0.05;g=0.1", "w=0.1;i=0.05;g=0.1;")):
+            assert run(["cv", *data_flags(data_dir), "--grid", grid, "--folds", 2,
+                        "--out", out]) == 0
+        for name in ("cv_metrics.csv", "cv_chosen.csv", "table.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_group_name_with_quote_quoted(self, data_dir, tmp_path):
         rename_gene003(data_dir, 'APOE"TOMM40')

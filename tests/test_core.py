@@ -5,10 +5,10 @@ import pytest
 
 from structprox import (
     Dataset,
+    Design,
     GroupStructure,
     Hyperparameters,
     ParameterSet,
-    expand_columns,
     flat_length,
 )
 
@@ -34,6 +34,9 @@ class TestGroupStructure:
         )
         np.testing.assert_allclose(gs.weights, [2.0, 0.5])
         assert gs.names == ("a", "b")
+
+    def test_repr(self):
+        assert repr(tiny_groups()) == "GroupStructure(n_groups=2, n_features=3, expanded_size=4)"
 
     def test_default_names(self):
         gs = GroupStructure([[0], [1]], n_features=2)
@@ -136,35 +139,41 @@ class TestGroupStructure:
             GroupStructure([[0]], n_features=1, weights=[np.inf])
 
 
+def expanded(X, gs):
+    """Genetic columns of a raw design of ``X`` over ``gs``."""
+    n = len(X)
+    return Design(np.zeros((n, 1)), X, np.zeros(n, dtype=int), gs).genetic
+
+
 class TestExpandOverlap:
-    """Overlap expansion of a one-row matrix, feature by group membership."""
+    """Overlap expansion of a design's genetic columns, feature by group membership."""
 
     def test_two_overlapping_groups(self):
         # G1={0,1}, G2={1,2}: (a,b,c) -> (a,b,b,c)
         gs = GroupStructure([[0, 1], [1, 2]], n_features=3)
-        out = expand_columns(np.array([[5.0, 7.0, 9.0]]), gs)
+        out = expanded(np.array([[5.0, 7.0, 9.0]]), gs)
         np.testing.assert_array_equal(out, [[5.0, 7.0, 7.0, 9.0]])
 
     def test_disjoint_groups_give_permutation(self):
         gs = GroupStructure([[2, 0], [1, 3]], n_features=4)
         x = np.array([[1.0, 2.0, 3.0, 4.0]])
-        out = expand_columns(x, gs)
+        out = expanded(x, gs)
         assert sorted(out[0].tolist()) == sorted(x[0].tolist())
         np.testing.assert_array_equal(out, [[3.0, 1.0, 2.0, 4.0]])
 
     def test_full_duplication(self):
         gs = GroupStructure([[0], [0]], n_features=1)
-        np.testing.assert_array_equal(expand_columns(np.array([[5.0]]), gs), [[5.0, 5.0]])
+        np.testing.assert_array_equal(expanded(np.array([[5.0]]), gs), [[5.0, 5.0]])
 
-    def test_expand_columns_matches_row_loop(self):
+    def test_matches_row_loop(self):
         rng = np.random.default_rng(3)
         gs = GroupStructure([[0, 2], [1, 2], [3]], n_features=4)
         X = rng.normal(size=(6, 4))
-        XE = expand_columns(X, gs)
+        XE = expanded(X, gs)
         for k in range(6):
             want = np.concatenate([X[k, list(g)] for g in gs.groups])
             np.testing.assert_array_equal(XE[k], want)
-            np.testing.assert_array_equal(expand_columns(X[k : k + 1], gs)[0], want)
+            np.testing.assert_array_equal(expanded(X[k : k + 1], gs)[0], want)
 
 
 class TestInteractionFlattening:
@@ -319,6 +328,9 @@ class TestDataset:
         d = Dataset(g, i, y)
         assert d.n_samples == 4
 
+    def test_repr(self):
+        assert repr(three_samples()) == "Dataset(n_samples=3, n_genetic=1, n_imaging=1)"
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.zeros((2, 1)), np.array([0.0, 2.0]))
@@ -452,8 +464,13 @@ class TestRejectionMessages:
                      "max_iters must be an integer, got inf", id="infinite-max-iters"),
         pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=float("nan")),
                      "max_iters must be an integer, got nan", id="nan-max-iters"),
-        pytest.param(lambda: expand_columns(np.zeros((2, 4)), tiny_groups()),
-                     "expected a matrix with 3 columns, got shape (2, 4)", id="expand-columns"),
+        pytest.param(lambda: GroupStructure([[True, False]], n_features=2),
+                     "group 0 must hold feature indices, got bool values", id="mask-group"),
+        pytest.param(lambda: GroupStructure([["0", "1"]], n_features=2),
+                     "group 0 must hold feature indices, got <U1 values", id="string-group"),
+        pytest.param(lambda: expanded(np.zeros((2, 4)), tiny_groups()),
+                     "genetic matrix has shape (2, 4), groups cover 3 features",
+                     id="expand-columns"),
     ])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as err:

@@ -146,13 +146,13 @@ class TestMargins:
     def test_standardized_cross_products_brute_force(self):
         # when cross statistics are present the W term uses the standardized
         # products (xI*xG - mean)/scale, sample by sample
-        from structprox.preprocessing import fit_scaler, make_design, transform_features
+        from structprox.preprocessing import fit_scaler, make_design
 
         d, gs, _ = random_instance(4, n=10)
         record = fit_scaler(d)
         design = make_design(d, gs, record)
-        zg, zi = transform_features(record, d.genetic, d.imaging)
-        zg = zg[:, gs.expansion_index]
+        zg = ((d.genetic - record.genetic_mean) / record.genetic_scale)[:, gs.expansion_index]
+        zi = (d.imaging - record.imaging_mean) / record.imaging_scale
         p = random_params(5, design.n_imaging, gs.expanded_size)
         m = margins(p, design)
         for k in range(d.n_samples):
@@ -268,7 +268,7 @@ class TestBlockMargins:
         other = GroupStructure([[0, 1]], n_features=2)
         with pytest.raises(ValueError) as err:
             Design(d.imaging, d.genetic, d.labels, other)
-        assert str(err.value) == "expected a matrix with 2 columns, got shape (12, 3)"
+        assert str(err.value) == "genetic matrix has shape (12, 3), groups cover 2 features"
 
     def test_small_fit_takes_block_path(self, monkeypatch):
         from structprox.preprocessing import fit_scaler, make_design
@@ -625,8 +625,15 @@ class TestRejectionMessages:
                      "labels must be integers in {0, 1}", id="design-label-half"),
         pytest.param(lambda: Design(np.zeros((3, 2)), np.zeros((3, 3)), [0, 1, 0], tiny_groups(),
                                     statistics_record(np.zeros((1, 3)), np.ones((1, 3)))),
-                     "imaging matrix has 2 columns, scaler was fit on 1",
+                     "imaging matrix has shape (3, 2), scaler was fit on 1 columns",
                      id="design-imaging-vs-scaler"),
+        pytest.param(lambda: Design(np.zeros(3), np.zeros((3, 3)), [0, 1, 0], tiny_groups(),
+                                    statistics_record(np.zeros((1, 3)), np.ones((1, 3)))),
+                     "imaging matrix has shape (3,), scaler was fit on 1 columns",
+                     id="design-imaging-not-2d-vs-scaler"),
+        pytest.param(lambda: Design(np.zeros((3, 1)), np.zeros(3), [0, 1, 0], tiny_groups()),
+                     "genetic matrix has shape (3,), groups cover 3 features",
+                     id="design-genetic-not-2d"),
         pytest.param(lambda: margins(ParameterSet.zeros(2, 4), one_row_design()),
                      "interaction shape (2, 4) does not match design (1, 4)",
                      id="margins-shape"),

@@ -5,10 +5,10 @@ import pytest
 
 from structprox import Dataset, GroupStructure, fit_scaler, make_design
 from structprox.preprocessing import (
+    NORMALIZATION_MODES,
     ScalingRecord,
     load_scaler,
     save_scaler,
-    transform_features,
 )
 
 from conftest import random_instance
@@ -21,6 +21,13 @@ def small_dataset(seed, n=12, n_genetic=4, n_imaging=3):
         rng.normal(2.0, 3.0, size=(n, n_imaging)),
         rng.integers(0, 2, n).astype(float),
     )
+
+
+def standardized(d, record):
+    """The design of ``d`` under ``record``, one group per genetic column,
+    so its genetic columns keep their original order."""
+    gs = GroupStructure([[j] for j in range(d.n_genetic)], n_features=d.n_genetic)
+    return make_design(d, gs, record)
 
 
 class TestFitScaler:
@@ -78,8 +85,7 @@ class TestFitScaler:
     def test_unit_norm_mode(self):
         d = small_dataset(7)
         record = fit_scaler(d, normalization="unit-norm")
-        _, zi = transform_features(record, d.genetic, d.imaging)
-        norms = np.linalg.norm(zi, axis=0)
+        norms = np.linalg.norm(standardized(d, record).imaging, axis=0)
         np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
 
     def test_single_sample_rejected(self):
@@ -95,8 +101,8 @@ class TestFitScaler:
 class TestTransform:
     def test_training_columns_centered_and_scaled(self):
         d = small_dataset(9)
-        record = fit_scaler(d)
-        zg, zi = transform_features(record, d.genetic, d.imaging)
+        design = standardized(d, fit_scaler(d))
+        zg, zi = design.genetic, design.imaging
         np.testing.assert_allclose(zg.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(zi.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(zg.std(axis=0), 1.0, rtol=1e-10)
@@ -105,8 +111,8 @@ class TestTransform:
     def test_idempotence(self):
         # scaling already-scaled data finds means 0 and scales 1
         d = small_dataset(10)
-        zg, zi = transform_features(fit_scaler(d), d.genetic, d.imaging)
-        record2 = fit_scaler(Dataset(zg, zi, d.labels))
+        design = standardized(d, fit_scaler(d))
+        record2 = fit_scaler(Dataset(design.genetic, design.imaging, d.labels))
         np.testing.assert_allclose(record2.genetic_mean, 0.0, atol=1e-10)
         np.testing.assert_allclose(record2.genetic_scale, 1.0, rtol=1e-10)
         np.testing.assert_allclose(record2.imaging_mean, 0.0, atol=1e-10)
@@ -121,10 +127,10 @@ class TestTransform:
             np.array([0.0, 1.0, 0.0]),
         )
         record = fit_scaler(d)
-        zg, zi = transform_features(record, np.array([[5.0]]), np.array([[40.0]]))
-        np.testing.assert_allclose(zg[0, 0], (5.0 - 2.0) / np.sqrt(2.0 / 3.0))
+        held_out = standardized(Dataset([[5.0]], [[40.0]], [0]), record)
+        np.testing.assert_allclose(held_out.genetic[0, 0], (5.0 - 2.0) / np.sqrt(2.0 / 3.0))
         scale_i = np.sqrt(np.mean((np.array([10.0, 20.0, 30.0]) - 20.0) ** 2))
-        np.testing.assert_allclose(zi[0, 0], (40.0 - 20.0) / scale_i)
+        np.testing.assert_allclose(held_out.imaging[0, 0], (40.0 - 20.0) / scale_i)
 
     def test_labels_carried_through(self):
         d = small_dataset(11)
@@ -132,14 +138,24 @@ class TestTransform:
         design = make_design(d, gs, fit_scaler(d))
         np.testing.assert_array_equal(design.labels, d.labels)
 
+    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
+    def test_rows_match_inline_oracle(self, normalization):
+        # overlapping groups: expanded columns 1 and 2 copy original feature 1
+        d, gs, _ = random_instance(16, n=20, groups=((0, 1), (1, 2)))
+        record = fit_scaler(d, normalization)
+        design = make_design(d, gs, record)
+        zg = ((d.genetic - record.genetic_mean) / record.genetic_scale)[:, gs.expansion_index]
+        zi = (d.imaging - record.imaging_mean) / record.imaging_scale
+        assert design.genetic.tobytes() == zg.tobytes()
+        assert design.imaging.tobytes() == zi.tobytes()
+
 
 class TestCrossStats:
     def test_cross_products_standardized_in_design(self):
         d, gs, _ = random_instance(12, n=30)
         record = fit_scaler(d)
         design = make_design(d, gs, record)
-        zg, zi = transform_features(record, d.genetic, d.imaging)
-        zg = zg[:, gs.expansion_index]
+        zg, zi = design.genetic, design.imaging
         for i in range(zi.shape[1]):
             for g in range(gs.expanded_size):
                 z = (zi[:, i] * zg[:, g] - design.cross_mean[i, g]) / design.cross_scale[i, g]
@@ -168,7 +184,8 @@ class TestCrossStats:
     def test_cross_stats_match_brute_force(self):
         d, gs, _ = random_instance(14, n=25)
         record = fit_scaler(d)
-        zg, zi = transform_features(record, d.genetic, d.imaging)
+        design = standardized(d, record)
+        zg, zi = design.genetic, design.imaging
         for i in range(zi.shape[1]):
             for g in range(zg.shape[1]):
                 prod = zi[:, i] * zg[:, g]
@@ -362,10 +379,10 @@ class TestScalerFile:
         path = tmp_path / "scaler.txt"
         save_scaler(record, str(path))
         loaded = load_scaler(str(path))
-        a = transform_features(record, d.genetic, d.imaging)
-        b = transform_features(loaded, d.genetic, d.imaging)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        a = standardized(d, record)
+        b = standardized(d, loaded)
+        for name in ("genetic", "imaging", "cross_mean", "cross_scale"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 class TestScalingRecord:
@@ -423,13 +440,15 @@ class TestRejectionMessages:
                      "cross_scale holds a non-finite value", id="cross-scale-inf"),
         pytest.param(lambda: one_by_one_record(genetic_names=["a", "b"]),
                      "genetic_names holds 2 names, expected 1", id="name-count"),
-        pytest.param(lambda: transform_features(one_by_one_record(), np.zeros((2, 3)),
-                                                np.zeros((2, 1))),
-                     "genetic matrix has shape (2, 3), scaler expects 1 columns",
+        pytest.param(lambda: make_design(Dataset(np.zeros((2, 3)), np.zeros((2, 1)), [0, 1]),
+                                         GroupStructure([[0]], n_features=1),
+                                         one_by_one_record()),
+                     "genetic matrix has shape (2, 3), groups cover 1 features",
                      id="genetic-columns"),
-        pytest.param(lambda: transform_features(one_by_one_record(), np.zeros((2, 1)),
-                                                np.zeros((2, 2))),
-                     "imaging matrix has shape (2, 2), scaler expects 1 columns",
+        pytest.param(lambda: make_design(Dataset(np.zeros((2, 1)), np.zeros((2, 2)), [0, 1]),
+                                         GroupStructure([[0]], n_features=1),
+                                         one_by_one_record()),
+                     "imaging matrix has shape (2, 2), scaler was fit on 1 columns",
                      id="imaging-columns"),
         pytest.param(lambda: make_design(
                          Dataset(np.zeros((2, 1)), np.zeros((2, 1)), [0, 1]),
