@@ -351,12 +351,6 @@ def cmd_predict(args) -> int:
     genetic = _reorder_columns(g_names, genetic, record.genetic_names, "genetic")
     imaging = _reorder_columns(i_names, imaging, record.imaging_names, "imaging")
     gs = dataio.load_group_file(args.groups, record.n_genetic)
-    if gs.expanded_size != params.expanded_size or record.n_imaging != params.n_imaging:
-        raise ValueError(
-            "model dims (imaging %d, expanded %d) do not match groups/scaler "
-            "(imaging %d, expanded %d)"
-            % (params.n_imaging, params.expanded_size, record.n_imaging, gs.expanded_size)
-        )
     probs, labels = predict(
         params, record, gs, genetic, imaging, threshold=args.threshold, variant=variant
     )

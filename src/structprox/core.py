@@ -50,6 +50,42 @@ def _integer(name: str, value) -> int:
     raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def _numeric(name: str, values) -> np.ndarray:
+    """``values`` as an array; raise unless its dtype is bool, int, uint or float."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":  # strings are not parsed, nor complex values cast
+        raise ValueError("%s must be numeric, got %s values" % (name, arr.dtype))
+    return arr
+
+
+def _binary_labels(name: str, values) -> np.ndarray:
+    """``values`` as ``intp``; raise unless its dtype is numeric and every value is 0 or 1."""
+    arr = _numeric(name, values)
+    bad = (arr != 0) & (arr != 1)
+    if bad.any():
+        raise ValueError("%s must be 0 or 1, got %r" % (name, arr[bad][0].item()))
+    return arr.astype(np.intp)
+
+
+def _indices(name: str, values, bound: int) -> np.ndarray:
+    """``values`` as a non-empty 1-D ``intp`` array of indices in ``[0, bound)``
+    (an ``intp`` array is not copied); integral floats pass."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf":  # a mask, strings, complex or objects
+        raise ValueError("%s must hold indices, got %s values" % (name, raw.dtype))
+    if raw.ndim != 1 or raw.size == 0:
+        raise ValueError("%s must be a non-empty 1-D list, got shape %r" % (name, raw.shape))
+    if raw.dtype.kind == "f":
+        fractional = ~np.isfinite(raw) | (raw != np.floor(raw))
+        if fractional.any():
+            raise ValueError("%s holds index %r, which is not an integer"
+                             % (name, float(raw[fractional][0])))
+    outside = (raw < 0) | (raw >= bound)
+    if outside.any():
+        raise ValueError("%s holds index %d outside [0, %d)" % (name, raw[outside][0], bound))
+    return np.asarray(raw, dtype=np.intp)
+
+
 class GroupStructure:
     """Grouping of the genetic features into possibly overlapping blocks.
 
@@ -62,9 +98,9 @@ class GroupStructure:
     ----------
     groups : sequence of index sequences
         Original 0-based feature indices of each group, as integers or
-        integral floats; a boolean mask is rejected.  Every group must
-        be non-empty and free of internal duplicates, and every feature
-        index in ``range(n_features)`` must appear in at least one group.
+        integral floats in ``range(n_features)``; a mask or strings are
+        rejected.  Every group must be non-empty and free of internal
+        duplicates, and every feature must appear in at least one group.
     n_features : int
         Number of original genetic features.
     weights : array_like, optional
@@ -86,23 +122,7 @@ class GroupStructure:
             raise ValueError("at least one group is required")
         index_sets = []
         for l, grp in enumerate(groups):
-            raw = np.asarray(grp)
-            if raw.dtype.kind not in "iuf":  # a mask, strings, complex or objects
-                raise ValueError("group %d must hold feature indices, got %s values"
-                                 % (l, raw.dtype))
-            if raw.dtype.kind == "f":
-                fractional = ~np.isfinite(raw) | (raw != np.floor(raw))
-                if fractional.any():
-                    raise ValueError("group %d holds index %r, which is not an integer"
-                                     % (l, float(raw[fractional][0])))
-            idx = np.asarray(raw, dtype=np.intp).view()
-            if idx.ndim != 1 or idx.size == 0:
-                raise ValueError("group %d is empty" % l)
-            if idx.min() < 0 or idx.max() >= n_features:
-                raise ValueError(
-                    "group %d holds index %d outside [0, %d)"
-                    % (l, idx[np.argmax((idx < 0) | (idx >= n_features))], n_features)
-                )
+            idx = _indices("group %d" % l, grp, n_features).view()
             if np.unique(idx).size != idx.size:
                 raise ValueError("group %d lists a feature index twice" % l)
             idx.setflags(write=False)
@@ -187,16 +207,18 @@ class GroupStructure:
 class Dataset:
     """Paired genetic and imaging observations with binary labels.
 
-    Feature matrices are stored as float64 with one row per sample; labels
-    are 0/1 integers.  All values must be finite (missing data is rejected).
+    Feature matrices must be bool, int, uint or float (strings are not
+    parsed) and finite (missing data is rejected); they are stored as
+    float64 with one row per sample.  Labels of those dtypes must each be
+    0 or 1 and are stored as ``intp``.
     The matrices are kept as read-only views: a float64 matrix given is
     aliased, not copied, and stays writeable to its owner.
     """
 
     def __init__(self, genetic, imaging, labels):
-        genetic = np.asarray(genetic, dtype=float).view()
-        imaging = np.asarray(imaging, dtype=float).view()
-        labels = np.asarray(labels)
+        genetic = np.asarray(_numeric("genetic matrix", genetic), dtype=float).view()
+        imaging = np.asarray(_numeric("imaging matrix", imaging), dtype=float).view()
+        labels = _binary_labels("labels", labels)
         if genetic.ndim != 2 or imaging.ndim != 2:
             raise ValueError(
                 "feature matrices must be 2-D, got genetic %r and imaging %r"
@@ -214,16 +236,6 @@ class Dataset:
             )
         if not np.all(np.isfinite(genetic)) or not np.all(np.isfinite(imaging)):
             raise ValueError("feature matrices contain NaN or infinite entries")
-        if labels.dtype.kind not in "iub":
-            if not np.all(np.isfinite(labels.astype(float))):
-                raise ValueError("labels contain NaN or infinite entries")
-            rounded = labels.astype(float)
-            if not np.array_equal(rounded, rounded.astype(int)):
-                raise ValueError("labels must be integers in {0, 1}")
-            labels = rounded.astype(int)
-        labels = labels.astype(np.intp)
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must take values in {0, 1}")
         genetic.setflags(write=False)
         imaging.setflags(write=False)
         labels.setflags(write=False)
@@ -246,14 +258,10 @@ class Dataset:
     def subset(self, rows) -> "Dataset":
         """New dataset restricted to the given row indices.
 
-        Integral floats pass; a fractional, NaN or infinite index and a
-        boolean mask raise a ``ValueError``.
+        ``rows`` are integers or integral floats in ``[0, n_samples)`` and
+        may repeat; a negative index is rejected, not counted from the end.
         """
-        index = np.asarray(rows)
-        if index.dtype.kind == "f" and np.isfinite(index).all() and (index % 1 == 0).all():
-            index = index.astype(np.intp)
-        if index.dtype.kind not in "iu":
-            raise ValueError("rows must hold integer row indices, got %s values" % index.dtype)
+        index = _indices("rows", rows, self.n_samples)
         return Dataset(self.genetic[index], self.imaging[index], self.labels[index])
 
     def __repr__(self) -> str:

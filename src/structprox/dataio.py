@@ -15,7 +15,7 @@ from math import isfinite
 
 import numpy as np
 
-from .core import GroupStructure, ParameterSet, VARIANTS, _PINNED_BLOCKS
+from .core import GroupStructure, ParameterSet, VARIANTS, _PINNED_BLOCKS, _binary_labels
 
 __all__ = [
     "load_matrix_csv",
@@ -128,16 +128,13 @@ def write_csv(path, rows) -> None:
 
 
 def load_labels_csv(path) -> np.ndarray:
-    """Read a single-column CSV of 0/1 labels (header row included)."""
+    """Read a single-column CSV of 0/1 labels (header row included) as ``intp``."""
     names, X = load_matrix_csv(path)
     if X.shape[1] != 1:
         raise ValueError(
             "%s: labels must be a single column, found %d" % (path, X.shape[1])
         )
-    values = X[:, 0]
-    if not np.isin(values, (0.0, 1.0)).all():
-        raise ValueError("%s: labels must be 0 or 1" % path)
-    return values.astype(np.intp)
+    return _binary_labels("%s: labels" % path, X[:, 0])
 
 
 def save_labels_csv(path, labels) -> None:

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .core import (Dataset, GroupStructure, Hyperparameters, ParameterSet,
-                   _check_expanded_size, _integer)
+                   _binary_labels, _check_expanded_size, _integer)
 from .objective import Design, margins, sigmoid
 from .preprocessing import ScalingRecord, fit_scaler, make_design
 from .solver import fit
@@ -81,17 +81,14 @@ def balanced_accuracy(sensitivity: float, specificity: float) -> float:
 
 
 def confusion(y_true, y_pred):
-    """Confusion counts ``(tp, fp, tn, fn)`` for 0/1 arrays."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
+    """Confusion counts ``(tp, fp, tn, fn)`` for equally long 1-D arrays of 0/1 labels."""
+    y_true = _binary_labels("y_true", y_true)
+    y_pred = _binary_labels("y_pred", y_pred)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
         raise ValueError(
             "label arrays must be 1-D and equally long, got %r and %r"
             % (y_true.shape, y_pred.shape)
         )
-    for name, arr in (("y_true", y_true), ("y_pred", y_pred)):
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("%s must take values in {0, 1}" % name)
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))
@@ -187,6 +184,8 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list[np.ndarray]:
     labels = np.asarray(labels)
     k = _integer("k", k)
     seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %d" % seed)
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
     if labels.shape[0] < k:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet
-from .core import _check_expanded_size, _check_variant_name
+from .core import _check_expanded_size, _check_variant_name, _numeric
 
 __all__ = [
     "Design",
@@ -100,7 +100,7 @@ class Design:
     """
 
     def __init__(self, imaging, genetic, labels, groups: GroupStructure, record=None):
-        genetic = np.asarray(genetic, dtype=float)
+        genetic = np.asarray(_numeric("genetic matrix", genetic), dtype=float)
         if record is not None and groups.n_features != record.n_genetic:
             raise ValueError(
                 "groups cover %d features, scaler was fit on %d"
@@ -110,7 +110,7 @@ class Design:
             raise ValueError("genetic matrix has shape %r, groups cover %d features"
                              % (genetic.shape, groups.n_features))
         if record is not None:
-            imaging = np.asarray(imaging, dtype=float)
+            imaging = np.asarray(_numeric("imaging matrix", imaging), dtype=float)
             if imaging.ndim != 2 or imaging.shape[1] != record.n_imaging:
                 raise ValueError("imaging matrix has shape %r, scaler was fit on %d columns"
                                  % (imaging.shape, record.n_imaging))

@@ -47,7 +47,8 @@ class SyntheticSpec:
     Groups of ``group_size`` consecutive genetic features are chained with
     ``overlap`` fraction shared between neighbours.  ``n_active`` groups
     carry planted genetic and interaction effects; effect sizes are the
-    approximate norms of the planted blocks.
+    approximate norms of the planted blocks.  Effect sizes are finite and
+    >= 0, the intercept is finite, and the seed is an integer >= 0.
     """
 
     n_samples: int
@@ -64,8 +65,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "n_imaging", "n_groups", "group_size", "n_active"):
+        for name in ("n_samples", "n_imaging", "n_groups", "group_size", "n_active", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
         if self.n_samples < 1 or self.n_imaging < 1:
             raise ValueError("n_samples and n_imaging must be >= 1")
         if self.n_groups < 1 or self.group_size < 1:
@@ -83,8 +86,11 @@ class SyntheticSpec:
             )
         if not 0.0 <= self.label_noise <= 0.5:
             raise ValueError("label_noise must lie in [0, 0.5]")
-        for name in ("effect_interaction", "effect_imaging", "effect_genetic"):
-            if getattr(self, name) < 0:
+        for name in ("effect_interaction", "effect_imaging", "effect_genetic", "intercept"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
+            if value < 0 and name.startswith("effect"):
                 raise ValueError("%s must be >= 0" % name)
 
     @property

@@ -8,7 +8,6 @@ from structprox import (
     Hyperparameters,
     ParameterSet,
     SyntheticSpec,
-    build_groups,
     fit,
     fit_scaler,
     generate,

@@ -73,6 +73,20 @@ class TestGenerate:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--effect-g", "nan", "effect_genetic must be finite, got nan"),
+        ("--effect-w", "inf", "effect_interaction must be finite, got inf"),
+        ("--intercept", "-inf", "intercept must be finite, got -inf"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ])
+    def test_bad_spec_rejected(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "data"
+        # "--intercept -inf" would read -inf as an option
+        code = run(["generate", "--samples", 20, "%s=%s" % (flag, value), "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: input: %s\n" % message
+        assert not out.exists()
+
 
 class TestFit:
     def test_writes_outputs_and_trace_is_non_increasing(self, data_dir, tmp_path):
@@ -499,15 +513,18 @@ class TestPredict:
         from structprox.dataio import save_params
 
         model_dir = self.fit_model(data_dir, tmp_path)
-        # the fixture's 4 groups of 3 expand to 12 columns
-        save_params(str(model_dir / "params.txt"), ParameterSet.zeros(3, 13))
-        code = run(["predict", *self.predict_flags(data_dir, model_dir),
-                    "--out", tmp_path / "pred"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: input: model dims (imaging 3, expanded 13) do not match "
-            "groups/scaler (imaging 3, expanded 12)\n"
-        )
+        # the fixture's 3 imaging columns and 4 groups of 3, expanded to 12
+        # columns; margins' shape check rejects a model of other dimensions
+        for n_imaging, expanded_size in ((3, 13), (2, 12)):
+            save_params(str(model_dir / "params.txt"),
+                        ParameterSet.zeros(n_imaging, expanded_size))
+            code = run(["predict", *self.predict_flags(data_dir, model_dir),
+                        "--out", tmp_path / "pred"])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: input: interaction shape (%d, %d) does not match design (3, 12)\n"
+                % (n_imaging, expanded_size)
+            )
         assert not (tmp_path / "pred").exists()
 
     def test_zero_model_gives_half_probabilities(self, data_dir, tmp_path):
@@ -631,6 +648,7 @@ class TestCv:
             ("--selection", "bogus", "selection must be 'nested' or 'oracle', got 'bogus'"),
             ("--threshold", "1.5", "threshold must lie in (0, 1), got 1.5"),
             ("--inner-folds", "1", "inner_k must be >= 2, got 1"),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_variant_or_grid_spec_rejected(self, data_dir, tmp_path, capsys, flag,

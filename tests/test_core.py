@@ -331,6 +331,19 @@ class TestDataset:
     def test_repr(self):
         assert repr(three_samples()) == "Dataset(n_samples=3, n_genetic=1, n_imaging=1)"
 
+    @pytest.mark.parametrize("labels", [
+        [False, True], np.array([0, 1], dtype=np.int8), np.array([0, 1], dtype=np.uint8),
+        [0.0, 1.0], [-0.0, 1.0],
+    ])
+    def test_labels_stored_as_intp(self, labels):
+        d = Dataset(np.zeros((2, 1)), np.zeros((2, 1)), labels)
+        assert d.labels.dtype == np.intp
+        np.testing.assert_array_equal(d.labels, [0, 1])
+
+    def test_subset_may_repeat_rows(self):
+        d = Dataset(np.arange(3.0).reshape(3, 1), np.zeros((3, 1)), [0, 1, 0])
+        np.testing.assert_array_equal(d.subset([2, 2]).genetic, [[2.0], [2.0]])
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.zeros((2, 1)), np.array([0.0, 2.0]))
@@ -440,16 +453,30 @@ class TestRejectionMessages:
         pytest.param(lambda: Dataset(np.zeros((0, 1)), np.zeros((0, 1)), []),
                      "dataset needs at least one sample", id="no-samples"),
         pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), [0.0, np.nan]),
-                     "labels contain NaN or infinite entries", id="nan-label"),
+                     "labels must be 0 or 1, got nan", id="nan-label"),
         pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), [0.0, 0.5]),
-                     "labels must be integers in {0, 1}", id="fractional-label"),
+                     "labels must be 0 or 1, got 0.5", id="fractional-label"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1)), np.zeros((2, 1)), np.array(["0", "1"])),
+                     "labels must be numeric, got <U1 values", id="string-label"),
+        pytest.param(lambda: Dataset([["1.5"], ["2"]], np.zeros((2, 1)), [0, 1]),
+                     "genetic matrix must be numeric, got <U3 values", id="string-genetic"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1)), [[1j], [2]], [0, 1]),
+                     "imaging matrix must be numeric, got complex128 values",
+                     id="complex-imaging"),
         pytest.param(lambda: three_samples().subset([0.5, 1.7]),
-                     "rows must hold integer row indices, got float64 values",
-                     id="subset-fractional"),
+                     "rows holds index 0.5, which is not an integer", id="subset-fractional"),
         pytest.param(lambda: three_samples().subset([True, False, True]),
-                     "rows must hold integer row indices, got bool values", id="subset-mask"),
+                     "rows must hold indices, got bool values", id="subset-mask"),
         pytest.param(lambda: three_samples().subset([0.0, np.nan]),
-                     "rows must hold integer row indices, got float64 values", id="subset-nan"),
+                     "rows holds index nan, which is not an integer", id="subset-nan"),
+        pytest.param(lambda: three_samples().subset([-1]),
+                     "rows holds index -1 outside [0, 3)", id="subset-negative"),
+        pytest.param(lambda: three_samples().subset([0, 5]),
+                     "rows holds index 5 outside [0, 3)", id="subset-past-end"),
+        pytest.param(lambda: three_samples().subset([]),
+                     "rows must be a non-empty 1-D list, got shape (0,)", id="subset-empty"),
+        pytest.param(lambda: three_samples().subset([[0, 1]]),
+                     "rows must be a non-empty 1-D list, got shape (1, 2)", id="subset-2d"),
         pytest.param(lambda: ParameterSet.zeros(2.5, 3),
                      "n_imaging must be an integer, got 2.5", id="zeros-fractional"),
         pytest.param(lambda: ParameterSet.zeros(2, float("inf")),
@@ -465,9 +492,17 @@ class TestRejectionMessages:
         pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=float("nan")),
                      "max_iters must be an integer, got nan", id="nan-max-iters"),
         pytest.param(lambda: GroupStructure([[True, False]], n_features=2),
-                     "group 0 must hold feature indices, got bool values", id="mask-group"),
+                     "group 0 must hold indices, got bool values", id="mask-group"),
         pytest.param(lambda: GroupStructure([["0", "1"]], n_features=2),
-                     "group 0 must hold feature indices, got <U1 values", id="string-group"),
+                     "group 0 must hold indices, got <U1 values", id="string-group"),
+        pytest.param(lambda: GroupStructure([[0], [1, 2]], n_features=2),
+                     "group 1 holds index 2 outside [0, 2)", id="group-past-end"),
+        pytest.param(lambda: GroupStructure([[0, -1]], n_features=2),
+                     "group 0 holds index -1 outside [0, 2)", id="group-negative"),
+        pytest.param(lambda: GroupStructure([[0], []], n_features=1),
+                     "group 1 must be a non-empty 1-D list, got shape (0,)", id="group-empty"),
+        pytest.param(lambda: GroupStructure([[[0, 1]]], n_features=2),
+                     "group 0 must be a non-empty 1-D list, got shape (1, 2)", id="group-2d"),
         pytest.param(lambda: expanded(np.zeros((2, 4)), tiny_groups()),
                      "genetic matrix has shape (2, 4), groups cover 3 features",
                      id="expand-columns"),

@@ -122,8 +122,16 @@ class TestLabelsCsv:
     def test_non_binary_rejected(self, tmp_path):
         path = tmp_path / "y.csv"
         path.write_text("label\n0\n2\n")
-        with pytest.raises(ValueError, match="0 or 1"):
+        with pytest.raises(ValueError) as err:
             load_labels_csv(str(path))
+        assert str(err.value) == "%s: labels must be 0 or 1, got 2.0" % path
+
+    def test_integral_float_labels_accepted(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("label\n1.0\n-0.0\n")
+        labels = load_labels_csv(str(path))
+        assert labels.dtype == np.intp
+        np.testing.assert_array_equal(labels, [1, 0])
 
     def test_two_columns_rejected(self, tmp_path):
         path = tmp_path / "y.csv"

@@ -5,7 +5,6 @@ import pytest
 
 from structprox import (
     Dataset,
-    Hyperparameters,
     ParameterSet,
     balanced_accuracy,
     kfold_cv,
@@ -599,7 +598,11 @@ class TestRejectionMessages:
                      "label arrays must be 1-D and equally long, got (2,) and (1,)",
                      id="confusion-shapes"),
         pytest.param(lambda: confusion([0, 2], [0, 1]),
-                     "y_true must take values in {0, 1}", id="confusion-values"),
+                     "y_true must be 0 or 1, got 2", id="confusion-values"),
+        pytest.param(lambda: confusion([0, 1], [1, 0.5]),
+                     "y_pred must be 0 or 1, got 0.5", id="confusion-fractional"),
+        pytest.param(lambda: confusion(np.array(["0", "1"]), [0, 1]),
+                     "y_true must be numeric, got <U1 values", id="confusion-strings"),
         pytest.param(lambda: predict(ParameterSet.zeros(1, 3), None, tiny_groups(),
                                      np.zeros((2, 3)), np.zeros((2, 1))),
                      "predict needs a fitted scaling record", id="predict-no-record"),
@@ -616,6 +619,8 @@ class TestRejectionMessages:
                      "inner_k must be an integer, got 2.5", id="cv-fractional-inner-k"),
         pytest.param(lambda: stratified_folds([0, 1, 0, 1], 2, seed=2.5),
                      "seed must be an integer, got 2.5", id="fractional-seed"),
+        pytest.param(lambda: stratified_folds([0, 1, 0, 1], 2, seed=-1),
+                     "seed must be >= 0, got -1", id="negative-seed"),
         pytest.param(lambda: stratified_folds([0, 1, 0, 1], 1),
                      "k must be >= 2, got 1", id="one-fold"),
         pytest.param(lambda: reduce_parameters(ParameterSet.zeros(1, 3), tiny_groups()),

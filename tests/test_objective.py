@@ -620,9 +620,22 @@ class TestRejectionMessages:
                                     tiny_groups()),
                      "feature matrices contain NaN or infinite entries", id="design-nan-features"),
         pytest.param(lambda: Design(np.zeros((3, 1)), np.zeros((3, 3)), [0, 1, 2], tiny_groups()),
-                     "labels must take values in {0, 1}", id="design-label-two"),
+                     "labels must be 0 or 1, got 2", id="design-label-two"),
         pytest.param(lambda: Design(np.zeros((3, 1)), np.zeros((3, 3)), [0.5, 1, 0], tiny_groups()),
-                     "labels must be integers in {0, 1}", id="design-label-half"),
+                     "labels must be 0 or 1, got 0.5", id="design-label-half"),
+        pytest.param(lambda: Design(np.zeros((2, 1)), [["1.5", "2", "0"]] * 2, [0, 1],
+                                    tiny_groups()),
+                     "genetic matrix must be numeric, got <U3 values",
+                     id="design-string-genetic"),
+        pytest.param(lambda: Design(np.zeros((2, 1)), [["1.5", "2", "0"]] * 2, [0, 1],
+                                    tiny_groups(),
+                                    statistics_record(np.zeros((1, 3)), np.ones((1, 3)))),
+                     "genetic matrix must be numeric, got <U3 values",
+                     id="design-string-genetic-vs-scaler"),
+        pytest.param(lambda: Design([["1"], ["2"]], np.zeros((2, 3)), [0, 1], tiny_groups(),
+                                    statistics_record(np.zeros((1, 3)), np.ones((1, 3)))),
+                     "imaging matrix must be numeric, got <U1 values",
+                     id="design-string-imaging-vs-scaler"),
         pytest.param(lambda: Design(np.zeros((3, 2)), np.zeros((3, 3)), [0, 1, 0], tiny_groups(),
                                     statistics_record(np.zeros((1, 3)), np.ones((1, 3)))),
                      "imaging matrix has shape (3, 2), scaler was fit on 1 columns",

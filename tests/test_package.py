@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -29,3 +30,41 @@ def test_package_imports_only_listed_names():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(structprox, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+SOURCES = sorted(
+    path
+    for root in (pathlib.Path(structprox.__file__).parent, pathlib.Path(__file__).parent)
+    for path in root.glob("*.py")
+    if path.name != "__init__.py"  # the package's imports are its re-exports
+)
+# the acceptance gate is frozen, stale imports and all
+FROZEN_UNUSED = {"test_acceptance.py": {"pytest", "GroupStructure", "ParameterSet"}}
+
+
+def unused_imports(source: str) -> set:
+    """Names a module imports but never references; ``__all__`` entries count
+    as references."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == FROZEN_UNUSED.get(path.name, set())
+
+
+def test_unused_import_detected():
+    assert unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == {"os", "d"}
+    assert unused_imports("from x import y\n__all__ = ['y']\n") == set()

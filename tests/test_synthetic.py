@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from structprox import (
-    Hyperparameters,
     SolverFailure,
     SyntheticSpec,
     build_groups,
@@ -71,6 +70,16 @@ class TestSpec:
                      id="infinite-active"),
         pytest.param(dict(effect_imaging=-0.5), "effect_imaging must be >= 0",
                      id="negative-effect"),
+        pytest.param(dict(effect_interaction=float("nan")),
+                     "effect_interaction must be finite, got nan", id="nan-effect-w"),
+        pytest.param(dict(effect_imaging=float("inf")),
+                     "effect_imaging must be finite, got inf", id="infinite-effect-i"),
+        pytest.param(dict(effect_genetic=float("nan")),
+                     "effect_genetic must be finite, got nan", id="nan-effect-g"),
+        pytest.param(dict(intercept=float("inf")), "intercept must be finite, got inf",
+                     id="infinite-intercept"),
+        pytest.param(dict(seed=2.5), "seed must be an integer, got 2.5", id="fractional-seed"),
+        pytest.param(dict(seed=-1), "seed must be >= 0, got -1", id="negative-seed"),
     ])
     def test_rejection_message(self, overrides, message):
         settings = dict(n_samples=5, n_imaging=1, n_groups=1, group_size=1, n_active=0)
