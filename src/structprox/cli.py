@@ -2,15 +2,18 @@
 
 Subcommands: ``fit``, ``cv``, ``screen``, ``predict``, ``generate``.  A
 config file of ``key=value`` lines (keys match the long flag names), given
-with ``--config`` after the subcommand, may supply any option; explicit
-flags override the file.  Exit codes: 0 on success, 1 on invalid input,
-2 on solver failure.  Primary output files are deterministic for a fixed
-config and seed.
+with ``--config`` after the subcommand, may supply any option: each line
+is read as the flag ``--key=value`` ahead of the command line's own, so
+explicit flags override the file.  Missing required options are reported
+together.  Exit codes: 0 on success, 1 on invalid input, 2 on solver
+failure.  Primary output files are deterministic for a fixed config and
+seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -39,23 +42,35 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse that reports usage problems as ValueError (exit code 1)."""
+    """Argparse that reports usage problems as ValueError (exit code 1) and
+    keeps each long flag it is given under its config key, ``max_iters``
+    for ``--max-iters``."""
+
+    def __init__(self, **kwargs):
+        self.config_keys = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *flags, **kwargs):
+        if kwargs.get("action") != "help":
+            self.config_keys.update(
+                (flag[2:].replace("-", "_"), flag) for flag in flags if flag.startswith("--")
+            )
+        return super().add_argument(*flags, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
 
 
-def _parse_config_file(path, options) -> dict:
-    """Read ``key=value`` lines into ``{option dest: raw string}``.
+def _parse_config_file(path, flags: dict) -> list[str]:
+    """Read ``key=value`` lines into ``--flag=value`` arguments.
 
     Blank lines and ``#`` comments are allowed.  Keys may use either hyphens
-    or underscores (``max-iters``/``max_iters``), must name one of
-    ``options`` and may be set once.  The values stay strings: set as
-    parser defaults, argparse converts them through each option's ``type``
-    when it parses.
+    or underscores (``max-iters``/``max_iters``), must be a key of
+    ``flags`` and may be set once.  The values stay strings: argparse
+    converts and checks them like the command line's.
     """
-    settings = {}
-    set_on = {}  # line of each option set so far
+    arguments = []
+    set_on = {}  # line of each key set so far
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -66,34 +81,28 @@ def _parse_config_file(path, options) -> dict:
                     "%s: line %d is not a key=value setting" % (path, lineno)
                 )
             key, _, value = text.partition("=")
-            dest = key.strip().replace("-", "_")
-            if dest not in options:
+            name = key.strip().replace("-", "_")
+            if name not in flags:
                 raise ValueError("%s: line %d sets unknown option '%s'"
                                  % (path, lineno, key.strip()))
-            if dest in set_on:
+            if name in set_on:
                 raise ValueError("%s: lines %d and %d both set '%s'"
-                                 % (path, set_on[dest], lineno, dest))
-            set_on[dest] = lineno
-            settings[dest] = value.strip()
-    return settings
+                                 % (path, set_on[name], lineno, name))
+            set_on[name] = lineno
+            arguments.append("%s=%s" % (flags[name], value.strip()))
+    return arguments
 
 
-_DATA_OPTIONS = {
-    "genetic": "--genetic", "imaging": "--imaging", "labels": "--labels", "groups": "--groups",
-}
-
-
-def _require(args, names: dict) -> None:
-    for dest, flag in names.items():
-        if getattr(args, dest, None) is None:
-            raise ValueError("missing required option %s" % flag)
+def _from_options(cls, args):
+    """The dataclass ``cls`` built from the parsed options named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _add_data_options(sp) -> None:
-    sp.add_argument("--genetic", type=str, help="genetic feature CSV")
-    sp.add_argument("--imaging", type=str, help="imaging feature CSV")
-    sp.add_argument("--labels", type=str, help="0/1 label CSV")
-    sp.add_argument("--groups", type=str, help="group definition file")
+    sp.add_argument("--genetic", type=str, required=True, help="genetic feature CSV")
+    sp.add_argument("--imaging", type=str, required=True, help="imaging feature CSV")
+    sp.add_argument("--labels", type=str, required=True, help="0/1 label CSV")
+    sp.add_argument("--groups", type=str, required=True, help="group definition file")
     sp.add_argument("--normalization", type=str, choices=NORMALIZATION_MODES,
                     default="sd", help="column scaling mode (default sd)")
 
@@ -139,21 +148,11 @@ def _save_reduced(out_dir, red, i_names, group_names) -> None:
 
 
 def cmd_fit(args) -> int:
-    _require(args, {
-        **_DATA_OPTIONS, "lambda_w": "--lambda-w", "lambda_i": "--lambda-i",
-        "lambda_g": "--lambda-g",
-    })
     started = time.perf_counter()
     d, gs, g_names, i_names = _load_data(args)
-    h = Hyperparameters(
-        lambda_interaction=args.lambda_w,
-        lambda_imaging=args.lambda_i,
-        lambda_genetic=args.lambda_g,
-        variant=args.variant,
-        tol=args.tol,
-        max_iters=args.max_iters,
-    )
-    record = fit_scaler(d, args.normalization, genetic_names=g_names, imaging_names=i_names)
+    h = _from_options(Hyperparameters, args)
+    record = fit_scaler(d, args.normalization, genetic_names=g_names, imaging_names=i_names,
+                        expansion_index=gs.expansion_index)
     params, state = fit(make_design(d, gs, record), gs, h)
 
     os.makedirs(args.out, exist_ok=True)
@@ -258,7 +257,6 @@ def _parse_grid(text: str):
 
 
 def cmd_cv(args) -> int:
-    _require(args, _DATA_OPTIONS)
     d, gs, _, _ = _load_data(args)
     variants = _parse_variants(args.variant)
     w_values, i_values, g_values = _parse_grid(args.grid)
@@ -304,7 +302,6 @@ def cmd_cv(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    _require(args, _DATA_OPTIONS)
     d, gs, _, _ = _load_data(args)
     record = fit_scaler(d, args.normalization)
     design = make_design(d, gs, record)
@@ -340,10 +337,6 @@ def _reorder_columns(names, X, wanted, kind: str):
 
 
 def cmd_predict(args) -> int:
-    _require(args, {
-        "model": "--model", "scaler": "--scaler", "groups": "--groups",
-        "genetic": "--genetic", "imaging": "--imaging",
-    })
     params, variant = dataio.load_params(args.model)
     record = load_scaler(args.scaler)
     g_names, genetic = dataio.load_matrix_csv(args.genetic)
@@ -351,6 +344,10 @@ def cmd_predict(args) -> int:
     genetic = _reorder_columns(g_names, genetic, record.genetic_names, "genetic")
     imaging = _reorder_columns(i_names, imaging, record.imaging_names, "imaging")
     gs = dataio.load_group_file(args.groups, record.n_genetic)
+    try:  # the design checks this too, but without the file's name
+        record.check_groups(gs)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (args.groups, exc)) from None
     probs, labels = predict(
         params, record, gs, genetic, imaging, threshold=args.threshold, variant=variant
     )
@@ -362,21 +359,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    _require(args, {"out": "--out"})
-    spec = SyntheticSpec(
-        n_samples=args.samples,
-        n_imaging=args.imaging_count,
-        n_groups=args.groups_count,
-        group_size=args.group_size,
-        overlap=args.overlap,
-        n_active=args.active_groups,
-        effect_interaction=args.effect_w,
-        effect_imaging=args.effect_i,
-        effect_genetic=args.effect_g,
-        intercept=args.intercept,
-        label_noise=args.noise,
-        seed=args.seed,
-    )
+    spec = _from_options(SyntheticSpec, args)
     data = generate(spec)
     write_files(data, args.out)
     print(
@@ -386,19 +369,26 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _build_parser():
-    """The top-level parser and a dict of its per-command parsers."""
+def _build_parser(config):
+    """The top-level parser and a dict of its per-command parsers, each of
+    which takes ``config``'s ``--config`` option."""
     parser = _Parser(prog="structprox", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     commands = {}
 
-    sp = commands["fit"] = sub.add_parser("fit", help="train one model")
+    def command(name, func, help):
+        # parents= copies --config without add_argument, so it is no config key
+        sp = commands[name] = sub.add_parser(name, help=help, parents=[config])
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("fit", cmd_fit, "train one model")
     _add_data_options(sp)
-    sp.add_argument("--lambda-w", type=float, dest="lambda_w",
+    sp.add_argument("--lambda-w", type=float, dest="lambda_interaction", required=True,
                     help="interaction penalty strength")
-    sp.add_argument("--lambda-i", type=float, dest="lambda_i",
+    sp.add_argument("--lambda-i", type=float, dest="lambda_imaging", required=True,
                     help="imaging penalty strength")
-    sp.add_argument("--lambda-g", type=float, dest="lambda_g",
+    sp.add_argument("--lambda-g", type=float, dest="lambda_genetic", required=True,
                     help="genetic penalty strength")
     sp.add_argument("--variant", type=str, default="multilevel",
                     help="model variant (default multilevel)")
@@ -406,9 +396,8 @@ def _build_parser():
     sp.add_argument("--max-iters", type=int, dest="max_iters", default=10000,
                     help="iteration cap")
     sp.add_argument("--out", type=str, default="structprox-fit", help="output directory")
-    sp.set_defaults(func=cmd_fit)
 
-    sp = commands["cv"] = sub.add_parser("cv", help="cross-validate over a grid")
+    sp = command("cv", cmd_cv, "cross-validate over a grid")
     _add_data_options(sp)
     sp.add_argument("--folds", type=int, default=10, help="number of folds (default 10)")
     sp.add_argument("--grid", type=str, default="7",
@@ -423,65 +412,64 @@ def _build_parser():
                     help="decision threshold (default 0.5)")
     sp.add_argument("--seed", type=int, default=0, help="fold shuffling seed (default 0)")
     sp.add_argument("--out", type=str, default="structprox-cv", help="output directory")
-    sp.set_defaults(func=cmd_cv)
 
-    sp = commands["screen"] = sub.add_parser("screen", help="critical penalty strengths")
+    sp = command("screen", cmd_screen, "critical penalty strengths")
     _add_data_options(sp)
     sp.add_argument("--out", type=str, help="optional output directory")
-    sp.set_defaults(func=cmd_screen)
 
-    sp = commands["predict"] = sub.add_parser("predict", help="score new samples")
-    sp.add_argument("--model", type=str, help="params.txt from a fit")
-    sp.add_argument("--scaler", type=str, help="scaler.txt from the same fit")
-    sp.add_argument("--groups", type=str, help="group definition file")
-    sp.add_argument("--genetic", type=str, help="genetic feature CSV")
-    sp.add_argument("--imaging", type=str, help="imaging feature CSV")
+    sp = command("predict", cmd_predict, "score new samples")
+    sp.add_argument("--model", type=str, required=True, help="params.txt from a fit")
+    sp.add_argument("--scaler", type=str, required=True, help="scaler.txt from the same fit")
+    sp.add_argument("--groups", type=str, required=True,
+                    help="group definition file of the same fit")
+    sp.add_argument("--genetic", type=str, required=True, help="genetic feature CSV")
+    sp.add_argument("--imaging", type=str, required=True, help="imaging feature CSV")
     sp.add_argument("--threshold", type=float, default=0.5,
                     help="decision threshold (default 0.5)")
     sp.add_argument("--out", type=str, default="structprox-predict", help="output directory")
-    sp.set_defaults(func=cmd_predict)
 
-    sp = commands["generate"] = sub.add_parser("generate", help="write a synthetic dataset")
-    sp.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
-    sp.add_argument("--imaging-count", type=int, dest="imaging_count", default=6,
+    sp = command("generate", cmd_generate, "write a synthetic dataset")
+    sp.add_argument("--samples", type=int, dest="n_samples", default=200,
+                    help="sample count (default 200)")
+    sp.add_argument("--imaging-count", type=int, dest="n_imaging", default=6,
                     help="imaging feature count (default 6)")
-    sp.add_argument("--groups-count", type=int, dest="groups_count", default=10,
+    sp.add_argument("--groups-count", type=int, dest="n_groups", default=10,
                     help="group count (default 10)")
     sp.add_argument("--group-size", type=int, dest="group_size", default=5,
                     help="features per group (default 5)")
     sp.add_argument("--overlap", type=float, default=0.0,
                     help="shared fraction between neighbours")
-    sp.add_argument("--active-groups", type=int, dest="active_groups", default=2,
+    sp.add_argument("--active-groups", type=int, dest="n_active", default=2,
                     help="planted active groups (default 2)")
-    sp.add_argument("--effect-w", type=float, dest="effect_w", default=0.0,
+    sp.add_argument("--effect-w", type=float, dest="effect_interaction", default=0.0,
                     help="interaction effect size")
-    sp.add_argument("--effect-i", type=float, dest="effect_i", default=0.0,
+    sp.add_argument("--effect-i", type=float, dest="effect_imaging", default=0.0,
                     help="imaging effect size")
-    sp.add_argument("--effect-g", type=float, dest="effect_g", default=1.0,
+    sp.add_argument("--effect-g", type=float, dest="effect_genetic", default=1.0,
                     help="genetic effect size")
     sp.add_argument("--intercept", type=float, default=0.0, help="planted intercept")
-    sp.add_argument("--noise", type=float, default=0.0, help="label flip probability")
+    sp.add_argument("--noise", type=float, dest="label_noise", default=0.0,
+                    help="label flip probability")
     sp.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    sp.add_argument("--out", type=str, help="output directory")
-    sp.set_defaults(func=cmd_generate)
-
-    for command_parser in commands.values():
-        command_parser.add_argument("--config", type=str, help="key=value settings file")
+    sp.add_argument("--out", type=str, required=True, help="output directory")
     return parser, commands
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    config = _Parser(add_help=False)
+    config.add_argument("--config", type=str,
+                        help="key=value settings file, read as flags ahead of these")
+    parser, commands = _build_parser(config)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv and argv[0] in commands:
+            path = config.parse_known_args(argv[1:])[0].config
+            if path is not None:
+                flags = _parse_config_file(path, commands[argv[0]].config_keys)
+                argv = [argv[0], *flags, *argv[1:]]
         args = parser.parse_args(argv)
         if args.command is None:
             raise ValueError("no command given; expected one of fit, cv, screen, predict, generate")
-        if args.config:
-            # Second parse: the file's settings become the command's defaults.
-            command_parser = commands[args.command]
-            options = set(vars(command_parser.parse_args([]))) - {"config", "func"}
-            command_parser.set_defaults(**_parse_config_file(args.config, options))
-            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

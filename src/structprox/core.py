@@ -141,7 +141,7 @@ class GroupStructure:
         if weights is None:
             weights = np.sqrt(sizes.astype(float))
         else:
-            weights = np.asarray(weights, dtype=float).view()
+            weights = np.asarray(_numeric("group weights", weights), dtype=float).view()
             if weights.shape != (len(index_sets),):
                 raise ValueError(
                     "expected %d group weights, got shape %r"
@@ -282,7 +282,7 @@ def _block(name: str, doc: str) -> property:
         if value is view:
             # `p.genetic *= 2` hands back the view it already wrote to
             return
-        value = np.asarray(value, dtype=float)
+        value = np.asarray(_numeric(name, value), dtype=float)
         if value.shape != view.shape:
             raise ValueError(
                 "%s must have shape %r, got %r" % (name, view.shape, value.shape)
@@ -333,7 +333,9 @@ class ParameterSet:
 
     @intercept.setter
     def intercept(self, value) -> None:
-        self._flat[-1] = float(value)
+        # a float, numpy's float64 included, skips the dtype check: the
+        # gradient sets the intercept on every call
+        self._flat[-1] = value if isinstance(value, float) else float(_numeric("intercept", value))
 
     @classmethod
     def zeros(cls, n_imaging: int, expanded_size: int) -> "ParameterSet":
@@ -416,12 +418,12 @@ class Hyperparameters:
 
     def __post_init__(self):
         for name in ("lambda_interaction", "lambda_imaging", "lambda_genetic"):
-            value = float(getattr(self, name))
+            value = float(_numeric(name, getattr(self, name)))
             setattr(self, name, value)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError("%s must be finite and > 0, got %r" % (name, value))
         _check_variant_name(self.variant)
-        self.tol = float(self.tol)
+        self.tol = float(_numeric("tol", self.tol))
         if not np.isfinite(self.tol) or self.tol <= 0:
             raise ValueError("tol must be finite and > 0, got %r" % self.tol)
         self.max_iters = _integer("max_iters", self.max_iters)

@@ -93,7 +93,8 @@ class Design:
     expands the genetic columns and the per-entry mean and scale of the
     pairwise product features over the groups, keeps the data checked and
     read-only through a ``Dataset``, and relies on the record for the
-    statistics' rules (finite, every scale > 0).  Its group layout lets
+    statistics' rules (finite, every scale > 0) and for the groups it
+    admits (``ScalingRecord.check_groups``).  Its group layout lets
     :func:`margins` skip the zero blocks of ``W``.  A raw design holds the
     identity, read-only zero-stride views of 0 and 1 that allocate no
     (n_imaging, E) array.
@@ -101,11 +102,8 @@ class Design:
 
     def __init__(self, imaging, genetic, labels, groups: GroupStructure, record=None):
         genetic = np.asarray(_numeric("genetic matrix", genetic), dtype=float)
-        if record is not None and groups.n_features != record.n_genetic:
-            raise ValueError(
-                "groups cover %d features, scaler was fit on %d"
-                % (groups.n_features, record.n_genetic)
-            )
+        if record is not None:
+            record.check_groups(groups)
         if genetic.ndim != 2 or genetic.shape[1] != groups.n_features:
             raise ValueError("genetic matrix has shape %r, groups cover %d features"
                              % (genetic.shape, groups.n_features))

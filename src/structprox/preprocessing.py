@@ -16,15 +16,18 @@ then one ``cross_mean`` row per imaging feature and one ``cross_scale``
 row per imaging feature.  A statistic row holds one field, the
 little-endian IEEE-754 bytes of its float64 vector as 16 lowercase hex
 digits per value, so every statistic loads back bit-identical and loading
-parses no decimals.  Files of the v1 and v2 layouts are rejected; refit
-the model to write a v3 file.
+parses no decimals.  A record that keeps the fit's group layout ends with
+one ``expansion_index`` row, one decimal field per expanded coordinate; a
+file without it loads with no layout, which is then left unchecked.
+Files of the v1 and v2 layouts are rejected; refit the model to write a
+v3 file.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, GroupStructure
+from .core import Dataset, GroupStructure, _indices
 from .objective import Design
 
 __all__ = [
@@ -66,7 +69,9 @@ class ScalingRecord:
     column's entry.  Every statistic must be finite and every scale > 0;
     column names, when given, must not hold a tab, CR or LF.  Statistics
     are stored as read-only views: a float64 array given is aliased, not
-    copied, and stays writeable to its owner.
+    copied, and stays writeable to its owner.  ``expansion_index``, when
+    given, is the ``GroupStructure.expansion_index`` of the fit, which
+    :meth:`check_groups` holds later groups to.
     """
 
     def __init__(
@@ -80,6 +85,7 @@ class ScalingRecord:
         cross_scale,
         genetic_names=None,
         imaging_names=None,
+        expansion_index=None,
     ):
         _check_normalization(normalization)
         self.normalization = normalization
@@ -117,6 +123,10 @@ class ScalingRecord:
                     raise ValueError(
                         "%s column %d name %r holds a tab or line break" % (kind, j, name)
                     )
+        if expansion_index is not None:
+            expansion_index = _indices("expansion_index", expansion_index, ng).view()
+            expansion_index.setflags(write=False)
+        self.expansion_index = expansion_index
 
     @property
     def n_genetic(self) -> int:
@@ -125,6 +135,20 @@ class ScalingRecord:
     @property
     def n_imaging(self) -> int:
         return self.imaging_mean.size
+
+    def check_groups(self, gs: GroupStructure) -> None:
+        """Raise ``ValueError`` unless ``gs`` covers the record's genetic
+        columns and, if the record keeps the fit's layout, expands them as
+        the fit's groups did.  Names, weights and group boundaries are not
+        compared: they leave the expanded columns as they are."""
+        if gs.n_features != self.n_genetic:
+            raise ValueError("groups cover %d features, scaler was fit on %d"
+                             % (gs.n_features, self.n_genetic))
+        if self.expansion_index is not None and not np.array_equal(
+            gs.expansion_index, self.expansion_index
+        ):
+            raise ValueError("groups expand the genetic columns differently from the "
+                             "groups of the fit")
 
 
 def _column_stats(X: np.ndarray, normalization: str):
@@ -144,12 +168,14 @@ def fit_scaler(
     normalization: str = "sd",
     genetic_names=None,
     imaging_names=None,
+    expansion_index=None,
 ) -> ScalingRecord:
     """Estimate centering and scaling statistics on a training set.
 
     With ``normalization="sd"`` the scale is the population standard
     deviation (1/N denominator); with ``"unit-norm"`` it is the Euclidean
-    norm of the centered column.  Needs at least two samples.
+    norm of the centered column.  Needs at least two samples.  The names
+    and ``expansion_index`` are kept on the record as given.
     """
     _check_normalization(normalization)
     if d.n_samples < 2:
@@ -175,6 +201,7 @@ def fit_scaler(
         x_mean, x_scale,
         genetic_names=genetic_names,
         imaging_names=imaging_names,
+        expansion_index=expansion_index,
     )
 
 
@@ -201,6 +228,8 @@ def save_scaler(record: ScalingRecord, path) -> None:
             fh.write(values(kind + "_scale", getattr(record, kind + "_scale")))
         for tag in ("cross_mean", "cross_scale"):
             fh.writelines(values(tag, r) for r in getattr(record, tag))
+        if record.expansion_index is not None:
+            fh.write(row("expansion_index", map(str, record.expansion_index)))
 
 
 def load_scaler(path) -> ScalingRecord:
@@ -254,11 +283,20 @@ def load_scaler(path) -> ScalingRecord:
         ni, ng = i_mean.size, g_mean.size
         x_mean = np.reshape([floats("cross_mean", ng) for _ in range(ni)], (ni, ng))
         x_scale = np.reshape([floats("cross_scale", ng) for _ in range(ni)], (ni, ng))
-        if next(fh, None) is not None:
+        last, index = "cross_scale", None
+        for line in fh:
             lineno += 1
-            raise error("follows the last cross_scale row")
+            tag, *rest = line.rstrip("\n").split("\t")
+            if last != "cross_scale" or tag != "expansion_index":
+                raise error("follows the last %s row" % last)
+            last = tag
+            try:
+                index = np.array(rest, dtype=np.intp)
+            except (ValueError, OverflowError):
+                raise error("expansion_index holds a field that is not an index") from None
     try:
         return ScalingRecord(normalization, g_mean, g_scale, i_mean, i_scale, x_mean, x_scale,
-                             genetic_names=g_names, imaging_names=i_names)
+                             genetic_names=g_names, imaging_names=i_names,
+                             expansion_index=index)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None

@@ -69,10 +69,9 @@ class SyntheticSpec:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.seed < 0:
             raise ValueError("seed must be >= 0, got %d" % self.seed)
-        if self.n_samples < 1 or self.n_imaging < 1:
-            raise ValueError("n_samples and n_imaging must be >= 1")
-        if self.n_groups < 1 or self.group_size < 1:
-            raise ValueError("n_groups and group_size must be >= 1")
+        for name in ("n_samples", "n_imaging", "n_groups", "group_size"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError("overlap must lie in [0, 1), got %r" % self.overlap)
         if self.group_stride < 1:
@@ -85,13 +84,13 @@ class SyntheticSpec:
                 "n_active must lie in [0, %d], got %d" % (self.n_groups, self.n_active)
             )
         if not 0.0 <= self.label_noise <= 0.5:
-            raise ValueError("label_noise must lie in [0, 0.5]")
+            raise ValueError("label_noise must lie in [0, 0.5], got %r" % self.label_noise)
         for name in ("effect_interaction", "effect_imaging", "effect_genetic", "intercept"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError("%s must be finite, got %r" % (name, value))
             if value < 0 and name.startswith("effect"):
-                raise ValueError("%s must be >= 0" % name)
+                raise ValueError("%s must be >= 0, got %r" % (name, value))
 
     @property
     def group_stride(self) -> int:

@@ -48,6 +48,9 @@ def rename_gene003(data_dir, name):
     groups.write_text("\n".join(lines) + "\n")
 
 
+DATA_FLAGS = ["--genetic", "--imaging", "--labels", "--groups", "--normalization"]
+
+
 def data_flags(data_dir):
     return [
         "--genetic", data_dir / "genetic.csv",
@@ -73,7 +76,27 @@ class TestGenerate:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_config_file_writes_what_its_flags_write(self, tmp_path):
+        # the keys keep the flag spellings though the options set spec fields
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("imaging-count = 2\nnoise = 0.2\nseed = 4\n")
+        base = ["generate", "--samples", 20, "--groups-count", 2, "--group-size", 2]
+        assert run([*base, "--config", cfg, "--out", tmp_path / "cfg"]) == 0
+        assert run([*base, "--imaging-count", 2, "--noise", 0.2, "--seed", 4,
+                    "--out", tmp_path / "flags"]) == 0
+        assert run([*base, "--out", tmp_path / "defaults"]) == 0
+        names = ("genetic.csv", "imaging.csv", "labels.csv", "groups.tsv",
+                 "truth_params.txt", "truth_groups.txt")
+        for name in names:
+            assert (tmp_path / "cfg" / name).read_bytes() == (
+                tmp_path / "flags" / name
+            ).read_bytes(), name
+        assert (tmp_path / "cfg" / "labels.csv").read_bytes() != (
+            tmp_path / "defaults" / "labels.csv"
+        ).read_bytes()
+
     @pytest.mark.parametrize("flag, value, message", [
+        ("--noise", "0.7", "label_noise must lie in [0, 0.5], got 0.7"),
         ("--effect-g", "nan", "effect_genetic must be finite, got nan"),
         ("--effect-w", "inf", "effect_interaction must be finite, got inf"),
         ("--intercept", "-inf", "intercept must be finite, got -inf"),
@@ -212,6 +235,38 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: input:")
         assert "\n" == err[-1] and "\n" not in err[:-1]
+
+    def test_missing_options_named_together(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "fit"
+        code = run(["fit", *data_flags(data_dir), "--lambda-w", 0.1, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: the following arguments are required: --lambda-i, --lambda-g\n"
+        )
+        assert not out.exists()
+
+    def test_config_file_satisfies_required_options(self, data_dir, tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("genetic = %s\nimaging = %s\nlabels = %s\ngroups = %s\n"
+                       % tuple(data_flags(data_dir)[1::2]))
+        out = tmp_path / "fit"
+        code = run(["fit", "--config", cfg, "--lambda-w", 0.1, "--lambda-i", 0.05,
+                    "--lambda-g", 0.1, "--out", out])
+        assert code == 0
+        assert (out / "params.txt").exists()
+
+    def test_bad_config_choice_rejected(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("normalization = bogus\n")
+        out = tmp_path / "fit"
+        code = run(["fit", *data_flags(data_dir), "--lambda-w", 0.1, "--lambda-i", 0.05,
+                    "--lambda-g", 0.1, "--config", cfg, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: argument --normalization: invalid choice: 'bogus' "
+            "(choose from 'sd', 'unit-norm')\n"
+        )
+        assert not out.exists()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = run(
@@ -527,6 +582,46 @@ class TestPredict:
             )
         assert not (tmp_path / "pred").exists()
 
+    def test_groups_of_another_layout_rejected(self, data_dir, tmp_path, capsys):
+        model_dir = self.fit_model(data_dir, tmp_path)
+        lines = (data_dir / "groups.tsv").read_text().splitlines()
+        reversed_groups = tmp_path / "reversed.tsv"
+        reversed_groups.write_text("\n".join(lines[::-1]) + "\n")
+        flags = self.predict_flags(data_dir, model_dir)
+        flags[flags.index("--groups") + 1] = reversed_groups
+        out = tmp_path / "pred"
+        assert run(["predict", *flags, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: input: %s: groups expand the genetic columns differently from the "
+            "groups of the fit\n" % reversed_groups
+        )
+        assert not out.exists()
+
+    def test_group_names_weights_and_boundaries_not_compared(self, data_dir, tmp_path):
+        # none changes the expanded columns; merged groups change which
+        # blocks of W margins skips, and so the rounding only
+        model_dir = self.fit_model(data_dir, tmp_path)
+        variants = {
+            "own": data_dir / "groups.tsv",
+            "relabelled": "a\t2.5\t0,1,2\nb\t1\t3,4,5\nc\tauto\t6,7,8\nd\t9\t9,10,11\n",
+            "merged": "first\tauto\t0,1,2,3,4,5\nsecond\tauto\t6,7,8,9,10,11\n",
+        }
+        probs = {}
+        for name, groups in variants.items():
+            if isinstance(groups, str):
+                groups = tmp_path / (name + ".tsv")
+                groups.write_text(variants[name])
+            flags = self.predict_flags(data_dir, model_dir)
+            flags[flags.index("--groups") + 1] = groups
+            assert run(["predict", *flags, "--out", tmp_path / name]) == 0
+            probs[name] = (tmp_path / name / "predictions.csv").read_bytes()
+        assert probs["relabelled"] == probs["own"]
+        np.testing.assert_allclose(
+            np.loadtxt(tmp_path / "merged" / "predictions.csv", delimiter=",", skiprows=1),
+            np.loadtxt(tmp_path / "own" / "predictions.csv", delimiter=",", skiprows=1),
+            rtol=0, atol=1e-12,
+        )
+
     def test_zero_model_gives_half_probabilities(self, data_dir, tmp_path):
         model_dir = self.fit_model(data_dir, tmp_path)
         # blank out every parameter: file with only the intercept line
@@ -687,6 +782,24 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flags", [
+        ("fit", DATA_FLAGS + ["--lambda-w", "--lambda-i", "--lambda-g", "--variant", "--tol",
+                              "--max-iters", "--out"]),
+        ("cv", DATA_FLAGS + ["--folds", "--grid", "--variant", "--selection", "--inner-folds",
+                             "--threshold", "--seed", "--out"]),
+        ("screen", DATA_FLAGS + ["--out"]),
+        ("predict", ["--model", "--scaler", "--groups", "--genetic", "--imaging",
+                     "--threshold", "--out"]),
+        ("generate", ["--samples", "--imaging-count", "--groups-count", "--group-size",
+                      "--overlap", "--active-groups", "--effect-w", "--effect-i", "--effect-g",
+                      "--intercept", "--noise", "--seed", "--out"]),
+    ])
+    def test_command_help_lists_its_flags(self, capsys, command, flags):
+        assert run([command, "--help"]) == 0
+        listed = {word.rstrip(",") for word in capsys.readouterr().out.split()
+                  if word.startswith("--")}
+        assert listed == {"--help", "--config", *flags}
 
 
 class TestEntryPoints:

@@ -441,6 +441,8 @@ class TestRejectionMessages:
                      "expected 2 group weights, got shape (1,)", id="weight-count"),
         pytest.param(lambda: GroupStructure([[0], [1]], 2, names=["a"]),
                      "expected 2 group names, got 1", id="name-count"),
+        pytest.param(lambda: GroupStructure([[0]], 1, weights=["2.5"]),
+                     "group weights must be numeric, got <U3 values", id="string-weight"),
         pytest.param(lambda: tiny_groups().block(2),
                      "group index 2 outside [0, 2)", id="block-out-of-range"),
         pytest.param(lambda: tiny_groups().block(1.5),
@@ -483,6 +485,14 @@ class TestRejectionMessages:
                      "expanded_size must be an integer, got inf", id="zeros-infinite"),
         pytest.param(lambda: ParameterSet.from_flat(np.zeros(5), 1, 2),
                      "flat vector has length 5, expected 6", id="flat-length"),
+        pytest.param(lambda: setattr(ParameterSet.zeros(1, 1), "imaging", ["3"]),
+                     "imaging must be numeric, got <U1 values", id="string-block"),
+        pytest.param(lambda: setattr(ParameterSet.zeros(1, 1), "intercept", "4"),
+                     "intercept must be numeric, got <U1 values", id="string-intercept"),
+        pytest.param(lambda: Hyperparameters("0.1", "0.2", "0.3"),
+                     "lambda_interaction must be numeric, got <U3 values", id="string-lambda"),
+        pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, tol="1e-3"),
+                     "tol must be numeric, got <U4 values", id="string-tol"),
         pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=0),
                      "max_iters must be >= 1, got 0", id="max-iters"),
         pytest.param(lambda: Hyperparameters(0.1, 0.1, 0.1, max_iters=2.5),

@@ -202,9 +202,13 @@ class TestCrossStats:
 
 
 def assert_same_record(loaded, record):
-    """The normalization, the names and every statistic bit for bit."""
+    """The normalization, the names, the layout and every statistic bit for bit."""
     for name in ("normalization", "genetic_names", "imaging_names"):
         assert getattr(loaded, name) == getattr(record, name), name
+    if record.expansion_index is None:
+        assert loaded.expansion_index is None
+    else:
+        np.testing.assert_array_equal(loaded.expansion_index, record.expansion_index)
     for name in ("genetic_mean", "genetic_scale", "imaging_mean", "imaging_scale",
                  "cross_mean", "cross_scale"):
         a, b = getattr(loaded, name), getattr(record, name)
@@ -353,6 +357,44 @@ class TestScalerFile:
         ):
             load_scaler(str(path))
 
+    def test_round_trip_with_layout(self, tmp_path):
+        # overlapping groups: column 1 is expanded twice
+        record = fit_scaler(small_dataset(19), expansion_index=[0, 1, 1, 2, 3])
+        path = tmp_path / "scaler.txt"
+        save_scaler(record, str(path))
+        assert path.read_text().splitlines()[-1] == "expansion_index\t0\t1\t1\t2\t3"
+        assert_same_record(load_scaler(str(path)), record)
+
+    def test_file_without_layout_leaves_groups_unchecked(self, tmp_path):
+        # the 14 lines of a file written before the layout row existed
+        path, _ = self.saved_lines(tmp_path)
+        loaded = load_scaler(str(path))
+        assert loaded.expansion_index is None
+        loaded.check_groups(GroupStructure([[3, 2], [1, 0]], n_features=4))
+
+    @pytest.mark.parametrize("field", ["1.5", "x", "", "99999999999999999999"])
+    def test_rejects_layout_field_not_an_index(self, tmp_path, field):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("".join(lines + ["expansion_index\t0\t%s\t2\t3\n" % field]))
+        with pytest.raises(
+            ValueError, match="line 15: expansion_index holds a field that is not an index"
+        ):
+            load_scaler(str(path))
+
+    def test_rejects_layout_index_out_of_range(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("".join(lines + ["expansion_index\t0\t1\t2\t4\n"]))
+        with pytest.raises(ValueError) as err:
+            load_scaler(str(path))
+        assert str(err.value) == "%s: expansion_index holds index 4 outside [0, 4)" % path
+
+    def test_rejects_line_after_layout(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        row = "expansion_index\t0\t1\t2\t3\n"
+        path.write_text("".join(lines + [row, row]))
+        with pytest.raises(ValueError, match="line 16: follows the last expansion_index row"):
+            load_scaler(str(path))
+
     def test_rejects_trailing_line(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
         path.write_text("".join(lines + [lines[-1]]))
@@ -454,6 +496,15 @@ class TestRejectionMessages:
                          Dataset(np.zeros((2, 1)), np.zeros((2, 1)), [0, 1]),
                          GroupStructure([[0], [1]], n_features=2), one_by_one_record()),
                      "groups cover 2 features, scaler was fit on 1", id="groups-vs-scaler"),
+        pytest.param(lambda: make_design(
+                         Dataset(np.zeros((2, 2)), np.zeros((2, 1)), [0, 1]),
+                         GroupStructure([[1], [0]], n_features=2),
+                         ScalingRecord("sd", [0.0, 0.0], [1.0, 1.0], [0.0], [1.0], [[0.0, 0.0]],
+                                       [[1.0, 1.0]], expansion_index=[0, 1])),
+                     "groups expand the genetic columns differently from the groups of the fit",
+                     id="groups-vs-layout"),
+        pytest.param(lambda: one_by_one_record(expansion_index=[1]),
+                     "expansion_index holds index 1 outside [0, 1)", id="layout-range"),
     ])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as err:

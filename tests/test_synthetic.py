@@ -58,9 +58,12 @@ class TestSpec:
 
 
     @pytest.mark.parametrize("overrides, message", [
-        pytest.param(dict(n_groups=0), "n_groups and group_size must be >= 1", id="no-groups"),
-        pytest.param(dict(group_size=0), "n_groups and group_size must be >= 1",
-                     id="empty-groups"),
+        pytest.param(dict(n_samples=0), "n_samples must be >= 1, got 0", id="no-samples"),
+        pytest.param(dict(n_imaging=0), "n_imaging must be >= 1, got 0", id="no-imaging"),
+        pytest.param(dict(n_groups=0), "n_groups must be >= 1, got 0", id="no-groups"),
+        pytest.param(dict(group_size=0), "group_size must be >= 1, got 0", id="empty-groups"),
+        pytest.param(dict(label_noise=0.7), "label_noise must lie in [0, 0.5], got 0.7",
+                     id="label-noise"),
         pytest.param(dict(overlap=1.0), "overlap must lie in [0, 1), got 1.0", id="overlap"),
         pytest.param(dict(overlap=0.6),
                      "overlap 0.6 leaves no stride between groups of size 1", id="zero-stride"),
@@ -68,7 +71,7 @@ class TestSpec:
                      id="fractional-samples"),
         pytest.param(dict(n_active=float("inf")), "n_active must be an integer, got inf",
                      id="infinite-active"),
-        pytest.param(dict(effect_imaging=-0.5), "effect_imaging must be >= 0",
+        pytest.param(dict(effect_imaging=-0.5), "effect_imaging must be >= 0, got -0.5",
                      id="negative-effect"),
         pytest.param(dict(effect_interaction=float("nan")),
                      "effect_interaction must be finite, got nan", id="nan-effect-w"),
