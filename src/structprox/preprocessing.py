@@ -283,6 +283,8 @@ def load_scaler(path) -> ScalingRecord:
         ni, ng = i_mean.size, g_mean.size
         x_mean = np.reshape([floats("cross_mean", ng) for _ in range(ni)], (ni, ng))
         x_scale = np.reshape([floats("cross_scale", ng) for _ in range(ni)], (ni, ng))
+        # one optional expansion_index row may follow: files written without
+        # the fit's group layout end here
         last, index = "cross_scale", None
         for line in fh:
             lineno += 1

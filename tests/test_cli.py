@@ -601,16 +601,14 @@ class TestPredict:
         # none changes the expanded columns; merged groups change which
         # blocks of W margins skips, and so the rounding only
         model_dir = self.fit_model(data_dir, tmp_path)
-        variants = {
-            "own": data_dir / "groups.tsv",
-            "relabelled": "a\t2.5\t0,1,2\nb\t1\t3,4,5\nc\tauto\t6,7,8\nd\t9\t9,10,11\n",
-            "merged": "first\tauto\t0,1,2,3,4,5\nsecond\tauto\t6,7,8,9,10,11\n",
-        }
+        (tmp_path / "relabelled.tsv").write_text(
+            "a\t2.5\t0,1,2\nb\t1\t3,4,5\nc\tauto\t6,7,8\nd\t9\t9,10,11\n")
+        (tmp_path / "merged.tsv").write_text(
+            "first\tauto\t0,1,2,3,4,5\nsecond\tauto\t6,7,8,9,10,11\n")
         probs = {}
-        for name, groups in variants.items():
-            if isinstance(groups, str):
-                groups = tmp_path / (name + ".tsv")
-                groups.write_text(variants[name])
+        for name, groups in (("own", data_dir / "groups.tsv"),
+                             ("relabelled", tmp_path / "relabelled.tsv"),
+                             ("merged", tmp_path / "merged.tsv")):
             flags = self.predict_flags(data_dir, model_dir)
             flags[flags.index("--groups") + 1] = groups
             assert run(["predict", *flags, "--out", tmp_path / name]) == 0
