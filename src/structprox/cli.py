@@ -369,20 +369,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _build_parser(config):
-    """The top-level parser and a dict of its per-command parsers, each of
-    which takes ``config``'s ``--config`` option."""
-    parser = _Parser(prog="structprox", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-    commands = {}
-
-    def command(name, func, help):
-        # parents= copies --config without add_argument, so it is no config key
-        sp = commands[name] = sub.add_parser(name, help=help, parents=[config])
-        sp.set_defaults(func=func)
-        return sp
-
-    sp = command("fit", cmd_fit, "train one model")
+def _fit_options(sp) -> None:
     _add_data_options(sp)
     sp.add_argument("--lambda-w", type=float, dest="lambda_interaction", required=True,
                     help="interaction penalty strength")
@@ -397,7 +384,8 @@ def _build_parser(config):
                     help="iteration cap")
     sp.add_argument("--out", type=str, default="structprox-fit", help="output directory")
 
-    sp = command("cv", cmd_cv, "cross-validate over a grid")
+
+def _cv_options(sp) -> None:
     _add_data_options(sp)
     sp.add_argument("--folds", type=int, default=10, help="number of folds (default 10)")
     sp.add_argument("--grid", type=str, default="7",
@@ -413,11 +401,13 @@ def _build_parser(config):
     sp.add_argument("--seed", type=int, default=0, help="fold shuffling seed (default 0)")
     sp.add_argument("--out", type=str, default="structprox-cv", help="output directory")
 
-    sp = command("screen", cmd_screen, "critical penalty strengths")
+
+def _screen_options(sp) -> None:
     _add_data_options(sp)
     sp.add_argument("--out", type=str, help="optional output directory")
 
-    sp = command("predict", cmd_predict, "score new samples")
+
+def _predict_options(sp) -> None:
     sp.add_argument("--model", type=str, required=True, help="params.txt from a fit")
     sp.add_argument("--scaler", type=str, required=True, help="scaler.txt from the same fit")
     sp.add_argument("--groups", type=str, required=True,
@@ -428,7 +418,8 @@ def _build_parser(config):
                     help="decision threshold (default 0.5)")
     sp.add_argument("--out", type=str, default="structprox-predict", help="output directory")
 
-    sp = command("generate", cmd_generate, "write a synthetic dataset")
+
+def _generate_options(sp) -> None:
     sp.add_argument("--samples", type=int, dest="n_samples", default=200,
                     help="sample count (default 200)")
     sp.add_argument("--imaging-count", type=int, dest="n_imaging", default=6,
@@ -452,6 +443,30 @@ def _build_parser(config):
                     help="label flip probability")
     sp.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     sp.add_argument("--out", type=str, required=True, help="output directory")
+
+
+# name: (function, help, adds the options)
+_COMMANDS = {
+    "fit": (cmd_fit, "train one model", _fit_options),
+    "cv": (cmd_cv, "cross-validate over a grid", _cv_options),
+    "screen": (cmd_screen, "critical penalty strengths", _screen_options),
+    "predict": (cmd_predict, "score new samples", _predict_options),
+    "generate": (cmd_generate, "write a synthetic dataset", _generate_options),
+}
+
+
+def _build_parser(config, names):
+    """The top-level parser and a dict of the parsers of the commands in
+    ``names``, each of which takes ``config``'s ``--config`` option."""
+    parser = _Parser(prog="structprox", description=__doc__)
+    sub = parser.add_subparsers(dest="command")
+    commands = {}
+    for name in names:
+        func, help, add_options = _COMMANDS[name]
+        # parents= copies --config without add_argument, so it is no config key
+        sp = commands[name] = sub.add_parser(name, help=help, parents=[config])
+        sp.set_defaults(func=func)
+        add_options(sp)
     return parser, commands
 
 
@@ -459,8 +474,11 @@ def main(argv=None) -> int:
     config = _Parser(add_help=False)
     config.add_argument("--config", type=str,
                         help="key=value settings file, read as flags ahead of these")
-    parser, commands = _build_parser(config)
     argv = sys.argv[1:] if argv is None else list(argv)
+    # A command named first is the only one argparse can reach; help and
+    # the other errors need every command.
+    named = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    parser, commands = _build_parser(config, named)
     try:
         if argv and argv[0] in commands:
             path = config.parse_known_args(argv[1:])[0].config

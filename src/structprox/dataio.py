@@ -8,6 +8,7 @@ loading reproduces the stored float64 values exactly.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from collections import Counter
 from itertools import chain
@@ -40,13 +41,21 @@ def load_matrix_csv(path):
     Returns ``(column_names, matrix)`` with the matrix as float64.  Column
     names must be distinct, because prediction matches columns by name.
 
-    The header is read with ``csv.reader`` and the body is parsed in C by
-    ``np.loadtxt``.  When that parse fails (a quoted field, an underscore
-    in a number, a ragged row, any text that is not a number), finds no
-    rows, or finds rows of another width than the header, the body is read
-    again row by row with ``csv.reader`` and Python's ``float``.  That loop
-    defines the accepted inputs, their values and the line-numbered errors;
-    the C parse only takes the common case faster.
+    The header is read with ``csv.reader``; the body goes through up to
+    three parses, each taking the inputs the one before it cannot:
+
+    1. A body of rows that each hold one ASCII digit per column, separated
+       by commas and ended by LF, such as minor-allele counts, is checked
+       and converted as one byte array.
+    2. Any other body is parsed in C by ``np.loadtxt``.
+    3. When that parse fails (a quoted field, an underscore in a number, a
+       ragged row, any text that is not a number), finds no rows, or finds
+       rows of another width than the header, the body is read row by row
+       with ``csv.reader`` and Python's ``float``.
+
+    The row loop defines the accepted inputs, their values and the
+    line-numbered errors; the first two parses only take common cases
+    faster.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -60,19 +69,60 @@ def load_matrix_csv(path):
             raise ValueError(
                 "%s: column name '%s' appears twice in the header" % (path, repeated[0])
             )
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported by the row loop below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                X = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            X = None
+        # Only a first row of one-digit fields can start a digit body.  The
+        # digit parse reads on, so it needs a file that can be read again.
+        first = fh.readline()
+        X = None
+        if names and len(first) == 2 * len(names) and fh.seekable():
+            X = _digit_rows(fh, first, len(names))
+            if X is None:
+                fh.seek(0)
+                next(csv.reader(fh))
+                first = fh.readline()
+        if X is None:
+            try:
+                with warnings.catch_warnings():
+                    # an empty body is reported by the row loop below
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    X = np.loadtxt(_plain_lines(chain([first], fh)), delimiter=",",
+                                   comments=None, ndmin=2)
+            except ValueError:
+                X = None
         if X is None or not len(X) or X.shape[1] != len(names):
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
             X = _read_rows(reader, len(names), path)
     return names, X
+
+
+def _digit_rows(fh, first: str, n_fields: int):
+    """The body of ``fh``, of which ``first`` is the first row, as a float64
+    matrix when every row is ``n_fields`` one-digit fields joined by commas
+    and ended by LF, else None."""
+    width = 2 * n_fields
+    # A row of the body takes `width` bytes of the file, so the file's size
+    # bounds the rows.  Filling them 64 kB of text at a time keeps no copy
+    # of the whole text.
+    X = np.empty((os.fstat(fh.fileno()).st_size // width, n_fields))
+    count = 0
+    text = first
+    while text:
+        # a character outside ASCII encodes to bytes >= 0x80, which fail the checks
+        raw = text.encode()
+        if len(raw) % width or count + len(raw) // width > len(X):
+            return None
+        rows = np.frombuffer(raw, np.uint8).reshape(-1, width)
+        digits, ends = rows[:, ::2], rows[:, 1::2]
+        # uint8 arithmetic wraps, so a byte below '0' becomes a large value
+        if not ((digits - ord("0") < 10).all()
+                and (ends[:, :-1] == ord(",")).all() and (ends[:, -1] == ord("\n")).all()):
+            return None
+        np.subtract(digits, ord("0"), out=X[count : count + len(rows)])
+        count += len(rows)
+        text = fh.read(width * max(1, 65536 // width))
+    return X[:count]
 
 
 # np.loadtxt strips these ASCII separators around a number as whitespace,

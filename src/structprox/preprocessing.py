@@ -151,14 +151,16 @@ class ScalingRecord:
                              "groups of the fit")
 
 
-def _column_stats(X: np.ndarray, normalization: str):
-    """Two-pass mean and scale of every column; constants get scale 1."""
+def _column_stats(X: np.ndarray, normalization: str, out=None):
+    """Two-pass mean and scale of every column; constants get scale 1.
+    The squared deviations go to ``out``, which may be ``X``, when given."""
     mean = X.mean(axis=0)
-    centered = X - mean
+    squares = np.subtract(X, mean, out=out)
+    np.square(squares, out=squares)
     if normalization == "sd":
-        spread = np.sqrt(np.mean(centered**2, axis=0))
+        spread = np.sqrt(np.mean(squares, axis=0))
     else:
-        spread = np.sqrt(np.sum(centered**2, axis=0))
+        spread = np.sqrt(np.sum(squares, axis=0))
     constant = spread <= _CONSTANT_TOL * np.maximum(1.0, np.abs(mean))
     return mean, np.where(constant, 1.0, spread)
 
@@ -189,11 +191,13 @@ def fit_scaler(
     ni, ng = d.n_imaging, d.n_genetic
     x_mean = np.empty((ni, ng))
     x_scale = np.empty((ni, ng))
-    # One imaging column at a time keeps memory at O(N * n_genetic).  Freeing
-    # `products` before the next one exists faults its pages in anew (2x time).
+    # One imaging column at a time, in one buffer, keeps memory at
+    # O(N * n_genetic).  The buffer keeps zg's memory order, which sets the
+    # order, and so the rounding, of the column sums.
+    products = np.empty_like(zg)
     for i in range(ni):
-        products = zi[:, i : i + 1] * zg
-        x_mean[i], x_scale[i] = _column_stats(products, normalization)
+        np.multiply(zi[:, i : i + 1], zg, out=products)
+        x_mean[i], x_scale[i] = _column_stats(products, normalization, out=products)
     return ScalingRecord(
         normalization,
         g_mean, g_scale,

@@ -24,6 +24,7 @@ from .core import (
     Hyperparameters,
     ParameterSet,
     _integer,
+    _numeric,
     flat_length,
 )
 from .objective import Design, margins, risk, sigmoid
@@ -67,6 +68,9 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("n_samples", "n_imaging", "n_groups", "group_size", "n_active", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("overlap", "effect_interaction", "effect_imaging", "effect_genetic",
+                     "intercept", "label_noise"):
+            object.__setattr__(self, name, float(_numeric(name, getattr(self, name))))
         if self.seed < 0:
             raise ValueError("seed must be >= 0, got %d" % self.seed)
         for name in ("n_samples", "n_imaging", "n_groups", "group_size"):

@@ -95,6 +95,18 @@ class TestGenerate:
             tmp_path / "defaults" / "labels.csv"
         ).read_bytes()
 
+    def test_genotypes_and_labels_skip_loadtxt(self, data_dir, monkeypatch):
+        # one digit per field: minor-allele counts and 0/1 labels
+        from structprox.dataio import load_labels_csv, load_matrix_csv
+
+        want = {name: np.loadtxt(data_dir / name, delimiter=",", skiprows=1)
+                for name in ("genetic.csv", "labels.csv")}
+        monkeypatch.setattr(np, "loadtxt", None)  # any call fails
+        _, genetic = load_matrix_csv(str(data_dir / "genetic.csv"))
+        assert genetic.tobytes() == want["genetic.csv"].tobytes()
+        labels = load_labels_csv(str(data_dir / "labels.csv"))
+        np.testing.assert_array_equal(labels, want["labels.csv"])
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--noise", "0.7", "label_noise must lie in [0, 0.5], got 0.7"),
         ("--effect-g", "nan", "effect_genetic must be finite, got nan"),

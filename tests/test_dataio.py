@@ -1,9 +1,13 @@
+import csv
+import os
+import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from structprox import GroupStructure, ParameterSet, SyntheticSpec, build_groups
+from structprox import GroupStructure, ParameterSet, SyntheticSpec, build_groups, dataio
 from structprox.dataio import (
     load_group_file,
     load_labels_csv,
@@ -111,6 +115,108 @@ class TestMatrixCsv:
             with pytest.raises(ValueError, match="no data rows"):
                 load_matrix_csv(str(path))
         assert caught == []
+
+
+class TestDigitParse:
+    """A body of one-digit fields is read as bytes; every other body loads
+    as the row loop, which defines the accepted input, reads it."""
+
+    def test_digit_matrix_equals_loadtxt_and_row_loop(self, tmp_path):
+        X = np.random.default_rng(1).integers(0, 10, size=(40, 7)).astype(float)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(str(path), ["c%d" % k for k in range(7)], X)
+        _, got = load_matrix_csv(str(path))
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert got.tobytes() == np.loadtxt(str(path), delimiter=",", skiprows=1).tobytes()
+        assert got.tobytes() == np.array([[float(v) for v in row] for row in rows]).tobytes()
+        assert got.tobytes() == X.tobytes()
+
+    # Bodies under the header "a,b" the digit parse must leave to the other
+    # two.  Where it can, a body starts with a row of one-digit fields, so
+    # that the rest is read, and is a whole number of 4-byte rows, so that
+    # the byte checks are what turn it away.
+    @pytest.mark.parametrize("text", [
+        pytest.param("a,b\r\n0,1\r\n2,3\r\n", id="crlf"),
+        pytest.param("a,b\n0,1\n2,3\r\n", id="crlf-after-first-row"),
+        pytest.param("a,b\n0,1\n2,3", id="no-final-lf"),
+        pytest.param("a,b\n0,1\n2,3,", id="comma-for-final-lf"),
+        pytest.param("a,b\n0,1\n2,3\r", id="cr-for-final-lf"),
+        pytest.param("a,b\n0,1\n2,3\n\n", id="trailing-blank-line"),
+        pytest.param("a,b\n0,1\n23,4\n", id="two-digits"),
+        pytest.param("a,b\n0,1\n12,\n", id="two-digits-aligned"),
+        pytest.param("a,b\n0,1\n-2,3\n", id="sign"),
+        pytest.param("a,b\n0,1\n+,1\n", id="sign-aligned"),
+        pytest.param("a,b\n0,1\n 2,3\n", id="space"),
+        pytest.param("a,b\n0,1\n2, \n", id="space-aligned"),
+        pytest.param("a,b\n0,1\n2.,3\n", id="point"),
+        pytest.param("a,b\n0,1\n.,1\n", id="point-aligned"),
+        pytest.param("a,b\n0,1\n2\x1c3\n", id="0x1c-separator"),
+        pytest.param("a,b\n0,1\n2,3\x1c\n", id="0x1c-after-field"),
+        pytest.param("a,b\n0,1\n\u0663,1\n", id="non-ascii-digit"),
+        pytest.param("a,b\n0,1\n2\n3\n", id="ragged"),
+        pytest.param("a,b,c\n0,1\n2,3\n4,5\n", id="header-wider"),
+        pytest.param("a,b\n", id="empty-body"),
+        pytest.param("a,b", id="header-without-body"),
+        pytest.param("\n", id="blank-header"),
+        pytest.param('"a,x","b\ny"\n0,1\n2,3\n', id="quoted-header"),
+    ])
+    def test_other_bodies_load_as_the_row_loop_reads_them(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text, newline="")
+
+        def outcome(load):
+            try:
+                names, X = load()
+            except ValueError as exc:
+                return str(exc)
+            return names, X.dtype, X.shape, X.tobytes()
+
+        def row_loop():
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                names = [n.strip() for n in next(reader)]
+                return names, dataio._read_rows(reader, len(names), str(path))
+
+        assert outcome(lambda: load_matrix_csv(str(path))) == outcome(row_loop)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+    @pytest.mark.parametrize("body", ["0,1\n2,3\n", "0.5,1\n2,3\n"], ids=["digits", "decimals"])
+    def test_pipe_loads_as_file(self, tmp_path, body):
+        # a pipe can be read once, and its size reads 0
+        path = tmp_path / "m.fifo"
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "w") as fh:
+                fh.write("a,b\n" + body)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        names, X = load_matrix_csv(str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        (tmp_path / "m.csv").write_text("a,b\n" + body)
+        _, want = load_matrix_csv(str(tmp_path / "m.csv"))
+        assert names == ["a", "b"] and X.tobytes() == want.tobytes()
+
+    def test_file_grown_past_its_size_loads(self, tmp_path, monkeypatch):
+        # the size bounds the rows the digit parse makes room for
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n0,1\n2,3\n")
+        stale_size = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=4))
+        monkeypatch.setattr(dataio, "os", stale_size)
+        np.testing.assert_array_equal(load_matrix_csv(str(path))[1], [[0.0, 1.0], [2.0, 3.0]])
+
+    def test_quoted_header_over_digit_body(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_text('"a,x","b\ny"\n0,1\n2,3\n', newline="")
+        monkeypatch.setattr(np, "loadtxt", None)  # any call fails
+        names, X = load_matrix_csv(str(path))
+        assert names == ["a,x", "b\ny"]
+        np.testing.assert_array_equal(X, [[0.0, 1.0], [2.0, 3.0]])
+
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):

@@ -83,6 +83,18 @@ class TestSpec:
                      id="infinite-intercept"),
         pytest.param(dict(seed=2.5), "seed must be an integer, got 2.5", id="fractional-seed"),
         pytest.param(dict(seed=-1), "seed must be >= 0, got -1", id="negative-seed"),
+        pytest.param(dict(overlap="0.5"), "overlap must be numeric, got <U3 values",
+                     id="string-overlap"),
+        pytest.param(dict(label_noise="0.1"), "label_noise must be numeric, got <U3 values",
+                     id="string-label-noise"),
+        pytest.param(dict(effect_interaction="1"),
+                     "effect_interaction must be numeric, got <U1 values", id="string-effect-w"),
+        pytest.param(dict(effect_imaging="0.5"),
+                     "effect_imaging must be numeric, got <U3 values", id="string-effect-i"),
+        pytest.param(dict(effect_genetic="1"), "effect_genetic must be numeric, got <U1 values",
+                     id="string-effect-g"),
+        pytest.param(dict(intercept="2"), "intercept must be numeric, got <U1 values",
+                     id="string-intercept"),
     ])
     def test_rejection_message(self, overrides, message):
         settings = dict(n_samples=5, n_imaging=1, n_groups=1, group_size=1, n_active=0)
