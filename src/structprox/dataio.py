@@ -8,10 +8,9 @@ loading reproduces the stored float64 values exactly.
 from __future__ import annotations
 
 import csv
-import os
 import warnings
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from math import isfinite
 
 import numpy as np
@@ -41,12 +40,14 @@ def load_matrix_csv(path):
     Returns ``(column_names, matrix)`` with the matrix as float64.  Column
     names must be distinct, because prediction matches columns by name.
 
-    The header is read with ``csv.reader``; the body goes through up to
-    three parses, each taking the inputs the one before it cannot:
+    The file is read once, so any readable stream works, a pipe included.
+    The header is parsed with ``csv.reader``; the body that follows it goes
+    through up to three parses of the text in memory, each taking the
+    inputs the one before it cannot:
 
     1. A body of rows that each hold one ASCII digit per column, separated
        by commas and ended by LF, such as minor-allele counts, is checked
-       and converted as one byte array.
+       and converted as bytes.
     2. Any other body is parsed in C by ``np.loadtxt``.
     3. When that parse fails (a quoted field, an underscore in a number, a
        ragged row, any text that is not a number), finds no rows, or finds
@@ -58,71 +59,33 @@ def load_matrix_csv(path):
     faster.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    reader = csv.reader(_lines(text))
+    try:
+        names = next(reader)
+    except StopIteration:
+        raise ValueError("%s: empty file, expected a header row" % path)
+    names = [n.strip() for n in names]
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ValueError(
+            "%s: column name '%s' appears twice in the header" % (path, repeated[0])
+        )
+    # the body starts after the lines the header took
+    start = sum(map(len, islice(_lines(text), reader.line_num)))
+    X = _digit_rows(text, start, len(names)) if names else None
+    if X is None and not any(text.find(sep, start) >= 0 for sep in _SEPARATORS):
         try:
-            names = next(reader)
-        except StopIteration:
-            raise ValueError("%s: empty file, expected a header row" % path)
-        names = [n.strip() for n in names]
-        repeated = [name for name, count in Counter(names).items() if count > 1]
-        if repeated:
-            raise ValueError(
-                "%s: column name '%s' appears twice in the header" % (path, repeated[0])
-            )
-        # Only a first row of one-digit fields can start a digit body.  The
-        # digit parse reads on, so it needs a file that can be read again.
-        first = fh.readline()
-        X = None
-        if names and len(first) == 2 * len(names) and fh.seekable():
-            X = _digit_rows(fh, first, len(names))
-            if X is None:
-                fh.seek(0)
-                next(csv.reader(fh))
-                first = fh.readline()
-        if X is None:
-            try:
-                with warnings.catch_warnings():
-                    # an empty body is reported by the row loop below
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                            UserWarning)
-                    X = np.loadtxt(_plain_lines(chain([first], fh)), delimiter=",",
-                                   comments=None, ndmin=2)
-            except ValueError:
-                X = None
-        if X is None or not len(X) or X.shape[1] != len(names):
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            X = _read_rows(reader, len(names), path)
+            with warnings.catch_warnings():
+                # an empty body is reported by the row loop below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                X = np.loadtxt(_lines(text, start), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            X = None
+    if X is None or not len(X) or X.shape[1] != len(names):
+        X = _read_rows(reader, len(names), path)
     return names, X
-
-
-def _digit_rows(fh, first: str, n_fields: int):
-    """The body of ``fh``, of which ``first`` is the first row, as a float64
-    matrix when every row is ``n_fields`` one-digit fields joined by commas
-    and ended by LF, else None."""
-    width = 2 * n_fields
-    # A row of the body takes `width` bytes of the file, so the file's size
-    # bounds the rows.  Filling them 64 kB of text at a time keeps no copy
-    # of the whole text.
-    X = np.empty((os.fstat(fh.fileno()).st_size // width, n_fields))
-    count = 0
-    text = first
-    while text:
-        # a character outside ASCII encodes to bytes >= 0x80, which fail the checks
-        raw = text.encode()
-        if len(raw) % width or count + len(raw) // width > len(X):
-            return None
-        rows = np.frombuffer(raw, np.uint8).reshape(-1, width)
-        digits, ends = rows[:, ::2], rows[:, 1::2]
-        # uint8 arithmetic wraps, so a byte below '0' becomes a large value
-        if not ((digits - ord("0") < 10).all()
-                and (ends[:, :-1] == ord(",")).all() and (ends[:, -1] == ord("\n")).all()):
-            return None
-        np.subtract(digits, ord("0"), out=X[count : count + len(rows)])
-        count += len(rows)
-        text = fh.read(width * max(1, 65536 // width))
-    return X[:count]
 
 
 # np.loadtxt strips these ASCII separators around a number as whitespace,
@@ -130,31 +93,64 @@ def _digit_rows(fh, first: str, n_fields: int):
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _plain_lines(fh):
-    """The remaining lines of ``fh``; a ValueError at a line holding a
-    character on which np.loadtxt and float() disagree."""
-    for line in fh:
-        if any(c in line for c in _SEPARATORS):
-            raise ValueError("line holds an ASCII separator")
-        yield line
+def _lines(text: str, start: int = 0):
+    """The lines of ``text`` from ``start`` on, each with its line end, split
+    as a file opened with ``newline=""`` splits them: at LF, CR and CR LF,
+    not at the VT, FF, 0x1C-0x1E, NEL, U+2028 and U+2029 of str.splitlines."""
+    lf = -1  # the next LF, len(text) if there is none; -1 until searched
+    while start < len(text):
+        if lf < start:
+            lf = text.find("\n", start) % (len(text) + 1)  # find's -1 becomes len(text)
+        cr = text.find("\r", start, lf)
+        # a CR ends the line unless it is the CR of a CR LF
+        stop = cr + 1 if 0 <= cr < lf - 1 else lf + 1
+        yield text[start:stop]
+        start = stop
+
+
+def _digit_rows(text: str, start: int, n_fields: int):
+    """``text`` from ``start`` on as a float64 matrix when every row is
+    ``n_fields`` one-digit fields joined by commas and ended by LF, else None."""
+    width = 2 * n_fields
+    if (len(text) - start) % width:
+        return None
+    X = np.empty(((len(text) - start) // width, n_fields))
+    # 256 kB at a time keeps the temporaries small, in slices large enough
+    # that numpy's per-call cost stays minor
+    step = width * max(1, 262144 // width)
+    for at in range(start, len(text), step):
+        chunk = text[at : at + step]
+        if not chunk.isascii():
+            return None
+        rows = np.frombuffer(chunk.encode(), np.uint8).reshape(-1, width)
+        digits, ends = rows[:, ::2], rows[:, 1::2]
+        # uint8 arithmetic wraps, so a byte below '0' becomes a large value
+        if not ((digits - ord("0") < 10).all()
+                and (ends[:, :-1] == ord(",")).all() and (ends[:, -1] == ord("\n")).all()):
+            return None
+        first = (at - start) // width
+        np.subtract(digits, ord("0"), out=X[first : first + len(rows)])
+    return X
 
 
 def _read_rows(reader, n_fields: int, path) -> np.ndarray:
+    """The rest of ``reader`` as a float64 matrix; errors name the physical
+    line, counted by ``reader.line_num``, on which a bad row ends."""
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != n_fields:
             raise ValueError(
                 "%s: line %d has %d fields, header has %d"
-                % (path, lineno, len(row), n_fields)
+                % (path, reader.line_num, len(row), n_fields)
             )
         try:
             # a row of Python floats takes four times its array's memory
             rows.append(np.array([float(v) for v in row]))
         except ValueError:
             raise ValueError(
-                "%s: line %d holds a non-numeric value" % (path, lineno)
+                "%s: line %d holds a non-numeric value" % (path, reader.line_num)
             )
     if not rows:
         raise ValueError("%s: no data rows" % path)

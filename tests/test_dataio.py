@@ -1,8 +1,8 @@
 import csv
+import io
 import os
 import threading
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,6 +91,9 @@ class TestMatrixCsv:
             ("1,2\n#3,4\n", 3),  # no comment syntax
             ("1,2\n3,4\x1c\n", 3),  # np.loadtxt strips 0x1C as whitespace, float() does not
             ("1,2\n\n1,,\n", 4),
+            ("1,2\r\n3,x\r\n", 3),  # CR LF ends one line
+            # a quoted field spanning lines 3-4 counts both
+            ('0,1\n"2\n",3\n2,x\n', 5),
         ],
     )
     def test_rejected_rows_report_line_number(self, tmp_path, body, line):
@@ -98,6 +101,20 @@ class TestMatrixCsv:
         path.write_text("a,b\n" + body, newline="")
         with pytest.raises(ValueError, match="line %d " % line):
             load_matrix_csv(str(path))
+
+    def test_rejected_row_under_a_two_line_header_reports_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text('"a,x","b\ny"\n0,1\n2,x\n', newline="")
+        with pytest.raises(ValueError) as err:
+            load_matrix_csv(str(path))
+        assert str(err.value) == "%s: line 4 holds a non-numeric value" % path
+
+    @pytest.mark.parametrize("text", [
+        "a\rb\r\nc\nd", "\na\r\x0b\n\n", "a\r", "\r\r\n\r", "x\x0cy\x1cz\x85w\u2028v\n",
+    ])
+    def test_lines_split_as_a_file_opened_with_newline_empty(self, text):
+        for start in range(len(text) + 1):
+            assert list(dataio._lines(text, start)) == list(io.StringIO(text[start:], newline=""))
 
     def test_quoted_fields_and_line_endings_read_as_csv(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -122,7 +139,8 @@ class TestDigitParse:
     as the row loop, which defines the accepted input, reads it."""
 
     def test_digit_matrix_equals_loadtxt_and_row_loop(self, tmp_path):
-        X = np.random.default_rng(1).integers(0, 10, size=(40, 7)).astype(float)
+        # 280 kB of rows, more than one 256 kB slice of the digit parse
+        X = np.random.default_rng(1).integers(0, 10, size=(20000, 7)).astype(float)
         path = tmp_path / "m.csv"
         save_matrix_csv(str(path), ["c%d" % k for k in range(7)], X)
         _, got = load_matrix_csv(str(path))
@@ -161,6 +179,8 @@ class TestDigitParse:
         pytest.param("a,b", id="header-without-body"),
         pytest.param("\n", id="blank-header"),
         pytest.param('"a,x","b\ny"\n0,1\n2,3\n', id="quoted-header"),
+        # line ends only for str.splitlines, inside a quoted field
+        pytest.param('a,b\n"1\x0b\x0c\x85\u2028",2\n3,x\n', id="splitlines-breaks-quoted"),
     ])
     def test_other_bodies_load_as_the_row_loop_reads_them(self, tmp_path, text):
         path = tmp_path / "m.csv"
@@ -181,33 +201,37 @@ class TestDigitParse:
 
         assert outcome(lambda: load_matrix_csv(str(path))) == outcome(row_loop)
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
-    @pytest.mark.parametrize("body", ["0,1\n2,3\n", "0.5,1\n2,3\n"], ids=["digits", "decimals"])
-    def test_pipe_loads_as_file(self, tmp_path, body):
+    @staticmethod
+    def load_through_pipe(path, text):
         # a pipe can be read once, and its size reads 0
-        path = tmp_path / "m.fifo"
         os.mkfifo(path)
 
         def write():
             with open(path, "w") as fh:
-                fh.write("a,b\n" + body)
+                fh.write(text)
 
         writer = threading.Thread(target=write, daemon=True)
         writer.start()
-        names, X = load_matrix_csv(str(path))
+        loaded = load_matrix_csv(str(path))
         writer.join(timeout=10)
         assert not writer.is_alive()
+        return loaded
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+    @pytest.mark.parametrize("body", ["0,1\n2,3\n", "0.5,1\n2,3\n", '"1",2\n'],
+                             ids=["digits", "decimals", "quoted"])
+    def test_pipe_loads_as_file(self, tmp_path, body):
+        names, X = self.load_through_pipe(tmp_path / "m.fifo", "a,b\n" + body)
         (tmp_path / "m.csv").write_text("a,b\n" + body)
         _, want = load_matrix_csv(str(tmp_path / "m.csv"))
         assert names == ["a", "b"] and X.tobytes() == want.tobytes()
 
-    def test_file_grown_past_its_size_loads(self, tmp_path, monkeypatch):
-        # the size bounds the rows the digit parse makes room for
-        path = tmp_path / "m.csv"
-        path.write_text("a,b\n0,1\n2,3\n")
-        stale_size = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=4))
-        monkeypatch.setattr(dataio, "os", stale_size)
-        np.testing.assert_array_equal(load_matrix_csv(str(path))[1], [[0.0, 1.0], [2.0, 3.0]])
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+    def test_pipe_takes_the_digit_parse(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np, "loadtxt", None)  # any call fails
+        names, X = self.load_through_pipe(tmp_path / "m.fifo", "a,b\n0,1\n2,3\n")
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(X, [[0.0, 1.0], [2.0, 3.0]])
 
     def test_quoted_header_over_digit_body(self, tmp_path, monkeypatch):
         path = tmp_path / "m.csv"
