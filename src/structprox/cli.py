@@ -18,6 +18,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import dataio
 from .core import Dataset, Hyperparameters, _check_variant_name
 from .evaluation import (
@@ -71,25 +73,24 @@ def _parse_config_file(path, flags: dict) -> list[str]:
     """
     arguments = []
     set_on = {}  # line of each key set so far
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ValueError(
-                    "%s: line %d is not a key=value setting" % (path, lineno)
-                )
-            key, _, value = text.partition("=")
-            name = key.strip().replace("-", "_")
-            if name not in flags:
-                raise ValueError("%s: line %d sets unknown option '%s'"
-                                 % (path, lineno, key.strip()))
-            if name in set_on:
-                raise ValueError("%s: lines %d and %d both set '%s'"
-                                 % (path, set_on[name], lineno, name))
-            set_on[name] = lineno
-            arguments.append("%s=%s" % (flags[name], value.strip()))
+    for lineno, line in enumerate(dataio._read_text(path).split("\n"), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ValueError(
+                "%s: line %d is not a key=value setting" % (path, lineno)
+            )
+        key, _, value = text.partition("=")
+        name = key.strip().replace("-", "_")
+        if name not in flags:
+            raise ValueError("%s: line %d sets unknown option '%s'"
+                             % (path, lineno, key.strip()))
+        if name in set_on:
+            raise ValueError("%s: lines %d and %d both set '%s'"
+                             % (path, set_on[name], lineno, name))
+        set_on[name] = lineno
+        arguments.append("%s=%s" % (flags[name], value.strip()))
     return arguments
 
 
@@ -107,11 +108,21 @@ def _add_data_options(sp) -> None:
                     default="sd", help="column scaling mode (default sd)")
 
 
+def _finite(path, X):
+    """``X``, once each of its entries is finite; else the first data row of
+    ``path`` that holds a NaN or an infinity is named."""
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError("%s: data row %d holds a NaN or infinite value"
+                         % (path, np.argmin(finite) + 1))
+    return X
+
+
 def _load_data(args):
     g_names, genetic = dataio.load_matrix_csv(args.genetic)
     i_names, imaging = dataio.load_matrix_csv(args.imaging)
     labels = dataio.load_labels_csv(args.labels)
-    d = Dataset(genetic, imaging, labels)
+    d = Dataset(_finite(args.genetic, genetic), _finite(args.imaging, imaging), labels)
     gs = dataio.load_group_file(args.groups, d.n_genetic)
     return d, gs, g_names, i_names
 
@@ -343,6 +354,8 @@ def cmd_predict(args) -> int:
     i_names, imaging = dataio.load_matrix_csv(args.imaging)
     genetic = _reorder_columns(g_names, genetic, record.genetic_names, "genetic")
     imaging = _reorder_columns(i_names, imaging, record.imaging_names, "imaging")
+    # only the columns the model reads need be finite
+    genetic, imaging = _finite(args.genetic, genetic), _finite(args.imaging, imaging)
     gs = dataio.load_group_file(args.groups, record.n_genetic)
     try:  # the design checks this too, but without the file's name
         record.check_groups(gs)

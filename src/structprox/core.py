@@ -128,13 +128,11 @@ class GroupStructure:
             idx.setflags(write=False)
             index_sets.append(idx)
 
-        covered = np.zeros(n_features, dtype=bool)
-        for idx in index_sets:
-            covered[idx] = True
-        if not covered.all():
-            missing = int(np.flatnonzero(~covered)[0])
+        expansion_index = np.concatenate(index_sets)
+        missing = np.flatnonzero(np.bincount(expansion_index, minlength=n_features) == 0)
+        if missing.size:
             raise ValueError(
-                "feature %d belongs to no group; every feature must be covered" % missing
+                "feature %d belongs to no group; every feature must be covered" % missing[0]
             )
 
         sizes = np.array([idx.size for idx in index_sets], dtype=np.intp)
@@ -178,7 +176,7 @@ class GroupStructure:
         self.sizes = sizes
         self.offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
         self.expanded_size = int(sizes.sum())
-        self.expansion_index = np.concatenate(index_sets)
+        self.expansion_index = expansion_index
         self.weights = weights
         self.names = names
         for arr in (self.sizes, self.offsets, self.expansion_index, self.weights):

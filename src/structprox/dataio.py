@@ -8,7 +8,7 @@ loading reproduces the stored float64 values exactly.
 from __future__ import annotations
 
 import csv
-import warnings
+import re
 from collections import Counter
 from itertools import chain, islice
 from math import isfinite
@@ -50,16 +50,17 @@ def load_matrix_csv(path):
        and converted as bytes.
     2. Any other body is parsed in C by ``np.loadtxt``.
     3. When that parse fails (a quoted field, an underscore in a number, a
-       ragged row, any text that is not a number), finds no rows, or finds
-       rows of another width than the header, the body is read row by row
-       with ``csv.reader`` and Python's ``float``.
+       ragged row, any text that is not a number) or finds rows of another
+       width than the header, the body is read row by row with
+       ``csv.reader`` and Python's ``float``.  A body of line ends only
+       goes straight to this loop, which reports that it holds no rows.
 
     The row loop defines the accepted inputs, their values and the
     line-numbered errors; the first two parses only take common cases
-    faster.
+    faster.  A byte the file's codec cannot decode is reported with its
+    line.  NaN and infinite values load as ``float`` reads them.
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
+    text = _read_text(path, newline="")
     reader = csv.reader(_lines(text))
     try:
         names = next(reader)
@@ -73,20 +74,37 @@ def load_matrix_csv(path):
         )
     # the body starts after the lines the header took
     start = sum(map(len, islice(_lines(text), reader.line_num)))
-    X = _digit_rows(text, start, len(names)) if names else None
-    if X is None and not any(text.find(sep, start) >= 0 for sep in _SEPARATORS):
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported by the row loop below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
+    X = None
+    # A body of line ends only holds no rows, and under a header of no
+    # fields every row is too wide: the row loop reports both.
+    if names and not _LINE_ENDS.fullmatch(text, start):
+        X = _digit_rows(text, start, len(names))
+        if X is None and not any(text.find(sep, start) >= 0 for sep in _SEPARATORS):
+            try:
                 X = np.loadtxt(_lines(text, start), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            X = None
-    if X is None or not len(X) or X.shape[1] != len(names):
+            except ValueError:
+                pass
+    if X is None or X.shape[1] != len(names):
         X = _read_rows(reader, len(names), path)
     return names, X
 
+
+def _read_text(path, newline=None) -> str:
+    """The whole text of ``path``, opened with ``newline``: by default every
+    line, ended by LF, CR or CR LF in the file, ends in LF.  A byte the
+    codec cannot decode is reported with the line that holds it."""
+    with open(path, newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so exc.start is a file offset
+            head = exc.object[: exc.start].decode(exc.encoding)
+            line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+            raise ValueError("%s: line %d holds a byte that is not valid %s"
+                             % (path, line, exc.encoding)) from None
+
+
+_LINE_ENDS = re.compile("[\r\n]*")
 
 # np.loadtxt strips these ASCII separators around a number as whitespace,
 # and float() rejects them.
@@ -199,46 +217,44 @@ def load_group_file(path, n_features: int) -> GroupStructure:
     groups = []
     weights = []
     first_line = {}  # line of each group name read so far
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    "%s: line %d has %d tab-separated fields, expected 3"
-                    % (path, lineno, len(parts))
-                )
-            name, weight_text, index_text = parts
-            name = name.strip()
-            if "," in name or ";" in name:
-                raise ValueError(
-                    "%s: line %d group name %r holds ',' or ';'" % (path, lineno, name)
-                )
-            if name in first_line:
-                raise ValueError("%s: lines %d and %d both name group %r"
-                                 % (path, first_line[name], lineno, name))
-            first_line[name] = lineno
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(
+                "%s: line %d has %d tab-separated fields, expected 3"
+                % (path, lineno, len(parts))
+            )
+        name, weight_text, index_text = parts
+        name = name.strip()
+        if "," in name or ";" in name:
+            raise ValueError(
+                "%s: line %d group name %r holds ',' or ';'" % (path, lineno, name)
+            )
+        if name in first_line:
+            raise ValueError("%s: lines %d and %d both name group %r"
+                             % (path, first_line[name], lineno, name))
+        first_line[name] = lineno
+        try:
+            indices = [int(v) for v in index_text.split(",") if v.strip() != ""]
+        except ValueError:
+            raise ValueError(
+                "%s: line %d holds a non-integer feature index" % (path, lineno)
+            )
+        if not indices:
+            raise ValueError("%s: line %d lists no feature indices" % (path, lineno))
+        if weight_text.strip() == "auto":
+            weight = float(np.sqrt(len(indices)))
+        else:
             try:
-                indices = [int(v) for v in index_text.split(",") if v.strip() != ""]
+                weight = float(weight_text)
             except ValueError:
                 raise ValueError(
-                    "%s: line %d holds a non-integer feature index" % (path, lineno)
+                    "%s: line %d weight must be a number or 'auto'" % (path, lineno)
                 )
-            if not indices:
-                raise ValueError("%s: line %d lists no feature indices" % (path, lineno))
-            if weight_text.strip() == "auto":
-                weight = float(np.sqrt(len(indices)))
-            else:
-                try:
-                    weight = float(weight_text)
-                except ValueError:
-                    raise ValueError(
-                        "%s: line %d weight must be a number or 'auto'" % (path, lineno)
-                    )
-            groups.append(indices)
-            weights.append(weight)
+        groups.append(indices)
+        weights.append(weight)
     if not groups:
         raise ValueError("%s: no group lines found" % path)
     try:

@@ -177,9 +177,10 @@ def make_grid(
 def stratified_folds(labels, k: int, seed: int = 0) -> list[np.ndarray]:
     """Class-balanced partition into k folds of test indices.
 
-    Samples of each class are shuffled with the seed and dealt round-robin,
-    so fold sizes per class differ by at most one.  Deterministic for a
-    given ``(labels, k, seed)``.
+    Samples of each class are shuffled with the seed, the classes follow
+    one another in sorted label order, and that sequence is dealt to the
+    folds round-robin, so fold sizes, overall and per class, differ by at
+    most one.  Deterministic for a given ``(labels, k, seed)``.
     """
     labels = np.asarray(labels)
     k = _integer("k", k)
@@ -193,16 +194,10 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list[np.ndarray]:
             "cannot split %d samples into %d folds" % (labels.shape[0], k)
         )
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    # the fold cursor runs on across classes so k = N still fills every fold
-    cursor = 0
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        rng.shuffle(idx)
-        for sample in idx:
-            folds[cursor % k].append(int(sample))
-            cursor += 1
-    return [np.sort(np.array(f, dtype=np.intp)) for f in folds]
+    # the classes are dealt as one sequence, so k = N still fills every fold
+    order = np.concatenate([rng.permutation(np.flatnonzero(labels == cls))
+                            for cls in np.unique(labels)])
+    return [np.sort(order[f::k]) for f in range(k)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """Shared helpers for building small random problem instances."""
 
+import codecs
+import locale
+
 import numpy as np
+import pytest
 
 from structprox import (
     Dataset,
@@ -14,6 +18,12 @@ from structprox import (
     make_design,
 )
 from structprox.objective import Design
+
+
+# the codec open() decodes text with; tests of undecodable input write
+# bytes that are not valid UTF-8
+LOCALE_CODEC = codecs.lookup(locale.getpreferredencoding(False)).name
+needs_utf8 = pytest.mark.skipif(LOCALE_CODEC != "utf-8", reason="needs a UTF-8 locale")
 
 
 def tiny_groups():

@@ -11,6 +11,8 @@ import structprox
 from structprox import SolverFailure
 from structprox.cli import main
 
+from conftest import LOCALE_CODEC, needs_utf8
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -292,6 +294,51 @@ class TestFit:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: input:")
 
+    @needs_utf8
+    @pytest.mark.parametrize("option", ["--genetic", "--imaging", "--labels", "--groups"])
+    def test_undecodable_input_names_file_and_line(self, data_dir, tmp_path, capsys, option):
+        flags = data_flags(data_dir)
+        path = flags[flags.index(option) + 1]
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xe9" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        out = tmp_path / "fit"
+        code = run(["fit", *flags, "--lambda-w", 0.1, "--lambda-i", 0.05, "--lambda-g", 0.1,
+                    "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: %s: line 3 holds a byte that is not valid %s\n" % (path, LOCALE_CODEC)
+        )
+        assert not out.exists()
+
+    @needs_utf8
+    def test_undecodable_config_names_file_and_line(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_bytes(b"lambda_w = 0.1\r\n# \xc3\n")
+        code = run(["fit", *data_flags(data_dir), "--config", cfg])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: %s: line 2 holds a byte that is not valid %s\n" % (cfg, LOCALE_CODEC)
+        )
+
+    @pytest.mark.parametrize("option", ["--genetic", "--imaging"])
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_feature_names_file_and_row(self, data_dir, tmp_path, capsys,
+                                                   option, value):
+        flags = data_flags(data_dir)
+        path = flags[flags.index(option) + 1]
+        lines = path.read_text().split("\n")
+        lines[4] = value + lines[4][lines[4].index(","):]
+        path.write_text("\n".join(lines))
+        out = tmp_path / "fit"
+        code = run(["fit", *flags, "--lambda-w", 0.1, "--lambda-i", 0.05, "--lambda-g", 0.1,
+                    "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: %s: data row 4 holds a NaN or infinite value\n" % path
+        )
+        assert not out.exists()
+
     def test_solver_failure_exit_code(self, data_dir, monkeypatch, capsys):
         import structprox.cli as cli_mod
 
@@ -541,6 +588,30 @@ class TestPredict:
         assert (out_a / "predictions.csv").read_bytes() == (
             out_b / "predictions.csv"
         ).read_bytes()
+
+    def test_non_finite_value_outside_the_model_columns_ignored(self, data_dir, tmp_path,
+                                                              capsys):
+        model_dir = self.fit_model(data_dir, tmp_path)
+        flags = self.predict_flags(data_dir, model_dir)
+        assert run(["predict", *flags, "--out", tmp_path / "pred_a"]) == 0
+
+        lines = (data_dir / "imaging.csv").read_text().splitlines()
+        extra = tmp_path / "imaging_extra.csv"
+        extra.write_text("".join(
+            "%s,%s\n" % (line, "extra" if k == 0 else "nan") for k, line in enumerate(lines)))
+        flags[flags.index("--imaging") + 1] = extra
+        assert run(["predict", *flags, "--out", tmp_path / "pred_b"]) == 0
+        assert (tmp_path / "pred_a" / "predictions.csv").read_bytes() == (
+            tmp_path / "pred_b" / "predictions.csv").read_bytes()
+
+        lines[2] = "inf" + lines[2][lines[2].index(","):]
+        extra.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["predict", *flags, "--out", tmp_path / "pred_c"]) == 1
+        assert capsys.readouterr().err == (
+            "error: input: %s: data row 2 holds a NaN or infinite value\n" % extra
+        )
+        assert not (tmp_path / "pred_c").exists()
 
     def test_missing_column_rejected(self, data_dir, tmp_path, capsys):
         model_dir = self.fit_model(data_dir, tmp_path)

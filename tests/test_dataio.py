@@ -21,6 +21,8 @@ from structprox.dataio import (
     save_trace_csv,
 )
 
+from conftest import LOCALE_CODEC, needs_utf8
+
 
 class TestMatrixCsv:
     def test_round_trip_exact(self, tmp_path):
@@ -132,6 +134,43 @@ class TestMatrixCsv:
             with pytest.raises(ValueError, match="no data rows"):
                 load_matrix_csv(str(path))
         assert caught == []
+
+
+    # np.loadtxt rejects a body of blanks, unlike one of line ends, without
+    # a warning, and the row loop names its line
+    @pytest.mark.parametrize("text", ["a,b\n \n", "a,b\n\x0c\n"])
+    def test_whitespace_body_reports_its_line_without_warning(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                load_matrix_csv(str(path))
+        assert str(err.value) == "%s: line 2 has 1 fields, header has 2" % path
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\r\n", "a,b\r\r", "a,b"])
+    def test_body_of_line_ends_goes_straight_to_the_row_loop(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text, newline="")
+        monkeypatch.setattr(np, "loadtxt", None)  # any call fails
+        monkeypatch.setattr(dataio, "_digit_rows", None)
+        with pytest.raises(ValueError, match="no data rows"):
+            load_matrix_csv(str(path))
+
+    # the last case puts the byte past the first 8 kB the file layer reads
+    @needs_utf8
+    @pytest.mark.parametrize("data, line", [
+        (b"i0,i1\n\xe9,1\n", 2),
+        (b"i0,i1\r\n0.5,1\r0.5,\xff\n", 3),
+        (b"i0,i1\n" + b"0,1\r\n" * 3000 + b"\xc3\n", 3002),
+    ], ids=["lf", "cr", "past-8kB"])
+    def test_undecodable_byte_reports_its_line(self, tmp_path, data, line):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load_matrix_csv(str(path))
+        assert str(err.value) == "%s: line %d holds a byte that is not valid %s" % (
+            path, line, LOCALE_CODEC)
 
 
 class TestDigitParse:
@@ -311,6 +350,23 @@ class TestGroupFile:
         with pytest.raises(ValueError) as err:
             load_group_file(str(path), n_features=2)
         assert str(err.value) == "%s: lines 1 and 4 both name group 'g1'" % path
+
+    def test_lines_end_at_lf_cr_and_crlf_only(self, tmp_path):
+        # a form feed inside a line does not end it, as str.splitlines would
+        path = tmp_path / "groups.tsv"
+        path.write_bytes(b"g1\tauto\t0\r\ng2\tauto\t1\rg3\tauto\t0\x0c1\n")
+        with pytest.raises(ValueError) as err:
+            load_group_file(str(path), n_features=2)
+        assert str(err.value) == "%s: line 3 holds a non-integer feature index" % path
+
+    @needs_utf8
+    def test_undecodable_byte_reports_its_line(self, tmp_path):
+        path = tmp_path / "groups.tsv"
+        path.write_bytes(b"# note\r\ng1\tauto\t0\rg\xe9\tauto\t1\n")
+        with pytest.raises(ValueError) as err:
+            load_group_file(str(path), n_features=2)
+        assert str(err.value) == "%s: line 3 holds a byte that is not valid %s" % (
+            path, LOCALE_CODEC)
 
     @pytest.mark.parametrize(
         "text, message",

@@ -160,6 +160,14 @@ class TestStratifiedFolds:
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
 
+    def test_folds_pinned_for_three_classes(self):
+        # each class is shuffled in label order, then the classes are dealt
+        # round-robin as one sequence
+        y = [2, 0, 1, 1, 2, 0, 0, 2, 1, 0, 2, 1, 1]
+        folds = stratified_folds(y, 4, seed=5)
+        assert [f.tolist() for f in folds] == [[2, 3, 4, 9], [0, 5, 12], [6, 8, 10], [1, 7, 11]]
+        assert all(f.dtype == np.intp for f in folds)
+
     def test_integral_float_k_accepted(self):
         y = np.r_[np.zeros(6), np.ones(6)]
         for fa, fb in zip(stratified_folds(y, 3.0), stratified_folds(y, 3), strict=True):

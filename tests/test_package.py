@@ -32,9 +32,10 @@ def test_package_imports_only_listed_names():
             assert getattr(structprox, alias.asname or alias.name) is getattr(module, alias.name)
 
 
+TESTS = pathlib.Path(__file__).parent
 SOURCES = sorted(
     path
-    for root in (pathlib.Path(structprox.__file__).parent, pathlib.Path(__file__).parent)
+    for root in (pathlib.Path(structprox.__file__).parent, TESTS, TESTS.parent / "bench")
     for path in root.glob("*.py")
     if path.name != "__init__.py"  # the package's imports are its re-exports
 )
