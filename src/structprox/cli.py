@@ -73,7 +73,7 @@ def _parse_config_file(path, flags: dict) -> list[str]:
     """
     arguments = []
     set_on = {}  # line of each key set so far
-    for lineno, line in enumerate(dataio._read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(dataio._read_lines(path), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -201,8 +201,7 @@ def cmd_fit(args) -> int:
         *("warning: " + note for note in notes),
         "wall_time_seconds: %.3f" % elapsed,
     ]
-    with open(os.path.join(args.out, "summary.txt"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
+    dataio._write_lines(os.path.join(args.out, "summary.txt"), summary)
     print(
         "fit: %s, %d iterations, objective %.6g, %d genetic / %d interaction groups selected"
         % (state.stop_reason, state.iterations, final.total,
@@ -305,8 +304,7 @@ def cmd_cv(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     dataio.write_csv(os.path.join(args.out, "cv_metrics.csv"), metric_rows)
     dataio.write_csv(os.path.join(args.out, "cv_chosen.csv"), chosen_rows)
-    with open(os.path.join(args.out, "table.txt"), "w") as fh:
-        fh.write(table + "\n")
+    dataio._write_lines(os.path.join(args.out, "table.txt"), [table])
     print(table)
     print("outputs written to %s" % args.out)
     return 0
@@ -324,12 +322,10 @@ def cmd_screen(args) -> int:
         *("%s\t%.17g\t%.17g\t%.17g" % row for row in zip(
             gs.names, gs.weights, result.genetic_bounds, result.interaction_bounds)),
     ]
-    text = "\n".join(lines)
-    print(text)
+    print("\n".join(lines))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "screen.txt"), "w") as fh:
-            fh.write(text + "\n")
+        dataio._write_lines(os.path.join(args.out, "screen.txt"), lines)
     return 0
 
 

@@ -104,6 +104,21 @@ def _read_text(path, newline=None) -> str:
                              % (path, line, exc.encoding)) from None
 
 
+def _read_lines(path) -> list:
+    """The lines of :func:`_read_text`, split at LF only, not at the FF,
+    NEL or U+2028 that ``str.splitlines`` splits at."""
+    lines = _read_text(path).split("\n")
+    if not lines[-1]:  # a final LF starts no line
+        lines.pop()
+    return lines
+
+
+def _write_lines(path, lines) -> None:
+    """Write each of ``lines`` ended by LF, in the encoding :func:`_read_text` decodes."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 _LINE_ENDS = re.compile("[\r\n]*")
 
 # np.loadtxt strips these ASCII separators around a number as whitespace,
@@ -217,7 +232,7 @@ def load_group_file(path, n_features: int) -> GroupStructure:
     groups = []
     weights = []
     first_line = {}  # line of each group name read so far
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -264,9 +279,8 @@ def load_group_file(path, n_features: int) -> GroupStructure:
 
 
 def save_group_file(path, gs: GroupStructure) -> None:
-    with open(path, "w") as fh:
-        for name, weight, idx in zip(gs.names, gs.weights.tolist(), gs.groups):
-            fh.write("%s\t%.17g\t%s\n" % (name, weight, ",".join(map(str, idx.tolist()))))
+    _write_lines(path, ("%s\t%.17g\t%s" % (name, weight, ",".join(map(str, idx.tolist())))
+                        for name, weight, idx in zip(gs.names, gs.weights.tolist(), gs.groups)))
 
 
 def save_params(path, p: ParameterSet, variant: str = "multilevel") -> None:
@@ -286,21 +300,20 @@ def save_params(path, p: ParameterSet, variant: str = "multilevel") -> None:
     for g in np.flatnonzero(p.genetic):
         lines.append("genetic\t%d\t%.17g" % (g, p.genetic[g]))
     lines.append("intercept\t%.17g" % p.intercept)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def load_params(path):
     """Read a parameter file; returns ``(ParameterSet, variant)``.
 
     Each entry may appear once, and a file may hold no entry of a block
-    its variant pins at zero.
+    its variant pins at zero.  The text is read through :func:`_read_text`
+    and split at LF only.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != _PARAMS_HEADER:
         raise ValueError("%s: not a parameter file (bad header line)" % path)
-    if len(lines) < 4:
+    if len(lines) < 3:
         raise ValueError("%s: truncated parameter file" % path)
     v_parts = lines[1].split("\t")
     if len(v_parts) != 2 or v_parts[0] != "variant" or v_parts[1] not in VARIANTS:
@@ -313,6 +326,8 @@ def load_params(path):
             raise ValueError
     except ValueError:
         raise ValueError("%s: bad dims line" % path) from None
+    if len(lines) == 3:
+        raise ValueError("%s: truncated parameter file" % path)
     p = ParameterSet.zeros(n_imaging, expanded)
 
     def index(text, dim):

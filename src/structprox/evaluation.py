@@ -268,8 +268,10 @@ def _thread_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError("STRUCTPROX_THREADS must be an integer, got %r" % raw)
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ValueError("STRUCTPROX_THREADS must be an integer of at least 1, got %r" % raw)
+    return n
 
 
 def _ordered_map(fn, items):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, GroupStructure, _indices
+from .dataio import _read_lines, _write_lines
 from .objective import Design
 
 __all__ = [
@@ -217,23 +218,22 @@ def make_design(d: Dataset, gs: GroupStructure, record: ScalingRecord) -> Design
 def save_scaler(record: ScalingRecord, path) -> None:
     """Write a scaling record as ``structprox-scaler v3`` text, each value as float64 hex."""
 
-    def row(tag, fields):
-        return "\t".join([tag, *fields]) + "\n"
-
     def values(tag, vector):
-        return row(tag, [vector.astype("<f8").tobytes().hex()])
+        return [tag, vector.astype("<f8").tobytes().hex()]
 
-    with open(path, "w") as fh:
-        fh.write(_FORMAT_HEADER + "\n")
-        fh.write(row("normalization", [record.normalization]))
+    def rows():  # the fields of each line, its tag first
+        yield [_FORMAT_HEADER]
+        yield ["normalization", record.normalization]
         for kind in ("genetic", "imaging"):
-            fh.write(row(kind + "_names", getattr(record, kind + "_names") or ()))
-            fh.write(values(kind + "_mean", getattr(record, kind + "_mean")))
-            fh.write(values(kind + "_scale", getattr(record, kind + "_scale")))
+            yield [kind + "_names", *(getattr(record, kind + "_names") or ())]
+            yield values(kind + "_mean", getattr(record, kind + "_mean"))
+            yield values(kind + "_scale", getattr(record, kind + "_scale"))
         for tag in ("cross_mean", "cross_scale"):
-            fh.writelines(values(tag, r) for r in getattr(record, tag))
+            yield from (values(tag, r) for r in getattr(record, tag))
         if record.expansion_index is not None:
-            fh.write(row("expansion_index", map(str, record.expansion_index)))
+            yield ["expansion_index", *map(str, record.expansion_index)]
+
+    _write_lines(path, map("\t".join, rows()))
 
 
 def load_scaler(path) -> ScalingRecord:
@@ -241,65 +241,67 @@ def load_scaler(path) -> ScalingRecord:
 
     Any departure from the v3 layout, a v1 or v2 file included, raises a
     ``ValueError`` that names the file, the line and the expected tag; a
-    model saved in an older layout must be refit.
+    model saved in an older layout must be refit.  The text is read
+    through ``dataio._read_text`` and split at LF only.
     """
-    with open(path) as fh:
-        lineno = 0
+    lines = _read_lines(path)
+    lineno = 0
 
-        def error(message):
-            return ValueError("%s: line %d: %s" % (path, lineno, message))
+    def error(message):
+        return ValueError("%s: line %d: %s" % (path, lineno, message))
 
-        def fields(tag, count=None):
-            """Fields after ``tag`` on the next line; ``count`` of them if given."""
-            nonlocal lineno
-            lineno += 1
-            line = next(fh, None)
-            if line is None:
-                raise error("truncated, expected %s" % tag)
-            found, *rest = line.rstrip("\n").split("\t")
-            if found != tag:
-                raise error("found %r, expected %s" % (found, tag))
-            if count is not None and len(rest) != count:
-                raise error("%s holds %d fields, expected %d" % (tag, len(rest), count))
-            return rest
+    def fields(tag, count=None):
+        """Fields after ``tag`` on the next line; ``count`` of them if given."""
+        nonlocal lineno
+        lineno += 1
+        if lineno > len(lines):
+            raise error("truncated, expected %s" % tag)
+        found, *rest = lines[lineno - 1].split("\t")
+        if found != tag:
+            raise error("found %r, expected %s" % (found, tag))
+        if count is not None and len(rest) != count:
+            raise error("%s holds %d fields, expected %d" % (tag, len(rest), count))
+        return rest
 
-        def floats(tag, count=None):
-            (text,) = fields(tag, 1)
-            size = len(text) // 16 if count is None else count
-            if len(text) != 16 * size:
-                raise error("%s holds %d hex digits, expected %d" % (tag, len(text), 16 * size))
-            try:  # fromhex skips blanks, so a field holding one decodes short
-                values = np.frombuffer(bytes.fromhex(text), "<f8")
-            except ValueError:
-                values = ()
-            if len(values) != size:
-                raise error("%s holds a character that is not a hex digit" % tag)
-            return values
+    def floats(tag, count=None):
+        (text,) = fields(tag, 1)
+        size = len(text) // 16 if count is None else count
+        if len(text) != 16 * size:
+            raise error("%s holds %d hex digits, expected %d" % (tag, len(text), 16 * size))
+        try:  # fromhex skips blanks, so a field holding one decodes short
+            values = np.frombuffer(bytes.fromhex(text), "<f8")
+        except ValueError:
+            values = ()
+        if len(values) != size:
+            raise error("%s holds a character that is not a hex digit" % tag)
+        return values
 
-        fields(_FORMAT_HEADER, 0)
-        (normalization,) = fields("normalization", 1)
-        g_names = fields("genetic_names") or None
-        g_mean = floats("genetic_mean")
-        g_scale = floats("genetic_scale", g_mean.size)
-        i_names = fields("imaging_names") or None
-        i_mean = floats("imaging_mean")
-        i_scale = floats("imaging_scale", i_mean.size)
-        ni, ng = i_mean.size, g_mean.size
-        x_mean = np.reshape([floats("cross_mean", ng) for _ in range(ni)], (ni, ng))
-        x_scale = np.reshape([floats("cross_scale", ng) for _ in range(ni)], (ni, ng))
-        # one optional expansion_index row may follow: files written without
-        # the fit's group layout end here
-        last, index = "cross_scale", None
-        for line in fh:
-            lineno += 1
-            tag, *rest = line.rstrip("\n").split("\t")
-            if last != "cross_scale" or tag != "expansion_index":
-                raise error("follows the last %s row" % last)
-            last = tag
-            try:
-                index = np.array(rest, dtype=np.intp)
-            except (ValueError, OverflowError):
-                raise error("expansion_index holds a field that is not an index") from None
+    fields(_FORMAT_HEADER, 0)
+    (normalization,) = fields("normalization", 1)
+    g_names = fields("genetic_names") or None
+    g_mean = floats("genetic_mean")
+    g_scale = floats("genetic_scale", g_mean.size)
+    i_names = fields("imaging_names") or None
+    i_mean = floats("imaging_mean")
+    i_scale = floats("imaging_scale", i_mean.size)
+    ni, ng = i_mean.size, g_mean.size
+    x_mean = np.reshape([floats("cross_mean", ng) for _ in range(ni)], (ni, ng))
+    x_scale = np.reshape([floats("cross_scale", ng) for _ in range(ni)], (ni, ng))
+    # one optional expansion_index row may follow: files written without
+    # the fit's group layout end here
+    index = None
+    if lineno < len(lines):
+        lineno += 1
+        tag, *rest = lines[lineno - 1].split("\t")
+        if tag != "expansion_index":
+            raise error("follows the last cross_scale row")
+        try:
+            index = np.array(rest, dtype=np.intp)
+        except (ValueError, OverflowError):
+            raise error("expansion_index holds a field that is not an index") from None
+    if lineno < len(lines):
+        lineno += 1
+        raise error("follows the last expansion_index row")
     try:
         return ScalingRecord(normalization, g_mean, g_scale, i_mean, i_scale, x_mean, x_scale,
                              genetic_names=g_names, imaging_names=i_names,

@@ -199,9 +199,8 @@ def write_files(data: SyntheticData, out_dir) -> None:
     dataio.save_labels_csv(os.path.join(out_dir, "labels.csv"), d.labels)
     dataio.save_group_file(os.path.join(out_dir, "groups.tsv"), data.groups)
     dataio.save_params(os.path.join(out_dir, "truth_params.txt"), data.truth)
-    with open(os.path.join(out_dir, "truth_groups.txt"), "w") as fh:
-        for l in data.active_groups:
-            fh.write("%s\n" % data.groups.names[int(l)])
+    dataio._write_lines(os.path.join(out_dir, "truth_groups.txt"),
+                        (data.groups.names[int(l)] for l in data.active_groups))
 
 
 def finite_difference_gradient(

@@ -568,6 +568,23 @@ class TestPredict:
         got = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @needs_utf8
+    @pytest.mark.parametrize("option", ["--model", "--scaler"])
+    def test_undecodable_model_file_names_file_and_line(self, data_dir, tmp_path, capsys,
+                                                        option):
+        flags = self.predict_flags(data_dir, self.fit_model(data_dir, tmp_path))
+        path = flags[flags.index(option) + 1]
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xe9" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        out = tmp_path / "pred"
+        code = run(["predict", *flags, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input: %s: line 3 holds a byte that is not valid %s\n" % (path, LOCALE_CODEC)
+        )
+        assert not out.exists()
+
     def test_shuffled_columns_identical_output(self, data_dir, tmp_path):
         model_dir = self.fit_model(data_dir, tmp_path)
         out_a = tmp_path / "pred_a"

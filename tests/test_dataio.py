@@ -618,6 +618,41 @@ class TestParamsFile:
             load_params(str(path))
 
 
+    @pytest.mark.parametrize("separator", [
+        "\x0c", "\x0b", "\x1c",
+        pytest.param("\x85", marks=needs_utf8),
+        pytest.param("\u2028", marks=needs_utf8),
+    ], ids=["FF", "VT", "FS", "NEL", "LS"])
+    def test_lines_end_at_lf_only(self, tmp_path, separator):
+        # str.splitlines would end the dims line at the separator and load the file
+        path = tmp_path / "params.txt"
+        path.write_text("structprox-params v1\nvariant\tmultilevel\ndims\t2\t6%sintercept\t0\n"
+                        % separator)
+        with pytest.raises(ValueError) as err:
+            load_params(str(path))
+        assert str(err.value) == "%s: bad dims line" % path
+
+    @needs_utf8
+    def test_undecodable_byte_reports_its_line(self, tmp_path):
+        path = tmp_path / "params.txt"
+        save_params(str(path), ParameterSet.zeros(2, 4))
+        path.write_bytes(path.read_bytes().replace(b"intercept", b"interc\xe9pt"))
+        with pytest.raises(ValueError) as err:
+            load_params(str(path))
+        assert str(err.value) == "%s: line 4 holds a byte that is not valid %s" % (
+            path, LOCALE_CODEC)
+
+    def test_crlf_line_ends_load(self, tmp_path):
+        p = ParameterSet.zeros(2, 4)
+        p.interaction[1, 3], p.imaging[0], p.genetic[2], p.intercept = 0.5, -1.25, 2.0, 0.1
+        path = tmp_path / "params.txt"
+        save_params(str(path), p)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        q, variant = load_params(str(path))
+        assert variant == "multilevel"
+        assert q.flat().tobytes() == p.flat().tobytes()
+
+
 class TestTraceAndPredictions:
     def test_trace_csv_columns(self, tmp_path):
         from structprox import fit

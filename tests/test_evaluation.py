@@ -423,10 +423,16 @@ class TestKfoldCv:
         assert a.pooled == b.pooled
 
     def test_bad_threads_env_rejected(self, monkeypatch):
+        # a count below 1 is rejected as a non-integer is, before any fit or thread
+        monkeypatch.setattr(evaluation, "fit", _fit_must_not_run)
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", None)
         data = synthetic_instance(17, n_samples=24)
-        monkeypatch.setenv("STRUCTPROX_THREADS", "lots")
-        with pytest.raises(ValueError, match="STRUCTPROX_THREADS"):
-            kfold_cv(data.dataset, data.groups, [default_hyper()], k=2)
+        for raw in ("lots", "0", "-3"):
+            monkeypatch.setenv("STRUCTPROX_THREADS", raw)
+            with pytest.raises(ValueError) as err:
+                kfold_cv(data.dataset, data.groups, [default_hyper()], k=2)
+            assert str(err.value) == (
+                "STRUCTPROX_THREADS must be an integer of at least 1, got %r" % raw)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, float("nan")])
     def test_bad_threshold_rejected_before_any_fit(self, monkeypatch, threshold):

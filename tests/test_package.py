@@ -69,3 +69,41 @@ def test_no_unused_imports(path):
 def test_unused_import_detected():
     assert unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == {"os", "d"}
     assert unused_imports("from x import y\n__all__ = ['y']\n") == set()
+
+
+def file_opens(source: str) -> list:
+    """The name of the function around each call in ``source`` that opens a
+    file: ``open`` as a name or a method, as ``io.open`` and ``Path.open``
+    are, and ``Path``'s whole-file reads and writes.  None stands for the
+    module's own code."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("open", "read_text", "write_text", "read_bytes", "write_bytes"):
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_dataio_opens_files():
+    # one reader decodes with line-numbered errors and one writer ends lines
+    # in LF; a module opening its own file would bypass both
+    package = pathlib.Path(structprox.__file__).parent
+    opens = sorted((path.stem, owner) for path in package.glob("*.py")
+                   for owner in file_opens(path.read_text()))
+    assert opens == [("dataio", "_read_text"), ("dataio", "_write_lines"), ("dataio", "write_csv")]
+
+
+def test_file_open_detected():
+    source = ("def f(p):\n    def g():\n        return open(p)\n    io.open(p)\n"
+              "Path('x').write_text('')\n")
+    assert file_opens(source) == ["g", "f", None]

@@ -11,7 +11,7 @@ from structprox.preprocessing import (
     save_scaler,
 )
 
-from conftest import random_instance
+from conftest import LOCALE_CODEC, needs_utf8, random_instance
 
 
 def small_dataset(seed, n=12, n_genetic=4, n_imaging=3):
@@ -444,6 +444,26 @@ class TestScalerFile:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="^%s: cross_scale must be > 0" % re.escape(str(path))):
             load_scaler(str(path))
+
+    @needs_utf8
+    def test_undecodable_byte_reports_its_line(self, tmp_path):
+        record = fit_scaler(small_dataset(16, n_genetic=3, n_imaging=2),
+                            genetic_names=["snp_a", "snp_b", "snp_c"])
+        path = tmp_path / "scaler.txt"
+        save_scaler(record, str(path))
+        path.write_bytes(path.read_bytes().replace(b"snp_b", b"snp_\xe9"))
+        with pytest.raises(ValueError) as err:
+            load_scaler(str(path))
+        assert str(err.value) == "%s: line 3 holds a byte that is not valid %s" % (
+            path, LOCALE_CODEC)
+
+    def test_crlf_line_ends_load(self, tmp_path):
+        record = fit_scaler(small_dataset(19), genetic_names=["a", "b", "c", "d"],
+                            expansion_index=[0, 1, 1, 2, 3])
+        path = tmp_path / "scaler.txt"
+        save_scaler(record, str(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert_same_record(load_scaler(str(path)), record)
 
     def test_transform_after_reload_identical(self, tmp_path):
         d = small_dataset(17)
