@@ -37,7 +37,7 @@ from .preprocessing import (
     make_design,
     save_scaler,
 )
-from .solver import SolverFailure, fit, screen_lambda_max
+from .solver import GAP_GATE, SolverFailure, fit, screen_lambda_max
 from .synthetic import SyntheticSpec, generate, write_files
 
 __all__ = ["main"]
@@ -191,6 +191,7 @@ def cmd_fit(args) -> int:
         "iterations: %d" % state.iterations,
         "converged: %s" % state.converged,
         "stop_reason: %s" % state.stop_reason,
+        "duality_gap: %.17g" % state.gap,
         "final_risk: %.17g" % final.risk,
         "final_penalty: %.17g" % final.penalty,
         "final_objective: %.17g" % final.total,
@@ -388,7 +389,9 @@ def _fit_options(sp) -> None:
                     help="genetic penalty strength")
     sp.add_argument("--variant", type=str, default="multilevel",
                     help="model variant (default multilevel)")
-    sp.add_argument("--tol", type=float, default=1e-5, help="relative objective tolerance")
+    sp.add_argument("--tol", type=float, default=1e-5,
+                    help="relative objective tolerance; a converged fit also has a duality "
+                    "gap of at most %g x tol x its objective" % GAP_GATE)
     sp.add_argument("--max-iters", type=int, dest="max_iters", default=10000,
                     help="iteration cap")
     sp.add_argument("--out", type=str, default="structprox-fit", help="output directory")

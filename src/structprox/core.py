@@ -404,7 +404,10 @@ class Hyperparameters:
     weights the squared norm of the imaging coefficients.  ``variant``
     selects which parameter blocks are active: "multilevel" keeps all,
     "additive" pins the interaction matrix at zero, "multiplicative" pins
-    the marginal imaging/genetic coefficients at zero.
+    the marginal imaging/genetic coefficients at zero.  ``tol`` bounds the
+    last relative change of the objective and also sets the duality-gap gate
+    ``gap <= GAP_GATE * tol * objective`` a converged fit meets (see
+    :func:`structprox.solver.fit`); ``max_iters`` caps the iterations.
     """
 
     lambda_interaction: float

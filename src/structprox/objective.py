@@ -244,13 +244,18 @@ def _add_live_blocks(m: np.ndarray, w: np.ndarray, design: Design, live: np.ndar
     m -= offset
 
 
-def risk(p: ParameterSet, design: Design, variant: str = "multilevel") -> float:
-    """Mean logistic loss (1/N) sum_k [-y_k m_k + log(1 + e^{m_k})]."""
-    m = margins(p, design, variant)
+def _mean_loss(m: np.ndarray, design: Design) -> float:
     return float((_log1p_exp(m) - design.labels * m).sum() / design.n_samples)
 
 
-def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.ndarray:
+def risk(p: ParameterSet, design: Design, variant: str = "multilevel") -> float:
+    """Mean logistic loss (1/N) sum_k [-y_k m_k + log(1 + e^{m_k})]."""
+    return _mean_loss(margins(p, design, variant), design)
+
+
+def risk_gradient(
+    p: ParameterSet, design: Design, variant: str = "multilevel", *, parts: dict | None = None
+) -> np.ndarray:
     """Flat gradient of the empirical risk.
 
     The vector is the buffer of a ``ParameterSet`` whose blocks hold the
@@ -262,9 +267,23 @@ def risk_gradient(p: ParameterSet, design: Design, variant: str = "multilevel") 
     ``(imaging * r[:, None]).T @ genetic`` for residuals ``r``: besides the
     margins and the output it allocates one N x n_imaging temporary, never
     an N x (expanded genetic) one.
+
+    A dict passed as ``parts`` receives the margins ``m`` this call forms
+    under ``"margins"``, the risk at ``p`` from them under ``"risk"``, equal
+    to :func:`risk`'s bit for bit, and the residuals ``sigmoid(m) - y`` under
+    ``"residual"``.
     """
     m = margins(p, design, variant)
     r = sigmoid(m) - design.labels
+    if parts is not None:
+        parts.update(margins=m, risk=_mean_loss(m, design), residual=r)
+    return _transposed_product(r, design, variant)
+
+
+def _transposed_product(r: np.ndarray, design: Design, variant: str) -> np.ndarray:
+    """``(1/N) A^T r`` in the flat parameter layout, for the design's feature
+    matrix ``A`` with its column of ones last: :func:`risk_gradient` for the
+    residuals ``r``, with the blocks ``variant`` pins left at zero."""
     n = design.n_samples
     grad = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     grad.intercept = mean_r = r.sum() / n

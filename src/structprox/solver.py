@@ -1,40 +1,50 @@
-"""Proximal gradient solver with backtracking line search.
+"""Restarted monotone FISTA with a backtracking line search and a stop
+certified by a duality gap.
 
-Each outer iteration takes a gradient step on the empirical risk, applies
-the proximal operator of the penalty blockwise (soft-thresholding of each
-(imaging row, group) block of the interaction matrix and of each genetic
-group, shrinkage of the imaging block, plain step on the intercept), and
-shrinks the stepsize until the candidate satisfies the quadratic
-acceptance inequality.  Iterations stop once the relative change of the
-penalized objective falls to the tolerance.
+Each outer iteration takes a gradient step on the empirical risk at the
+extrapolated point ``y``, applies the proximal operator of the penalty
+blockwise (soft-thresholding of each (imaging row, group) block of the
+interaction matrix and of each genetic group, shrinkage of the imaging
+block, plain step on the intercept), and shrinks the stepsize until the
+candidate ``z`` satisfies the quadratic acceptance inequality at ``y``.
+The iterate ``x`` moves to ``z`` only if that does not raise the penalized
+objective (the monotone FISTA of Beck & Teboulle, IEEE TIP 2009); otherwise
+``x`` stays and the momentum restarts from ``y = x`` (O'Donoghue & Candès,
+FoCM 2015).  A line search starts from the last accepted step, a factor
+``1 / BACKTRACK_FACTOR`` higher when that step was accepted at its first
+trial.
+
+A fit stops when the objective's last relative change is at most ``tol``
+and a duality gap certifies the iterate: ``gap <= GAP_GATE * tol * P``.
+The gap bounds ``P - P*`` from above.  Its dual point comes from the
+residuals of the last gradient taken (see :func:`fit`), so it costs no
+extra margin evaluation, and it is formed only where the stop is tested.
 
 Iterates and gradients share the one buffer layout of
 :class:`~structprox.core.ParameterSet`: the candidate's buffer starts as
-the gradient step ``flat(p) - step * grad``, each proximal operator works
-in place on its block of it, and the gradient mapping is computed from
-the two buffers directly.  A line search starts at ``STEP_INIT``, or
-higher when the last accepted move measured a curvature below
-``GROWTH_MARGIN`` (see :func:`fit`); the curvature comes from the two
-inner products the acceptance bound already forms.  One group
-soft-threshold serves every group-lasso block, and :func:`prox_group`
-applies it to a single block.  On small designs an iteration costs the
-per-call overhead of its numpy calls far more than arithmetic, so the
-loop keeps those calls few.
+the gradient step ``flat(y) - step * grad``, each proximal operator works
+in place on its block of it, the gradient mapping is computed from the two
+buffers directly, and the extrapolation is written into one reused buffer.
+One group soft-threshold serves every group-lasso block, and
+:func:`prox_group` applies it to a single block.  On small designs an
+iteration costs the per-call overhead of its numpy calls far more than
+arithmetic, so the loop keeps those calls few.
 
 A line search's retries work on the interaction blocks that can move.  A
-block zero at the current point whose gradient norm is at most its
+block zero at the search point whose gradient norm is at most its
 threshold ``lambda * weight`` enters every trial as ``-step * grad``, of
 norm at most ``step * lambda * weight``, so it stays zero at every step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GroupStructure, Hyperparameters, ParameterSet
-from .objective import Design, _check_groups, penalty, risk, risk_gradient
+from .objective import Design, _check_groups, _transposed_product, penalty, risk, risk_gradient
 
 __all__ = [
     "SolverFailure",
@@ -50,13 +60,13 @@ __all__ = [
     "MAX_BACKTRACKS",
     "BACKTRACK_FACTOR",
     "STEP_INIT",
-    "GROWTH_MARGIN",
+    "GAP_GATE",
 ]
 
 MAX_BACKTRACKS = 200
 BACKTRACK_FACTOR = 0.8
 STEP_INIT = 1.0
-GROWTH_MARGIN = 0.05
+GAP_GATE = 400.0
 
 
 class SolverFailure(RuntimeError):
@@ -65,7 +75,8 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One accepted iteration of the outer loop."""
+    """One iteration of the outer loop: the objective of the iterate it
+    returns, and the step and backtracks of its line search."""
 
     iteration: int
     risk: float
@@ -78,12 +89,14 @@ class IterationRecord:
 @dataclass(frozen=True)
 class SolverState:
     """Outcome of a fit: the per-iteration history, whose first record is
-    the starting point, and why the loop stopped (``"converged"`` or
-    ``"max_iters"``).  The iteration count and the convergence flag are
-    derived from these two."""
+    the starting point, why the loop stopped (``"converged"`` or
+    ``"max_iters"``), and the duality gap of the returned iterate, an upper
+    bound on its objective's distance to the optimum.  The iteration count
+    and the convergence flag are derived from the first two."""
 
     history: list[IterationRecord]
     stop_reason: str
+    gap: float
 
     @property
     def iterations(self) -> int:
@@ -219,11 +232,7 @@ def backtracking_step(
 
     with the gradient mapping ``ghat = (flat(p) - flat(candidate)) / step``,
     and otherwise the step is multiplied by :data:`BACKTRACK_FACTOR`.
-    Returns ``(candidate, step, n_shrinks, candidate_risk, curvature)``,
-    where ``curvature`` is the risk's measured curvature along the accepted
-    move ``d = flat(candidate) - flat(p)``,
-    ``2 (risk(candidate) - risk(p) - <grad, d>) / ||d||^2``, formed from the
-    two inner products of the bound (0 for a zero move).
+    Returns ``(candidate, step, n_shrinks, candidate_risk)``.
 
     The first trial runs :func:`parameter_update`, which checks ``grad``.
     Retries move only the interaction blocks live at ``p`` or with gradient
@@ -249,24 +258,72 @@ def backtracking_step(
             _prox_blocks(cs[None, :n_w], cs[n_w:n_wi], cs[n_wi:-1], step, gs, h, blocks)
             c[idx] = cs
         ghat = (xs - cs) / step
-        g_ghat = float(gsub @ ghat)
-        ghat_sq = float(ghat @ ghat)
-        bound = risk_current - step * g_ghat + 0.5 * step * ghat_sq
+        bound = risk_current - step * float(gsub @ ghat) + 0.5 * step * float(ghat @ ghat)
         candidate_risk = risk(candidate, design, h.variant)
         if candidate_risk <= bound:
-            # d = -step * ghat: <grad, d> = -step * g_ghat, ||d||^2 = step^2 * ghat_sq
-            curvature = 0.0
-            if ghat_sq > 0.0:
-                curvature = (
-                    2.0 * (candidate_risk - risk_current + step * g_ghat)
-                    / (step * step * ghat_sq)
-                )
-            return candidate, step, shrinks, candidate_risk, curvature
+            return candidate, step, shrinks, candidate_risk
         step *= BACKTRACK_FACTOR
     raise SolverFailure(
         "line search failed: %d shrinkages reached step %.3e without acceptance"
         % (MAX_BACKTRACKS, step)
     )
+
+
+def _duality_gap(total, grad, residual, col_means, design, gs, h) -> float:
+    """Duality gap of an iterate with objective ``total``, from the dual
+    point built from a gradient ``grad`` and its residuals ``r = sigmoid(m)
+    - y``, which point into [0, 1] from ``y``: ``r_k <= 0`` where ``y_k = 1``.
+
+    The dual point ``u`` must sum to 0.  It is ``r - mean(r)``, whose
+    feature gradient ``(1/N) A^T u`` is ``grad - mean(r) * col_means``, unless
+    that shift turns a residual out of [0, 1] (near-separable labels, where
+    some ``|r_k|`` is below ``|mean(r)|``).  Then each side is scaled instead,
+    ``u = r - c |r|`` with ``c = sum(r) / sum(|r|)``, which keeps every sign at
+    the cost of one more product ``A^T u``.  The scale ``alpha`` is the
+    largest in [0, 1] that keeps every unpinned group block's scaled gradient
+    norm within ``lambda * weight`` and ``s = y + alpha * u`` inside [0, 1].
+    Then
+
+        D = -(1/N) sum_k H(s_k) - alpha^2 ||g_I||^2 / (4 lambda_I),
+
+    with ``H(s) = s log s + (1 - s) log(1 - s)`` and no ridge term for the
+    multiplicative variant, is a lower bound on the optimum, and ``total -
+    D`` is returned.  With one class in the labels ``u`` is 0, the only
+    feasible dual point, so the gap is ``total`` itself: the risk's infimum
+    is 0 and no finite optimum attains it.  No 0 / 0 is formed, so
+    degenerate labels raise no warning.
+    """
+    sign = 1 - 2 * design.labels  # |s - y| = alpha * u * sign
+    mean_r = grad[-1]
+    u = residual - mean_r
+    if (u * sign).min() >= 0.0:
+        g = grad - mean_r * col_means
+    else:
+        # some r_k * sign_k > 0 here, and none is negative: no 0 / 0
+        magnitude = residual * sign
+        u = residual - (residual.sum() / magnitude.sum()) * magnitude
+        g = _transposed_product(u, design, h.variant)
+    a = u * sign
+    n_w = design.n_imaging * design.expanded_size
+    n_wi = n_w + design.n_imaging
+    reach = [1.0, a.max()]  # alpha = 1 / max(reach)
+    if h.variant != "additive":
+        gw = g[:n_w].reshape(design.n_imaging, design.expanded_size)
+        norms = np.sqrt(np.add.reduceat(gw**2, gs.offsets, axis=1))
+        reach.append((norms / gs.weights).max() / h.lambda_interaction)
+    ridge = 0.0
+    if h.variant != "multiplicative":
+        norms = np.sqrt(np.add.reduceat(g[n_wi:-1] ** 2, gs.offsets))
+        reach.append((norms / gs.weights).max() / h.lambda_genetic)
+        gi = g[n_w:n_wi]
+        ridge = float(gi @ gi) / (4.0 * h.lambda_imaging)
+    alpha = 1.0 / max(reach)
+    a *= alpha
+    # a log a + (1 - a) log(1 - a), each term 0 where its factor is 0
+    log_a = np.log(a, out=np.zeros_like(a), where=a > 0.0)
+    log_b = np.log1p(-a, out=np.zeros_like(a), where=a < 1.0)
+    entropy = float(a @ log_a + (1.0 - a) @ log_b)
+    return total + entropy / design.n_samples + alpha * alpha * ridge
 
 
 def fit(
@@ -275,53 +332,87 @@ def fit(
     h: Hyperparameters,
     init: ParameterSet | None = None,
 ):
-    """Run the solver to convergence.
+    """Run the solver until its stop is certified, or to ``max_iters``.
 
     Starts from zeros or from ``init``, which ``h.variant`` must admit
-    (:meth:`ParameterSet.check_variant`).  The first line search starts at
-    :data:`STEP_INIT`, each next one at ``max(STEP_INIT, min(step /
-    BACKTRACK_FACTOR, GROWTH_MARGIN / κ))`` for the last accepted step and
-    its measured curvature κ (no ``min`` when κ <= 0), so only κ below
-    ``GROWTH_MARGIN`` lets it grow.  Stops once ``|S_new - S_old| <= tol *
-    |S_old|`` for the penalized objective S, or when ``max_iters`` is hit.
-    ``gs`` must be ``design.groups``.  Returns ``(params, SolverState)``.
+    (:meth:`ParameterSet.check_variant`).  Each iteration searches from the
+    extrapolated point ``y`` (``y = x`` on the first iteration and after a
+    restart) for a candidate ``z``.  If ``z``'s objective is at most ``x``'s,
+    ``x`` moves to ``z`` and ``y = z + (t - 1) / t' * (z - x_old)`` with
+    ``t' = (1 + sqrt(1 + 4 t^2)) / 2``; otherwise ``x`` stays, ``t = 1`` and
+    ``y = x``.  The first line search starts at :data:`STEP_INIT`; each next
+    one at ``step / BACKTRACK_FACTOR`` after a search accepted at its first
+    trial, and at the accepted ``step`` after any other.
+
+    The fit is ``converged`` only when certified: the last relative change
+    ``|S_new - S_old| <= tol * |S_old|`` of the penalized objective S, and the
+    duality gap of the returned iterate ``gap <= GAP_GATE * tol * S_new``.
+    The gap comes from the residuals of the last gradient taken, at ``y``
+    (see :func:`_duality_gap`), and is formed only when the relative change
+    holds and once more at ``max_iters``.  In the gate, ``tol * S_new`` is
+    at least ``eps`` times the mean absolute margin, the rounding of the
+    risk's own terms.  With one class in the labels the gap equals S, so
+    such a fit is certified only once S has fallen near that rounding.
+    ``gs`` must be ``design.groups``.  Returns ``(params, SolverState)``;
+    the state's ``gap`` is that of the returned iterate.
     """
     _check_groups(design, gs)
     if init is None:
-        p = ParameterSet.zeros(design.n_imaging, design.expanded_size)
+        x = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     else:
         init.check_variant(h.variant)
-        p = init.copy()
+        x = init.copy()
 
-    r0 = risk(p, design, h.variant)
-    pen0 = penalty(p, gs, h)
+    r0 = risk(x, design, h.variant)
+    pen0 = penalty(x, gs, h)
     total0 = r0 + pen0
     if not np.isfinite(total0):
         raise SolverFailure("objective is non-finite at the initial point")
     history = [IterationRecord(0, r0, pen0, total0, 0.0, 0)]
+    # training-row mean of every column, the intercept's ones included
+    col_means = _transposed_product(np.ones(design.n_samples), design, "multilevel")
     stop_reason = "max_iters"
     trial = STEP_INIT
+    y, t = x, 1.0
+    extrapolated = ParameterSet.zeros(design.n_imaging, design.expanded_size)
 
     for it in range(1, h.max_iters + 1):
         prev = history[-1]
-        grad = risk_gradient(p, design, h.variant)
-        candidate, step, shrinks, cand_risk, curvature = backtracking_step(
-            p, design, gs, h, grad, prev.risk, trial
+        parts = {}
+        grad = risk_gradient(y, design, h.variant, parts=parts)
+        z, step, shrinks, z_risk = backtracking_step(
+            y, design, gs, h, grad, parts["risk"], trial
         )
-        cand_pen = penalty(candidate, gs, h)
-        total = cand_risk + cand_pen
+        z_pen = penalty(z, gs, h)
+        total = z_risk + z_pen
         if not np.isfinite(total):
             raise SolverFailure("objective diverged at iteration %d" % it)
-        history.append(IterationRecord(it, cand_risk, cand_pen, total, step, shrinks))
-        p = candidate
-        trial = step / BACKTRACK_FACTOR
-        if curvature > 0:
-            trial = min(trial, GROWTH_MARGIN / curvature)
-        trial = max(STEP_INIT, trial)
-        if abs(total - prev.total) <= h.tol * abs(prev.total):
-            stop_reason = "converged"
-            break
-    return p, SolverState(history, stop_reason)
+        trial = step / BACKTRACK_FACTOR if shrinks == 0 else step
+        if total <= prev.total:
+            history.append(IterationRecord(it, z_risk, z_pen, total, step, shrinks))
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            y = z
+            if beta > 0.0:
+                y, buf = extrapolated, extrapolated.flat()
+                np.subtract(z.flat(), x.flat(), out=buf)
+                buf *= beta
+                buf += z.flat()
+            x, t = z, t_next
+        else:
+            history.append(IterationRecord(it, prev.risk, prev.penalty, prev.total, step, shrinks))
+            y, t = x, 1.0
+        final = history[-1].total
+        if abs(final - prev.total) <= h.tol * abs(prev.total):
+            gap = _duality_gap(final, grad, parts["residual"], col_means, design, gs, h)
+            # the risk's terms round by about eps * |m| each, which no tol can undercut
+            floor = np.finfo(float).eps * float(np.abs(parts["margins"]).mean())
+            if gap <= GAP_GATE * max(h.tol * final, floor):
+                stop_reason = "converged"
+                break
+    else:
+        gap = _duality_gap(final, grad, parts["residual"], col_means, design, gs, h)
+    return x, SolverState(history, stop_reason, gap)
 
 
 @dataclass(frozen=True)

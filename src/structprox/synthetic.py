@@ -234,9 +234,10 @@ def reference_solve(design: Design, gs: GroupStructure, h: Hyperparameters):
     """High-precision solver run used as the agreement oracle.
 
     Same iteration as :func:`structprox.solver.fit` but with tolerance
-    1e-10 and a 100000-iteration cap; refuses problems with more than 5000
-    flat parameters and raises if the cap is reached before convergence.
-    Returns ``(params, state)``.
+    1e-10 and a 100000-iteration cap, so its result is certified by a
+    duality gap of at most ``GAP_GATE * 1e-10`` times its objective; refuses
+    problems with more than 5000 flat parameters and raises if the cap is
+    reached before that certificate.  Returns ``(params, state)``.
     """
     n_params = flat_length(design.n_imaging, design.expanded_size)
     if n_params > 5000:

@@ -10,6 +10,7 @@ import pytest
 import structprox
 from structprox import SolverFailure
 from structprox.cli import main
+from structprox.solver import GAP_GATE
 
 from conftest import LOCALE_CODEC, needs_utf8
 
@@ -141,6 +142,19 @@ class TestFit:
         lines = (out / "trace.csv").read_text().splitlines()
         totals = [float(ln.split(",")[3]) for ln in lines[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
+
+    @pytest.mark.parametrize("max_iters", [3, 10000])
+    def test_summary_reports_the_duality_gap(self, data_dir, tmp_path, max_iters):
+        out = tmp_path / "fit"
+        assert run(["fit", *data_flags(data_dir), "--lambda-w", 0.1, "--lambda-i", 0.05,
+                    "--lambda-g", 0.1, "--max-iters", max_iters, "--out", out]) == 0
+        fields = dict(line.split(": ", 1) for line in
+                      (out / "summary.txt").read_text().splitlines()
+                      if not line.startswith("warning: "))
+        gap, total = float(fields["duality_gap"]), float(fields["final_objective"])
+        assert 0.0 < gap < total
+        # converged means certified: the gap meets the gate of the default tol
+        assert (fields["converged"] == "True") == (gap <= GAP_GATE * 1e-5 * total)
 
     def test_rerun_byte_identical_params(self, data_dir, tmp_path):
         argv = ["fit", *data_flags(data_dir),

@@ -550,6 +550,20 @@ class TestRiskGradient:
         g = ParameterSet.from_flat(g, design.n_imaging, gs.expanded_size)
         assert not g.imaging.any() and not g.genetic.any()
 
+    @pytest.mark.parametrize("variant", ["multilevel", "additive", "multiplicative"])
+    def test_parts_hold_the_calls_own_margins_risk_and_residuals(self, variant):
+        d, gs, design = random_instance(27)
+        p = random_params(28, design.n_imaging, gs.expanded_size)
+        parts = {}
+        g = risk_gradient(p, design, variant, parts=parts)
+        assert g.tobytes() == risk_gradient(p, design, variant).tobytes()
+        assert sorted(parts) == ["margins", "residual", "risk"]
+        m = margins(p, design, variant)
+        assert parts["margins"].tobytes() == m.tobytes()
+        assert parts["risk"] == risk(p, design, variant)
+        assert parts["residual"].tobytes() == (sigmoid(m) - design.labels).tobytes()
+        assert g[-1] == parts["residual"].sum() / design.n_samples
+
 
 class TestLogPosterior:
     def test_identical_parameters_difference_zero(self):
