@@ -212,6 +212,9 @@ def cmd_fit(args) -> int:
     if state.stop_reason == "max_iters":
         print("warning: fit not converged: stopped at the iteration cap of %d iterations"
               % state.iterations, file=sys.stderr)
+    elif state.stop_reason == "stalled":
+        print("warning: fit not converged: the line search stalled at iteration %d"
+              % state.iterations, file=sys.stderr)
     for note in notes:
         print("warning: " + note, file=sys.stderr)
     return 0

@@ -19,6 +19,8 @@ and a duality gap certifies the iterate: ``gap <= GAP_GATE * tol * P``.
 The gap bounds ``P - P*`` from above.  Its dual point comes from the
 residuals of the last gradient taken (see :func:`fit`), so it costs no
 extra margin evaluation, and it is formed only where the stop is tested.
+An uncertified fit stops as stalled once a search from ``x`` itself no
+longer lowers the objective (see :func:`fit`).
 
 Iterates and gradients share the one buffer layout of
 :class:`~structprox.core.ParameterSet`: the candidate's buffer starts as
@@ -29,11 +31,6 @@ One group soft-threshold serves every group-lasso block, and
 :func:`prox_group` applies it to a single block.  On small designs an
 iteration costs the per-call overhead of its numpy calls far more than
 arithmetic, so the loop keeps those calls few.
-
-A line search's retries work on the interaction blocks that can move.  A
-block zero at the search point whose gradient norm is at most its
-threshold ``lambda * weight`` enters every trial as ``-step * grad``, of
-norm at most ``step * lambda * weight``, so it stays zero at every step.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ GAP_GATE = 400.0
 
 
 class SolverFailure(RuntimeError):
-    """Raised when the line search stalls or the objective degenerates."""
+    """Raised when the line search accepts no step or the objective degenerates."""
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,11 @@ class IterationRecord:
 @dataclass(frozen=True)
 class SolverState:
     """Outcome of a fit: the per-iteration history, whose first record is
-    the starting point, why the loop stopped (``"converged"`` or
-    ``"max_iters"``), and the duality gap of the returned iterate, an upper
-    bound on its objective's distance to the optimum.  The iteration count
-    and the convergence flag are derived from the first two."""
+    the starting point, why the loop stopped (``"converged"``, ``"stalled"``
+    or ``"max_iters"``, see :func:`fit`), and the duality gap of the
+    returned iterate, an upper bound on its objective's distance to the
+    optimum.  The iteration count and the convergence flag are derived from
+    the first two."""
 
     history: list[IterationRecord]
     stop_reason: str
@@ -174,43 +172,20 @@ def parameter_update(
     if not np.isfinite(grad).all():
         raise ValueError("gradient contains non-finite entries")
     candidate = ParameterSet._view(x - step * grad, p.n_imaging, p.expanded_size)
-    _prox_blocks(candidate.interaction, candidate.imaging, candidate.genetic, step, gs, h,
-                 (gs.offsets, gs.sizes, gs.weights))
-    return candidate
-
-
-def _prox_blocks(interaction, imaging, genetic, step, gs, h, blocks) -> None:
-    """:func:`parameter_update`'s proximal operators, in place on the blocks of a
-    gradient step; ``blocks`` gives the interaction's ``(offsets, sizes, weights)``."""
     if h.variant == "additive":
-        interaction.fill(0.0)
+        candidate.interaction.fill(0.0)
     else:
-        offsets, sizes, weights = blocks
-        _prox_group_rows(interaction, offsets, sizes, step * h.lambda_interaction * weights)
+        thresholds = step * h.lambda_interaction * gs.weights
+        _prox_group_rows(candidate.interaction, gs.offsets, gs.sizes, thresholds)
     if h.variant == "multiplicative":
-        imaging.fill(0.0)
-        genetic.fill(0.0)
+        candidate.imaging.fill(0.0)
+        candidate.genetic.fill(0.0)
     else:
+        imaging = candidate.imaging
         imaging[...] = prox_ridge(imaging, step, h.lambda_imaging)
         thresholds = step * h.lambda_genetic * gs.weights
-        _prox_group_rows(genetic[None, :], gs.offsets, gs.sizes, thresholds)
-
-
-def _movable_entries(p: ParameterSet, grad: np.ndarray, gs: GroupStructure, h: Hyperparameters):
-    """Flat indices of the entries a retry moves, and its interaction blocks
-    as ``(offsets, sizes, weights)`` among them (see :func:`backtracking_step`).
-    A zero block moves if its gradient norm exceeds ``lambda * weight`` less
-    a relative 1e-12, which covers the rounding of the norms at each step."""
-    cut = p.n_imaging * p.expanded_size
-    gw = grad[:cut].reshape(p.interaction.shape)
-    norms = np.sqrt(np.add.reduceat(gw**2, gs.offsets, axis=1))
-    movable = norms > (1.0 - 1e-12) * h.lambda_interaction * gs.weights
-    movable |= np.logical_or.reduceat(p.interaction, gs.offsets, axis=1)
-    groups = np.nonzero(movable)[1]
-    sizes = gs.sizes[groups]
-    entries = np.flatnonzero(movable.repeat(gs.sizes, axis=1))
-    idx = np.concatenate([entries, np.arange(cut, grad.size)])
-    return idx, (np.cumsum(sizes) - sizes, sizes, gs.weights[groups])
+        _prox_group_rows(candidate.genetic[None, :], gs.offsets, gs.sizes, thresholds)
+    return candidate
 
 
 def backtracking_step(
@@ -233,32 +208,13 @@ def backtracking_step(
     with the gradient mapping ``ghat = (flat(p) - flat(candidate)) / step``,
     and otherwise the step is multiplied by :data:`BACKTRACK_FACTOR`.
     Returns ``(candidate, step, n_shrinks, candidate_risk)``.
-
-    The first trial runs :func:`parameter_update`, which checks ``grad``.
-    Retries move only the interaction blocks live at ``p`` or with gradient
-    norm above ``lambda * weight``: a zero block's trial ``-step * grad`` is
-    otherwise within its threshold ``step * lambda * weight`` at every step.
-    The candidates are :func:`parameter_update`'s bit for bit, and only the
-    inner products, summed without the skipped zeros, may round differently.
     """
     _check_groups(design, gs)
     x, grad = p.flat(), np.asarray(grad, dtype=float)
-    candidate = parameter_update(p, grad, step, gs, h)
-    c = candidate.flat()
-    # the entries a trial moves: every one on the first, the movable ones after
-    xs, gsub, cs = x, grad, c
     for shrinks in range(MAX_BACKTRACKS + 1):
-        if shrinks:
-            if shrinks == 1:
-                idx, blocks = _movable_entries(p, grad, gs, h)
-                xs, gsub = x[idx], grad[idx]
-                n_w = int(blocks[1].sum())
-                n_wi = n_w + p.n_imaging
-            cs = xs - step * gsub
-            _prox_blocks(cs[None, :n_w], cs[n_w:n_wi], cs[n_wi:-1], step, gs, h, blocks)
-            c[idx] = cs
-        ghat = (xs - cs) / step
-        bound = risk_current - step * float(gsub @ ghat) + 0.5 * step * float(ghat @ ghat)
+        candidate = parameter_update(p, grad, step, gs, h)
+        ghat = (x - candidate.flat()) / step
+        bound = risk_current - step * float(grad @ ghat) + 0.5 * step * float(ghat @ ghat)
         candidate_risk = risk(candidate, design, h.variant)
         if candidate_risk <= bound:
             return candidate, step, shrinks, candidate_risk
@@ -332,7 +288,7 @@ def fit(
     h: Hyperparameters,
     init: ParameterSet | None = None,
 ):
-    """Run the solver until its stop is certified, or to ``max_iters``.
+    """Run the solver until its stop is certified, it stalls, or to ``max_iters``.
 
     Starts from zeros or from ``init``, which ``h.variant`` must admit
     (:meth:`ParameterSet.check_variant`).  Each iteration searches from the
@@ -355,6 +311,14 @@ def fit(
     such a fit is certified only once S has fallen near that rounding.
     ``gs`` must be ``design.groups``.  Returns ``(params, SolverState)``;
     the state's ``gap`` is that of the returned iterate.
+
+    The stop reason is ``"converged"`` for a certified stop, ``"max_iters"``
+    at the cap, and ``"stalled"`` when a search from ``x`` itself (``y is
+    x``) yields a candidate whose objective is not below ``x``'s and the gap
+    does not certify it.  In exact arithmetic such a candidate lowers the
+    objective unless ``x`` is optimal, so only rounding stops it, and the
+    objective cannot fall further.  The gap of a stalled fit comes from the
+    residuals at that ``x``, whose objective the returned iterate shares.
     """
     _check_groups(design, gs)
     if init is None:
@@ -388,6 +352,7 @@ def fit(
         if not np.isfinite(total):
             raise SolverFailure("objective diverged at iteration %d" % it)
         trial = step / BACKTRACK_FACTOR if shrinks == 0 else step
+        stalled = total >= prev.total and y is x
         if total <= prev.total:
             history.append(IterationRecord(it, z_risk, z_pen, total, step, shrinks))
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -403,12 +368,16 @@ def fit(
             history.append(IterationRecord(it, prev.risk, prev.penalty, prev.total, step, shrinks))
             y, t = x, 1.0
         final = history[-1].total
+        # a stall keeps the objective, so it always reaches the gap test
         if abs(final - prev.total) <= h.tol * abs(prev.total):
             gap = _duality_gap(final, grad, parts["residual"], col_means, design, gs, h)
             # the risk's terms round by about eps * |m| each, which no tol can undercut
             floor = np.finfo(float).eps * float(np.abs(parts["margins"]).mean())
             if gap <= GAP_GATE * max(h.tol * final, floor):
                 stop_reason = "converged"
+                break
+            if stalled:
+                stop_reason = "stalled"
                 break
     else:
         gap = _duality_gap(final, grad, parts["residual"], col_means, design, gs, h)

@@ -236,8 +236,9 @@ def reference_solve(design: Design, gs: GroupStructure, h: Hyperparameters):
     Same iteration as :func:`structprox.solver.fit` but with tolerance
     1e-10 and a 100000-iteration cap, so its result is certified by a
     duality gap of at most ``GAP_GATE * 1e-10`` times its objective; refuses
-    problems with more than 5000 flat parameters and raises if the cap is
-    reached before that certificate.  Returns ``(params, state)``.
+    problems with more than 5000 flat parameters and raises, naming the stop
+    reason and the gap, if the fit stops before that certificate.  Returns
+    ``(params, state)``.
     """
     n_params = flat_length(design.n_imaging, design.expanded_size)
     if n_params > 5000:
@@ -248,6 +249,7 @@ def reference_solve(design: Design, gs: GroupStructure, h: Hyperparameters):
     params, state = fit(design, gs, h_ref)
     if not state.converged:
         raise SolverFailure(
-            "reference solve did not converge within %d iterations" % h_ref.max_iters
+            "reference solve did not converge: %s after %d iterations, duality gap %.3g"
+            % (state.stop_reason, state.iterations, state.gap)
         )
     return params, state

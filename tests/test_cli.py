@@ -156,6 +156,19 @@ class TestFit:
         # converged means certified: the gap meets the gate of the default tol
         assert (fields["converged"] == "True") == (gap <= GAP_GATE * 1e-5 * total)
 
+    def test_stalled_fit_warns(self, data_dir, tmp_path, capsys):
+        # about 0.001 x screen_lambda_max: at tol 1e-10 the nearly separable
+        # fixture cannot certify in float64, and its line search stalls
+        out = tmp_path / "fit"
+        assert run(["fit", *data_flags(data_dir), "--lambda-w", 1.232e-4, "--lambda-i", 0.01,
+                    "--lambda-g", 1.114e-4, "--tol", 1e-10, "--out", out]) == 0
+        fields = dict(line.split(": ", 1) for line in
+                      (out / "summary.txt").read_text().splitlines())
+        assert (fields["converged"], fields["stop_reason"]) == ("False", "stalled")
+        assert capsys.readouterr().err == (
+            "warning: fit not converged: the line search stalled at iteration %s\n"
+            % fields["iterations"])
+
     def test_rerun_byte_identical_params(self, data_dir, tmp_path):
         argv = ["fit", *data_flags(data_dir),
                 "--lambda-w", 0.1, "--lambda-i", 0.05, "--lambda-g", 0.1]

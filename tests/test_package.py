@@ -107,3 +107,39 @@ def test_file_open_detected():
     source = ("def f(p):\n    def g():\n        return open(p)\n    io.open(p)\n"
               "Path('x').write_text('')\n")
     assert file_opens(source) == ["g", "f", None]
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """The module-level ``_name`` functions, classes and constants of
+    ``sources`` (module name to text), as ``(module, name)``, that no code
+    outside their own definition reads, by name or as an attribute."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+            reads = {sub.id for sub in ast.walk(node)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            reads.update(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+            used |= reads - names
+    return sorted((m, n) for m, n in defined if n not in used)
+
+
+def test_no_dead_private_helpers():
+    # a private helper outlives its last caller unnoticed: no test of the
+    # public names reaches it, and nothing else may call it
+    package = pathlib.Path(structprox.__file__).parent
+    sources = {path.stem: path.read_text() for path in package.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_dead_private_helper_detected():
+    source = ("_A = 1\n_B = _A\ndef _f(n):\n    return _f(n - 1)\n"
+              "class _C:\n    pass\ndef g():\n    return _C(), m._D\n")
+    assert unreferenced_private_names({"m": source}) == [("m", "_B"), ("m", "_f")]

@@ -310,4 +310,5 @@ class TestReferenceSolve:
         design = make_design(data.dataset, data.groups, fit_scaler(data.dataset))
         with pytest.raises(SolverFailure) as err:
             reference_solve(design, data.groups, default_hyper())
-        assert str(err.value) == "reference solve did not converge within 100000 iterations"
+        assert str(err.value).startswith(
+            "reference solve did not converge: max_iters after 1 iterations, duality gap ")
