@@ -192,6 +192,7 @@ def cmd_fit(args) -> int:
         "converged: %s" % state.converged,
         "stop_reason: %s" % state.stop_reason,
         "duality_gap: %.17g" % state.gap,
+        "working_set_blocks: %d of %d" % (state.working_set_blocks, d.n_imaging * gs.n_groups),
         "final_risk: %.17g" % final.risk,
         "final_penalty: %.17g" % final.penalty,
         "final_objective: %.17g" % final.total,

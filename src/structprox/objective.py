@@ -25,6 +25,9 @@ only the live blocks, one group at a time (see :func:`_add_live_blocks`);
 otherwise it forms the dense product.  The two paths differ in rounding
 only.  The interaction gradient scales the imaging matrix by the
 residuals, an N x n_imaging temporary, rather than the N x E genetic one.
+Given a mask of blocks, :func:`risk_gradient` forms only those, one
+product per group over its marked rows, the way the solver's working set
+asks for them.
 
 The logistic terms use overflow-free forms with one exponential of
 ``-|t|``: :func:`sigmoid` is ``1 / (1 + e)`` for ``t >= 0`` and
@@ -205,6 +208,27 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
     return m
 
 
+def _block_entries(blocks: np.ndarray, gs: GroupStructure):
+    """Where the blocks marked in the (n_imaging, n_groups) mask ``blocks``
+    lie, taken as (group, row) pairs in group order.
+
+    Returns the row of each pair, the row and column of each entry of the
+    marked blocks (pair after pair), and one ``(l, a, b, start)`` per group
+    with a marked row: pairs ``a .. b-1`` are group ``l``'s rows, and their
+    entries start at ``start``.
+    """
+    groups, rows = np.nonzero(blocks.T)
+    sizes = gs.sizes[groups]
+    starts = np.cumsum(sizes) - sizes
+    entry_rows = rows.repeat(sizes)
+    entry_cols = (gs.offsets[groups] - starts).repeat(sizes)
+    entry_cols += np.arange(entry_cols.size)
+    firsts = np.flatnonzero(np.diff(groups, prepend=-1))
+    ends = [*firsts[1:].tolist(), len(groups)]
+    runs = zip(groups[firsts].tolist(), firsts.tolist(), ends, starts[firsts].tolist())
+    return rows, entry_rows, entry_cols, list(runs)
+
+
 def _add_live_blocks(m: np.ndarray, w: np.ndarray, design: Design, live: np.ndarray) -> None:
     """Add the interaction term to ``m`` from the blocks of ``w`` marked in
     the (n_imaging, n_groups) mask ``live``.
@@ -220,26 +244,15 @@ def _add_live_blocks(m: np.ndarray, w: np.ndarray, design: Design, live: np.ndar
     """
     gs = design.groups
     genetic_t, imaging_t = design.genetic.T, design.imaging.T
-    # (group, row) pairs of the live blocks in group order, and where each
-    # block starts among the gathered entries
-    groups, rows = np.nonzero(live.T)
-    sizes = gs.sizes[groups]
-    starts = np.cumsum(sizes) - sizes
-    entry_rows = rows.repeat(sizes)
-    entry_cols = (gs.offsets[groups] - starts).repeat(sizes)
-    entry_cols += np.arange(entry_cols.size)
+    rows, entry_rows, entry_cols, runs = _block_entries(live, gs)
     wl = w[entry_rows, entry_cols]
     wl /= design.cross_scale[entry_rows, entry_cols]
     offset = float(wl @ design.cross_mean[entry_rows, entry_cols])
     del entry_rows, entry_cols  # freed before the passes allocate theirs
-    firsts = np.flatnonzero(np.diff(groups, prepend=-1)).tolist()
-    groups, starts = groups.tolist(), starts.tolist()
     offsets, widths = gs.offsets.tolist(), gs.sizes.tolist()
-    for a, b in zip(firsts, [*firsts[1:], len(groups)]):
-        # pairs a .. b-1 are the live rows of group l
-        l = groups[a]
+    for l, a, b, start in runs:
         cols = slice(offsets[l], offsets[l] + widths[l])
-        wb = wl[starts[a] : starts[a] + (b - a) * widths[l]].reshape(b - a, widths[l])
+        wb = wl[start : start + (b - a) * widths[l]].reshape(b - a, widths[l])
         m += np.einsum("rn,rn->n", wb @ genetic_t[cols], imaging_t[rows[a:b]])
     m -= offset
 
@@ -254,7 +267,12 @@ def risk(p: ParameterSet, design: Design, variant: str = "multilevel") -> float:
 
 
 def risk_gradient(
-    p: ParameterSet, design: Design, variant: str = "multilevel", *, parts: dict | None = None
+    p: ParameterSet,
+    design: Design,
+    variant: str = "multilevel",
+    *,
+    parts: dict | None = None,
+    blocks: np.ndarray | None = None,
 ) -> np.ndarray:
     """Flat gradient of the empirical risk.
 
@@ -272,27 +290,41 @@ def risk_gradient(
     under ``"margins"``, the risk at ``p`` from them under ``"risk"``, equal
     to :func:`risk`'s bit for bit, and the residuals ``sigmoid(m) - y`` under
     ``"residual"``.
+
+    A boolean (n_imaging, n_groups) mask passed as ``blocks`` restricts the
+    interaction gradient to the (imaging row, group) blocks it marks: those
+    are formed, one product per group over its marked rows, and equal the
+    dense gradient's up to rounding; every other interaction block is
+    returned as zeros, as a pinned block is.  The imaging, genetic and
+    intercept blocks are formed in full either way.  Without a mask the
+    interaction gradient is one dense product.
     """
     m = margins(p, design, variant)
     r = sigmoid(m) - design.labels
     if parts is not None:
         parts.update(margins=m, risk=_mean_loss(m, design), residual=r)
-    return _transposed_product(r, design, variant)
+    return _transposed_product(r, design, variant, blocks)
 
 
-def _transposed_product(r: np.ndarray, design: Design, variant: str) -> np.ndarray:
+def _transposed_product(
+    r: np.ndarray, design: Design, variant: str, blocks: np.ndarray | None = None
+) -> np.ndarray:
     """``(1/N) A^T r`` in the flat parameter layout, for the design's feature
     matrix ``A`` with its column of ones last: :func:`risk_gradient` for the
-    residuals ``r``, with the blocks ``variant`` pins left at zero."""
+    residuals ``r``, with the blocks ``variant`` pins, and the interaction
+    blocks outside the mask ``blocks`` if one is given, left at zero."""
     n = design.n_samples
     grad = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     grad.intercept = mean_r = r.sum() / n
     if variant != "additive":
         gw = grad.interaction
-        np.matmul((design.imaging * r[:, None]).T, design.genetic, out=gw)
-        gw /= n
-        gw -= mean_r * design.cross_mean
-        gw /= design.cross_scale
+        if blocks is not None:
+            _add_masked_blocks(gw, r, mean_r, design, blocks)
+        else:
+            np.matmul((design.imaging * r[:, None]).T, design.genetic, out=gw)
+            gw /= n
+            gw -= mean_r * design.cross_mean
+            gw /= design.cross_scale
     if variant != "multiplicative":
         # Through locals: `grad.imaging /= n` would also run the block setter.
         gi, gg = grad.imaging, grad.genetic
@@ -301,6 +333,36 @@ def _transposed_product(r: np.ndarray, design: Design, variant: str) -> np.ndarr
         np.matmul(design.genetic.T, r, out=gg)
         gg /= n
     return grad.flat()
+
+
+def _add_masked_blocks(
+    gw: np.ndarray, r: np.ndarray, mean_r: float, design: Design, blocks: np.ndarray
+) -> None:
+    """Write into the zero interaction gradient ``gw`` the blocks marked in
+    the (n_imaging, n_groups) mask ``blocks``.
+
+    The imaging columns are scaled by the residuals, and each marked
+    block's row of them gathered, a (marked blocks) x N temporary.  Then one
+    product per group with a marked row, of those scaled rows with the
+    group's genetic columns, fills that group's blocks in a vector of the
+    marked entries, which the cross means and scales then correct as the
+    dense path corrects all of ``gw``.
+    """
+    gs = design.groups
+    if blocks.shape != (design.n_imaging, gs.n_groups):
+        raise ValueError("blocks mask has shape %r, expected (%d, %d)"
+                         % (blocks.shape, design.n_imaging, gs.n_groups))
+    rows, entry_rows, entry_cols, runs = _block_entries(blocks, gs)
+    scaled = np.multiply(design.imaging.T, r, order="C")[rows]
+    values = np.empty(entry_rows.size)
+    offsets, widths = gs.offsets.tolist(), gs.sizes.tolist()
+    for l, a, b, start in runs:
+        out = values[start : start + (b - a) * widths[l]].reshape(b - a, widths[l])
+        np.matmul(scaled[a:b], design.genetic[:, offsets[l] : offsets[l] + widths[l]], out=out)
+    values /= design.n_samples
+    values -= mean_r * design.cross_mean[entry_rows, entry_cols]
+    values /= design.cross_scale[entry_rows, entry_cols]
+    gw[entry_rows, entry_cols] = values
 
 
 def penalty(p: ParameterSet, gs: GroupStructure, h: Hyperparameters) -> float:

@@ -67,6 +67,13 @@ def synthetic_instance(seed, **overrides):
     return generate(SyntheticSpec(**settings))
 
 
+def mid_instance(seed):
+    """Synthetic instance with 20 x 25 = 500 interaction blocks, enough for
+    a fit to form a working set (120 samples, 25 groups of 5)."""
+    return synthetic_instance(seed, n_samples=120, n_imaging=20, n_groups=25, group_size=5,
+                              n_active=2, effect_interaction=1.0)
+
+
 def default_hyper(**overrides):
     settings = dict(
         lambda_interaction=0.1,

@@ -156,6 +156,15 @@ class TestFit:
         # converged means certified: the gap meets the gate of the default tol
         assert (fields["converged"] == "True") == (gap <= GAP_GATE * 1e-5 * total)
 
+    def test_summary_reports_the_working_set(self, data_dir, tmp_path):
+        # the fixture's 3 x 4 interaction blocks are too few for a set to form
+        out = tmp_path / "fit"
+        assert run(["fit", *data_flags(data_dir), "--lambda-w", 0.1, "--lambda-i", 0.05,
+                    "--lambda-g", 0.1, "--out", out]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        at = [line.split(": ", 1)[0] for line in lines].index("duality_gap")
+        assert lines[at + 1] == "working_set_blocks: 12 of 12"
+
     def test_stalled_fit_warns(self, data_dir, tmp_path, capsys):
         # about 0.001 x screen_lambda_max: at tol 1e-10 the nearly separable
         # fixture cannot certify in float64, and its line search stalls

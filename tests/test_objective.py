@@ -19,7 +19,14 @@ from structprox.objective import (
 from structprox.preprocessing import ScalingRecord
 from structprox.synthetic import finite_difference_gradient
 
-from conftest import default_hyper, random_instance, random_params, synthetic_instance, tiny_groups
+from conftest import (
+    default_hyper,
+    mid_instance,
+    random_instance,
+    random_params,
+    synthetic_instance,
+    tiny_groups,
+)
 
 
 def test_package_attribute_is_the_module():
@@ -563,6 +570,58 @@ class TestRiskGradient:
         assert parts["risk"] == risk(p, design, variant)
         assert parts["residual"].tobytes() == (sigmoid(m) - design.labels).tobytes()
         assert g[-1] == parts["residual"].sum() / design.n_samples
+
+
+class TestMaskedGradient:
+    """``risk_gradient(blocks=)`` forms the marked interaction blocks only."""
+
+    @staticmethod
+    def instance(kind):
+        data = mid_instance(31)
+        d, gs = data.dataset, data.groups
+        if kind == "raw":
+            return gs, Design.from_dataset(d, gs)
+        from structprox.preprocessing import fit_scaler, make_design
+
+        return gs, make_design(d, gs, fit_scaler(d))
+
+    @pytest.mark.parametrize("kind", ["standardized", "raw"])
+    @pytest.mark.parametrize("variant", ["multilevel", "additive", "multiplicative"])
+    def test_marked_blocks_match_the_dense_gradient_and_others_are_zero(self, variant, kind):
+        gs, design = self.instance(kind)
+        p = random_params(32, design.n_imaging, gs.expanded_size, scale=0.1)
+        blocks = np.random.default_rng(33).random((design.n_imaging, gs.n_groups)) < 0.3
+        dense = ParameterSet.from_flat(risk_gradient(p, design, variant),
+                                       design.n_imaging, gs.expanded_size)
+        parts = {}
+        g = risk_gradient(p, design, variant, parts=parts, blocks=blocks)
+        masked = ParameterSet.from_flat(g, design.n_imaging, gs.expanded_size)
+        entries = blocks.repeat(gs.sizes, axis=1)
+        if variant == "additive":
+            assert not masked.interaction.any()
+        else:
+            np.testing.assert_allclose(masked.interaction[entries], dense.interaction[entries],
+                                       rtol=1e-12, atol=1e-16)
+            assert masked.interaction[entries].any()
+        assert not masked.interaction[~entries].any()
+        # every other block, and the parts, come from the same code
+        assert g[entries.size:].tobytes() == dense.flat()[entries.size:].tobytes()
+        assert parts["risk"] == risk(p, design, variant)
+
+    def test_empty_mask_leaves_the_interaction_zero(self):
+        gs, design = self.instance("standardized")
+        p = random_params(34, design.n_imaging, gs.expanded_size, scale=0.1)
+        blocks = np.zeros((design.n_imaging, gs.n_groups), dtype=bool)
+        g = ParameterSet.from_flat(risk_gradient(p, design, blocks=blocks),
+                                   design.n_imaging, gs.expanded_size)
+        assert not g.interaction.any() and g.genetic.any()
+
+    def test_mask_of_the_wrong_shape_is_rejected(self):
+        gs, design = self.instance("raw")
+        p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
+        blocks = np.ones((design.n_imaging, gs.n_groups + 1), dtype=bool)
+        with pytest.raises(ValueError, match="blocks mask has shape"):
+            risk_gradient(p, design, blocks=blocks)
 
 
 class TestLogPosterior:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import pathlib
 import pkgutil
 
@@ -143,3 +144,26 @@ def test_dead_private_helper_detected():
     source = ("_A = 1\n_B = _A\ndef _f(n):\n    return _f(n - 1)\n"
               "class _C:\n    pass\ndef g():\n    return _C(), m._D\n")
     assert unreferenced_private_names({"m": source}) == [("m", "_B"), ("m", "_f")]
+
+
+def test_benchmark_evidence_files_are_whole_pairs():
+    # a committed BENCH_<workload>-<side>.json backs a speed claim only if
+    # its run was correct, lost no call, reports the declared metrics, and
+    # its pair ran on the same inputs
+    root = TESTS.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    names = [w["name"] for w in spec["workloads"]]
+    seeds = {}
+    for path in sorted(root.glob("BENCH_*.json")):
+        result = json.loads(path.read_text())
+        workload, _, side = path.stem[len("BENCH_"):].rpartition("-")
+        assert (workload, side in ("parent", "change")) == (result["workload"], True), path.name
+        assert workload in names, path.name
+        assert (result["correct"], result["failed"]) == (True, 0), path.name
+        assert {k: m["unit"] for k, m in result["metrics"].items()} == units, path.name
+        seeds.setdefault(workload, {})[side] = result["seed"]
+    assert seeds
+    for workload, sides in seeds.items():
+        assert sorted(sides) == ["change", "parent"], workload
+        assert sides["change"] == sides["parent"], workload

@@ -39,7 +39,14 @@ from structprox.solver import (
 
 from structprox.synthetic import reference_solve
 
-from conftest import count_calls, default_hyper, random_instance, random_params, synthetic_instance
+from conftest import (
+    count_calls,
+    default_hyper,
+    mid_instance,
+    random_instance,
+    random_params,
+    synthetic_instance,
+)
 
 
 def group_prox_oracle(omega, threshold):
@@ -658,6 +665,101 @@ class TestDualityGap:
         assert total <= 1e-12 and total <= state.gap <= 1.5 * total
 
 
+def record_gradient_calls(monkeypatch):
+    """Wrap the solver's ``risk_gradient`` so every call appends its point
+    and its ``blocks`` mask to the returned list."""
+    calls = []
+    real = solver.risk_gradient
+
+    def recording(p, design, variant="multilevel", **kwargs):
+        calls.append((p, kwargs.get("blocks")))
+        return real(p, design, variant, **kwargs)
+
+    monkeypatch.setattr(solver, "risk_gradient", recording)
+    return calls
+
+
+class TestWorkingSet:
+    """A fit on 500 interaction blocks solves on a working set of them and
+    certifies the result on the full problem."""
+
+    @staticmethod
+    def problem(variant="multilevel", c=0.3):
+        data = mid_instance(41)
+        gs = data.groups
+        design = make_design(data.dataset, gs, fit_scaler(data.dataset))
+        bounds = screen_lambda_max(design, gs)
+        h = Hyperparameters(c * bounds.lambda_interaction_max, 0.05,
+                            c * bounds.lambda_genetic_max, variant=variant)
+        return design, gs, h
+
+    @staticmethod
+    def block_ratios(p, design, gs, variant):
+        g = ParameterSet.from_flat(risk_gradient(p, design, variant),
+                                   design.n_imaging, gs.expanded_size)
+        return np.sqrt(np.add.reduceat(g.interaction**2, gs.offsets, axis=1)) / gs.weights
+
+    @pytest.mark.parametrize("set_min", [solver.WORKING_SET_MIN, 30])
+    @pytest.mark.parametrize("variant", ["multilevel", "multiplicative"])
+    def test_certified_on_the_full_problem(self, monkeypatch, variant, set_min):
+        # with a seed of 30 blocks the checks find violators outside and admit them
+        monkeypatch.setattr(solver, "WORKING_SET_MIN", set_min)
+        design, gs, h = self.problem(variant)
+        n_blocks = design.n_imaging * gs.n_groups
+        calls = record_gradient_calls(monkeypatch)
+        p, state = fit(design, gs, h)
+        assert state.converged
+        assert set_min <= state.working_set_blocks <= n_blocks // 2
+        assert state.full_checks >= 1
+        # the last gradient was taken on the final set; every block outside
+        # it meets its optimality condition at that point
+        y, blocks = calls[-1]
+        assert blocks is not None and np.count_nonzero(blocks) == state.working_set_blocks
+        assert (self.block_ratios(y, design, gs, variant)[~blocks] <= h.lambda_interaction).all()
+        live = np.logical_or.reduceat(p.interaction, gs.offsets, axis=1)
+        assert not (live & ~blocks).any()
+        monkeypatch.undo()
+        p_ref, _ = reference_solve(design, gs, h)
+        best = objective(p_ref, design, gs, h).total
+        total = state.history[-1].total
+        assert total - best <= state.gap <= solver.GAP_GATE * h.tol * total
+        if set_min < solver.WORKING_SET_MIN:
+            assert state.working_set_blocks > set_min
+
+    def test_call_identities(self, monkeypatch):
+        design, gs, h = self.problem()
+        risks = count_calls(monkeypatch, solver, "risk")
+        gradients = count_calls(monkeypatch, solver, "risk_gradient")
+        _, state = fit(design, gs, h)
+        assert state.working_set_blocks < design.n_imaging * gs.n_groups
+        backtracks = sum(rec.backtracks for rec in state.history)
+        assert len(risks) == 1 + state.iterations + backtracks
+        assert len(gradients) == state.iterations
+
+    def test_warm_start_set_holds_the_live_blocks_of_init(self, monkeypatch):
+        design, gs, h = self.problem(c=0.6)
+        init, _ = fit(design, gs, h)
+        live = np.logical_or.reduceat(init.interaction, gs.offsets, axis=1)
+        assert 0 < np.count_nonzero(live) <= 50  # so that a set forms
+        calls = record_gradient_calls(monkeypatch)
+        weaker = dataclasses.replace(h, lambda_interaction=0.8 * h.lambda_interaction)
+        _, state = fit(design, gs, weaker, init=init)
+        assert state.converged and len(calls) >= 2
+        # the first gradient is full; the set seeded from it covers init
+        first, seeded = calls[0][1], calls[1][1]
+        assert first is None and seeded is not None
+        assert not (live & ~seeded).any()
+
+    def test_no_set_on_a_small_design(self, monkeypatch):
+        data = synthetic_instance(42, effect_interaction=1.0)
+        design = make_design(data.dataset, data.groups, fit_scaler(data.dataset))
+        calls = record_gradient_calls(monkeypatch)
+        _, state = fit(design, data.groups, default_hyper())
+        assert state.converged
+        assert (state.working_set_blocks, state.full_checks) == (3 * 4, 0)
+        assert all(blocks is None for _, blocks in calls)
+
+
 class TestFit:
     def test_all_positive_labels_intercept_only(self):
         # huge penalties force everything except the intercept to zero and
@@ -823,7 +925,8 @@ class TestFit:
         assert not state.converged
         assert state.stop_reason == "max_iters"
         assert state.iterations == 3 == len(state.history) - 1
-        assert [f.name for f in dataclasses.fields(state)] == ["history", "stop_reason", "gap"]
+        assert [f.name for f in dataclasses.fields(state)] == [
+            "history", "stop_reason", "gap", "working_set_blocks", "full_checks"]
 
     def test_stalled_line_search_reported(self):
         # at tol 1e-10 this nearly separable fit cannot certify in float64;
