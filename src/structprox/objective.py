@@ -19,15 +19,14 @@ the interaction matrix and on the genetic groups with a squared norm on
 the imaging coefficients.
 
 The penalty zeroes whole (imaging row, group) blocks of ``W``, so along a
-fit most of ``W`` is often zero.  Every design carries its group layout,
-and when at most half of the blocks are nonzero :func:`margins` multiplies
-only the live blocks, one group at a time (see :func:`_add_live_blocks`);
-otherwise it forms the dense product.  The two paths differ in rounding
+fit most of ``W`` is often zero, and the solver's working set asks for a
+few blocks of the gradient.  One rule picks the kernel for the blocks live
+in :func:`margins` or marked in :func:`risk_gradient`'s mask: up to half of
+all blocks, one small product per group forms them (:func:`_add_live_blocks`,
+:func:`_add_masked_blocks`); past half, the dense product does, and a
+gradient zeroes the unmarked blocks.  The two kernels differ in rounding
 only.  The interaction gradient scales the imaging matrix by the
 residuals, an N x n_imaging temporary, rather than the N x E genetic one.
-Given a mask of blocks, :func:`risk_gradient` forms only those, one
-product per group over its marked rows, the way the solver's working set
-asks for them.
 
 The logistic terms use overflow-free forms with one exponential of
 ``-|t|``: :func:`sigmoid` is ``1 / (1 + e)`` for ``t >= 0`` and
@@ -167,6 +166,17 @@ class ObjectiveValue:
     total: float
 
 
+def _few_blocks(blocks: np.ndarray) -> bool:
+    """Whether the mask ``blocks`` marks at most half of the blocks: past
+    that, one dense product costs less than the small per-group ones."""
+    return 2 * np.count_nonzero(blocks) <= blocks.size
+
+
+def _group_norms(v: np.ndarray, offsets) -> np.ndarray:
+    """Norm of each group ``offsets[l] : offsets[l + 1]`` along the last axis of ``v``."""
+    return np.sqrt(np.add.reduceat(v**2, offsets, axis=-1))
+
+
 def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.ndarray:
     """Decision values of every sample in the design.
 
@@ -193,12 +203,10 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
             return m
     w = p.interaction
     # One pass over W gives the live mask, which also tells a zero W (no
-    # block live) apart; logical_or reads a nonzero float as true.  Past
-    # half live, one dense product costs less than the small per-group ones.
+    # block live) apart; logical_or reads a nonzero float as true.
     live = np.logical_or.reduceat(w, design.groups.offsets, axis=1)
-    n_live = np.count_nonzero(live)
-    if 2 * n_live <= live.size:
-        if n_live:
+    if _few_blocks(live):
+        if live.any():
             _add_live_blocks(m, w, design, live)
         return m
     w = w / design.cross_scale
@@ -291,13 +299,14 @@ def risk_gradient(
     to :func:`risk`'s bit for bit, and the residuals ``sigmoid(m) - y`` under
     ``"residual"``.
 
-    A boolean (n_imaging, n_groups) mask passed as ``blocks`` restricts the
-    interaction gradient to the (imaging row, group) blocks it marks: those
-    are formed, one product per group over its marked rows, and equal the
-    dense gradient's up to rounding; every other interaction block is
-    returned as zeros, as a pinned block is.  The imaging, genetic and
-    intercept blocks are formed in full either way.  Without a mask the
-    interaction gradient is one dense product.
+    An (n_imaging, n_groups) mask passed as ``blocks``, where any nonzero
+    entry marks its block, restricts the interaction gradient to the
+    (imaging row, group) blocks it marks, formed one product per group up
+    to half of the blocks and by the dense product past half: they equal
+    the dense gradient's up to rounding, and every other interaction block
+    is returned as zeros, as a pinned block is.  The imaging, genetic and
+    intercept blocks are formed in full either way; no mask marks every
+    block.
     """
     m = margins(p, design, variant)
     r = sigmoid(m) - design.labels
@@ -313,18 +322,23 @@ def _transposed_product(
     matrix ``A`` with its column of ones last: :func:`risk_gradient` for the
     residuals ``r``, with the blocks ``variant`` pins, and the interaction
     blocks outside the mask ``blocks`` if one is given, left at zero."""
+    shape = (design.n_imaging, design.groups.n_groups)
+    blocks = np.ones(shape, dtype=bool) if blocks is None else np.asarray(blocks, dtype=bool)
+    if blocks.shape != shape:
+        raise ValueError("blocks mask has shape %r, expected %r" % (blocks.shape, shape))
     n = design.n_samples
     grad = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     grad.intercept = mean_r = r.sum() / n
     if variant != "additive":
         gw = grad.interaction
-        if blocks is not None:
+        if _few_blocks(blocks):
             _add_masked_blocks(gw, r, mean_r, design, blocks)
         else:
             np.matmul((design.imaging * r[:, None]).T, design.genetic, out=gw)
             gw /= n
             gw -= mean_r * design.cross_mean
             gw /= design.cross_scale
+            _zero_outside(gw, blocks, design.groups)
     if variant != "multiplicative":
         # Through locals: `grad.imaging /= n` would also run the block setter.
         gi, gg = grad.imaging, grad.genetic
@@ -349,9 +363,6 @@ def _add_masked_blocks(
     dense path corrects all of ``gw``.
     """
     gs = design.groups
-    if blocks.shape != (design.n_imaging, gs.n_groups):
-        raise ValueError("blocks mask has shape %r, expected (%d, %d)"
-                         % (blocks.shape, design.n_imaging, gs.n_groups))
     rows, entry_rows, entry_cols, runs = _block_entries(blocks, gs)
     scaled = np.multiply(design.imaging.T, r, order="C")[rows]
     values = np.empty(entry_rows.size)
@@ -365,6 +376,12 @@ def _add_masked_blocks(
     gw[entry_rows, entry_cols] = values
 
 
+def _zero_outside(gw: np.ndarray, blocks: np.ndarray, gs: GroupStructure) -> None:
+    """Zero, in place, the blocks of ``gw`` outside the boolean mask ``blocks``."""
+    if not blocks.all():
+        np.copyto(gw, 0.0, where=~blocks.repeat(gs.sizes, axis=1))
+
+
 def penalty(p: ParameterSet, gs: GroupStructure, h: Hyperparameters) -> float:
     """Structured penalty value at ``p``.
 
@@ -373,12 +390,10 @@ def penalty(p: ParameterSet, gs: GroupStructure, h: Hyperparameters) -> float:
     block contributes its squared norm.  The intercept is never penalized.
     """
     _check_expanded_size(p, gs)
-    w_norms = np.sqrt(np.add.reduceat(p.interaction**2, gs.offsets, axis=1))
-    g_norms = np.sqrt(np.add.reduceat(p.genetic**2, gs.offsets))
     return float(
-        h.lambda_interaction * (w_norms @ gs.weights).sum()
+        h.lambda_interaction * (_group_norms(p.interaction, gs.offsets) @ gs.weights).sum()
         + h.lambda_imaging * (p.imaging @ p.imaging)
-        + h.lambda_genetic * (g_norms @ gs.weights)
+        + h.lambda_genetic * (_group_norms(p.genetic, gs.offsets) @ gs.weights)
     )
 
 

@@ -25,12 +25,12 @@ longer lowers the objective (see :func:`fit`).
 A fit solves on a working set of the interaction's (imaging row, group)
 blocks (after Blitz, Johnson & Guestrin, ICML 2015, and Celer, Massias,
 Gramfort & Salmon, ICML 2018): each gradient forms only the blocks in the
-set, and the others stay zero in every iterate.  The first gradient is
-taken in full and seeds the set with the blocks live at the start and the
-``max(WORKING_SET_MIN, 2 * live)`` others of highest ``||g_b|| /
-theta_b``; no set forms when that is more than half the blocks, as on
-small designs.  The stop stays certified on the full problem: where it is
-tested, the full gradient is formed from the same residuals, and a block
+set, and the others stay zero in every iterate.  The set starts whole;
+the first gradient, the full one, seeds it with the blocks live at the
+start and the ``max(WORKING_SET_MIN, 2 * live)`` others of highest
+``||g_b|| / theta_b`` (every block, on small designs).  The stop stays
+certified on the full problem: where it is tested and the set is not
+whole, the full gradient is formed from the same residuals, and a block
 outside the set whose norm exceeds ``lambda * weight`` joins the set and
 restarts the momentum instead of letting the fit stop.
 
@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GroupStructure, Hyperparameters, ParameterSet
-from .objective import Design, _check_groups, _transposed_product, penalty, risk, risk_gradient
+from .objective import (Design, _check_groups, _group_norms, _transposed_product, _zero_outside,
+                        penalty, risk, risk_gradient)
 
 __all__ = [
     "SolverFailure",
@@ -103,10 +104,9 @@ class SolverState:
     the starting point, why the loop stopped (``"converged"``, ``"stalled"``
     or ``"max_iters"``, see :func:`fit`), the duality gap of the returned
     iterate, an upper bound on its objective's distance to the optimum, the
-    number of interaction blocks in the working set at the stop (all of
-    them when no set formed) and the number of full checks the set made.
-    The iteration count and the convergence flag are derived from the
-    first two."""
+    number of interaction blocks in the working set at the stop and the
+    number of full checks the set made.  The iteration count and the
+    convergence flag are derived from the first two."""
 
     history: list[IterationRecord]
     stop_reason: str
@@ -159,7 +159,7 @@ def prox_ridge(block, step: float, lam: float) -> np.ndarray:
 def _prox_group_rows(omega: np.ndarray, offsets, sizes, thresholds) -> None:
     """Soft-threshold, in place, each column block ``offsets[l] : offsets[l]
     + sizes[l]`` of every row of ``omega`` by ``thresholds[l]`` (or a scalar)."""
-    norms = np.sqrt(np.add.reduceat(omega**2, offsets, axis=1))
+    norms = _group_norms(omega, offsets)
     # thresholds / norms where a group survives, 1 elsewhere: no 0/0 arises.
     ratio = np.divide(thresholds, norms, out=np.ones_like(norms), where=norms > thresholds)
     omega *= (1.0 - ratio).repeat(sizes, axis=1)
@@ -248,7 +248,7 @@ def _block_ratios(grad: np.ndarray, design: Design) -> np.ndarray:
     interaction part of the flat gradient ``grad``."""
     gs = design.groups
     gw = grad[: design.n_imaging * design.expanded_size].reshape(design.n_imaging, -1)
-    return np.sqrt(np.add.reduceat(gw**2, gs.offsets, axis=1)) / gs.weights
+    return _group_norms(gw, gs.offsets) / gs.weights
 
 
 def _duality_gap(total, grad, residual, col_means, design, gs, h) -> float:
@@ -293,8 +293,7 @@ def _duality_gap(total, grad, residual, col_means, design, gs, h) -> float:
         reach.append(_block_ratios(g, design).max() / h.lambda_interaction)
     ridge = 0.0
     if h.variant != "multiplicative":
-        norms = np.sqrt(np.add.reduceat(g[n_wi:-1] ** 2, gs.offsets))
-        reach.append((norms / gs.weights).max() / h.lambda_genetic)
+        reach.append((_group_norms(g[n_wi:-1], gs.offsets) / gs.weights).max() / h.lambda_genetic)
         gi = g[n_w:n_wi]
         ridge = float(gi @ gi) / (4.0 * h.lambda_imaging)
     alpha = 1.0 / max(reach)
@@ -344,22 +343,20 @@ def fit(
     objective cannot fall further.  The gap of a stalled fit comes from the
     residuals at that ``x``, whose objective the returned iterate shares.
 
-    Every gradient but the first forms only the interaction blocks of the
-    working set, and the first is zeroed outside it, so the blocks outside
-    stay zero in ``x``, ``y`` and ``z``.  The first gradient, at the
-    starting point, seeds the set: the blocks live there (so a warm start
-    keeps ``init``'s support) and the ``max(WORKING_SET_MIN, 2 * live)``
-    other blocks of highest ``||g_b|| / theta_b``, unless that is more than
-    half of all blocks, in which case no set forms.  Where the relative
-    change holds, the residuals of the iteration's gradient give the full
-    product ``(1/N) A^T r``, from which the gap is taken.  If a block
-    outside the set has ``||g_b|| > lambda_W * theta_b`` there, the fit is
-    not optimal on the full problem whatever the gap says: every such
-    block joins the set (which is dropped once it holds more than half the
-    blocks), the momentum restarts from ``y = x``, and the loop goes on.
-    So a fit with a set stops ``converged`` or ``stalled`` only when no
-    block outside it violates its optimality condition.  The state records
-    the set's size at the stop and the number of these full checks.
+    Every gradient forms only the interaction blocks of the working set
+    (its ``blocks=`` mask), so the blocks outside stay zero in ``x``, ``y``
+    and ``z``.  The set starts whole; the first gradient, at the starting
+    point, seeds it (:func:`_seed_working_set`, which keeps a warm start's
+    live blocks) and is then zeroed outside it.  The additive variant's set
+    stays whole.  Where the relative change holds and the set is not whole,
+    the residuals of the iteration's gradient give the full product ``(1/N)
+    A^T r``, from which the gap is taken.  If a block outside the set has
+    ``||g_b|| > lambda_W * theta_b`` there, the fit is not optimal on the
+    full problem whatever the gap says: every such block joins the set, the
+    momentum restarts from ``y = x``, and the loop goes on.  So a fit stops
+    ``converged`` or ``stalled`` only when no block outside its set violates
+    its optimality condition.  The state records the set's size at the stop
+    and the number of these full checks.
     """
     _check_groups(design, gs)
     if init is None:
@@ -380,7 +377,7 @@ def fit(
     trial = STEP_INIT
     y, t = x, 1.0
     extrapolated = ParameterSet.zeros(design.n_imaging, design.expanded_size)
-    ws, checks = None, 0  # the working set's (n_imaging, n_groups) mask; None: every block
+    ws, checks = np.ones((design.n_imaging, gs.n_groups), dtype=bool), 0  # the working set
 
     for it in range(1, h.max_iters + 1):
         prev = history[-1]
@@ -388,9 +385,7 @@ def fit(
         grad = risk_gradient(y, design, h.variant, parts=parts, blocks=ws)
         if it == 1 and h.variant != "additive":
             ws = _seed_working_set(x, grad, design)
-            if ws is not None:
-                gw = grad[: design.n_imaging * design.expanded_size]
-                np.copyto(gw, 0.0, where=~ws.repeat(gs.sizes, axis=1).ravel())
+            _zero_outside(grad[: x.interaction.size].reshape(x.interaction.shape), ws, gs)
         z, step, shrinks, z_risk = backtracking_step(
             y, design, gs, h, grad, parts["risk"], trial
         )
@@ -418,15 +413,13 @@ def fit(
         # a stall keeps the objective, so it always reaches the gap test
         if abs(final - prev.total) <= h.tol * abs(prev.total):
             full = grad
-            if ws is not None:
+            if not ws.all():
                 full = _transposed_product(parts["residual"], design, h.variant)
                 checks += 1
                 outside = (_block_ratios(full, design) > h.lambda_interaction) & ~ws
                 if outside.any():
                     # not optimal on the full problem: admit every violator
                     ws |= outside
-                    if 2 * np.count_nonzero(ws) > ws.size:
-                        ws = None
                     y, t = x, 1.0
                     continue
             gap = _duality_gap(final, full, parts["residual"], col_means, design, gs, h)
@@ -439,28 +432,24 @@ def fit(
                 stop_reason = "stalled"
                 break
     else:
-        if ws is not None:
+        if not ws.all():
             grad = _transposed_product(parts["residual"], design, h.variant)
         gap = _duality_gap(final, grad, parts["residual"], col_means, design, gs, h)
-    n_blocks = design.n_imaging * gs.n_groups
-    set_size = n_blocks if ws is None else int(np.count_nonzero(ws))
-    return x, SolverState(history, stop_reason, gap, set_size, checks)
+    return x, SolverState(history, stop_reason, gap, int(np.count_nonzero(ws)), checks)
 
 
-def _seed_working_set(x: ParameterSet, grad: np.ndarray, design: Design):
+def _seed_working_set(x: ParameterSet, grad: np.ndarray, design: Design) -> np.ndarray:
     """The working set of a fit starting at ``x`` with gradient ``grad``
-    there: the interaction blocks live in ``x`` and the ``max(WORKING_SET_MIN,
-    2 * live)`` other blocks of highest ``||g_b|| / theta_b``, as an
-    (n_imaging, n_groups) mask, or None when that is more than half the
-    blocks (the half of :func:`~structprox.objective.margins`' block path)."""
+    there, as an (n_imaging, n_groups) mask: the interaction blocks live in
+    ``x`` and the ``max(WORKING_SET_MIN, 2 * live)`` other blocks of highest
+    ``||g_b|| / theta_b``, or all other blocks when there are no more."""
     live = np.logical_or.reduceat(x.interaction, design.groups.offsets, axis=1)
     n_live = int(np.count_nonzero(live))
-    k = max(WORKING_SET_MIN, 2 * n_live)
-    if 2 * (n_live + k) > live.size:
-        return None
-    ratios = _block_ratios(grad, design)
-    ratios[live] = -np.inf
-    np.put(live, np.argpartition(ratios.ravel(), -k)[-k:], True)
+    k = min(max(WORKING_SET_MIN, 2 * n_live), live.size - n_live)
+    if k:  # [-0:] would select every block
+        ratios = _block_ratios(grad, design)
+        ratios[live] = -np.inf
+        np.put(live, np.argpartition(ratios.ravel(), -k)[-k:], True)
     return live
 
 
@@ -489,14 +478,10 @@ def screen_lambda_max(design: Design, gs: GroupStructure) -> ScreeningResult:
     zero on the first update.  ``gs`` must be ``design.groups``.
     """
     _check_groups(design, gs)
-    p0 = ParameterSet.zeros(design.n_imaging, design.expanded_size)
-    grad = ParameterSet.from_flat(
-        risk_gradient(p0, design, "multilevel"), design.n_imaging, design.expanded_size
-    )
-    g_norms = np.sqrt(np.add.reduceat(grad.genetic**2, gs.offsets))
-    w_norms = np.sqrt(np.add.reduceat(grad.interaction**2, gs.offsets, axis=1))
-    genetic_bounds = g_norms / gs.weights
-    interaction_bounds = w_norms.max(axis=0) / gs.weights
+    grad = risk_gradient(ParameterSet.zeros(design.n_imaging, design.expanded_size), design)
+    n_wi = design.n_imaging * (design.expanded_size + 1)
+    genetic_bounds = _group_norms(grad[n_wi:-1], gs.offsets) / gs.weights
+    interaction_bounds = _block_ratios(grad, design).max(axis=0)
     return ScreeningResult(
         lambda_genetic_max=float(genetic_bounds.max()),
         lambda_interaction_max=float(interaction_bounds.max()),

@@ -69,7 +69,7 @@ def synthetic_instance(seed, **overrides):
 
 def mid_instance(seed):
     """Synthetic instance with 20 x 25 = 500 interaction blocks, enough for
-    a fit to form a working set (120 samples, 25 groups of 5)."""
+    a fit's working set to leave blocks out (120 samples, 25 groups of 5)."""
     return synthetic_instance(seed, n_samples=120, n_imaging=20, n_groups=25, group_size=5,
                               n_active=2, effect_interaction=1.0)
 

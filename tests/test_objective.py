@@ -608,6 +608,32 @@ class TestMaskedGradient:
         assert g[entries.size:].tobytes() == dense.flat()[entries.size:].tobytes()
         assert parts["risk"] == risk(p, design, variant)
 
+    @pytest.mark.parametrize("variant", ["multilevel", "multiplicative"])
+    def test_mask_past_half_takes_the_dense_kernel_zeroed_outside(self, variant):
+        gs, design = self.instance("standardized")
+        p = random_params(35, design.n_imaging, gs.expanded_size, scale=0.1)
+        blocks = np.random.default_rng(36).random((design.n_imaging, gs.n_groups)) < 0.7
+        assert 2 * np.count_nonzero(blocks) > blocks.size
+        dense = ParameterSet.from_flat(risk_gradient(p, design, variant),
+                                       design.n_imaging, gs.expanded_size)
+        g = risk_gradient(p, design, variant, blocks=blocks)
+        masked = ParameterSet.from_flat(g, design.n_imaging, gs.expanded_size)
+        entries = blocks.repeat(gs.sizes, axis=1)
+        # the dense product's own values where marked, zeros elsewhere
+        assert masked.interaction[entries].tobytes() == dense.interaction[entries].tobytes()
+        assert masked.interaction[entries].any()
+        assert not masked.interaction[~entries].any()
+        assert g[entries.size:].tobytes() == dense.flat()[entries.size:].tobytes()
+
+    @pytest.mark.parametrize("density", [0.3, 0.7])
+    def test_int_mask_marks_as_the_equal_bool_mask(self, density):
+        gs, design = self.instance("standardized")
+        p = random_params(37, design.n_imaging, gs.expanded_size, scale=0.1)
+        blocks = np.random.default_rng(38).random((design.n_imaging, gs.n_groups)) < density
+        want = risk_gradient(p, design, blocks=blocks)
+        assert want.any()
+        assert risk_gradient(p, design, blocks=blocks.astype(int)).tobytes() == want.tobytes()
+
     def test_empty_mask_leaves_the_interaction_zero(self):
         gs, design = self.instance("standardized")
         p = random_params(34, design.n_imaging, gs.expanded_size, scale=0.1)

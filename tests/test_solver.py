@@ -747,17 +747,45 @@ class TestWorkingSet:
         assert state.converged and len(calls) >= 2
         # the first gradient is full; the set seeded from it covers init
         first, seeded = calls[0][1], calls[1][1]
-        assert first is None and seeded is not None
+        assert first.all() and not seeded.all()
         assert not (live & ~seeded).any()
 
+    def test_warm_start_with_every_block_live_keeps_the_whole_set(self, monkeypatch):
+        # no block is left to seed from the gradient (k == 0), so the set is whole
+        design, gs, h = self.problem()
+        init = random_params(43, design.n_imaging, gs.expanded_size, scale=0.01)
+        assert np.logical_or.reduceat(init.interaction, gs.offsets, axis=1).all()
+        calls = record_gradient_calls(monkeypatch)
+        _, state = fit(design, gs, h, init=init)
+        assert state.converged
+        assert (state.working_set_blocks, state.full_checks) == (design.n_imaging * gs.n_groups, 0)
+        assert all(blocks.all() for _, blocks in calls)
+
+    def test_set_past_half_of_the_blocks_is_kept(self, monkeypatch):
+        # a seed of half the 500 blocks admits a violator and passes half:
+        # the later gradients run the dense kernel, zeroed outside the set
+        monkeypatch.setattr(solver, "WORKING_SET_MIN", 250)
+        design, gs, h = self.problem(c=0.1)
+        n_blocks = design.n_imaging * gs.n_groups
+        calls = record_gradient_calls(monkeypatch)
+        p, state = fit(design, gs, h)
+        assert state.converged and state.full_checks >= 2
+        assert n_blocks // 2 < state.working_set_blocks < n_blocks
+        y, blocks = calls[-1]
+        assert np.count_nonzero(blocks) == state.working_set_blocks
+        assert (self.block_ratios(y, design, gs, h.variant)[~blocks] <= h.lambda_interaction).all()
+        live = np.logical_or.reduceat(p.interaction, gs.offsets, axis=1)
+        assert not (live & ~blocks).any()
+
     def test_no_set_on_a_small_design(self, monkeypatch):
+        # 200 seeded blocks cover all 12: the set is whole and never checked
         data = synthetic_instance(42, effect_interaction=1.0)
         design = make_design(data.dataset, data.groups, fit_scaler(data.dataset))
         calls = record_gradient_calls(monkeypatch)
         _, state = fit(design, data.groups, default_hyper())
         assert state.converged
         assert (state.working_set_blocks, state.full_checks) == (3 * 4, 0)
-        assert all(blocks is None for _, blocks in calls)
+        assert all(blocks.shape == (3, 4) and blocks.all() for _, blocks in calls)
 
 
 class TestFit:
