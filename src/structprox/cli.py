@@ -335,7 +335,11 @@ def cmd_screen(args) -> int:
 
 
 def _reorder_columns(names, X, wanted, kind: str):
-    """Reorder CSV columns to the training order; names are authoritative."""
+    """Reorder CSV columns to the training order; names are authoritative.
+
+    The result is C-ordered, as an in-order file loads, so the products of
+    the model sum in the same order whatever the file's column order.
+    """
     if wanted is None or list(names) == list(wanted):
         return X
     position = {name: j for j, name in enumerate(names)}
@@ -345,7 +349,7 @@ def _reorder_columns(names, X, wanted, kind: str):
             "%s data is missing column '%s' the model was trained on"
             % (kind, missing[0])
         )
-    return X[:, [position[name] for name in wanted]]
+    return X.take([position[name] for name in wanted], axis=1)
 
 
 def cmd_predict(args) -> int:

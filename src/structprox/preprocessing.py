@@ -5,8 +5,9 @@ held-out rows.  Genetic columns are standardized in original coordinates,
 before any overlap expansion, so coefficient copies of a shared feature
 inherit the same statistics.  Product features are formed from the
 standardized marginal columns and then centered and scaled themselves;
-their statistics are computed one imaging column at a time so the full
-product matrix is never materialized.
+their statistics are computed for one imaging column and one slice of
+genetic columns at a time, so the full product matrix is never
+materialized.
 
 A :class:`ScalingRecord` is saved as ``structprox-scaler v3`` text: after
 the header, one tab-separated row per statistic vector, led by its tag:
@@ -47,6 +48,9 @@ NORMALIZATION_MODES = ("sd", "unit-norm")
 _CONSTANT_TOL = 1e-12
 
 _FORMAT_HEADER = "structprox-scaler v3"
+
+# Genetic columns per slice of the cross-product statistics in fit_scaler.
+_PRODUCT_COLUMNS = 128
 
 
 _STATISTICS = (
@@ -192,13 +196,25 @@ def fit_scaler(
     ni, ng = d.n_imaging, d.n_genetic
     x_mean = np.empty((ni, ng))
     x_scale = np.empty((ni, ng))
-    # One imaging column at a time, in one buffer, keeps memory at
-    # O(N * n_genetic).  The buffer keeps zg's memory order, which sets the
-    # order, and so the rounding, of the column sums.
-    products = np.empty_like(zg)
-    for i in range(ni):
-        np.multiply(zi[:, i : i + 1], zg, out=products)
-        x_mean[i], x_scale[i] = _column_stats(products, normalization, out=products)
+    # The products of every imaging column with one slice of at most
+    # _PRODUCT_COLUMNS genetic columns at a time, in one reused buffer, keep
+    # the slice and the buffer in cache and memory at O(N * _PRODUCT_COLUMNS).
+    # The slice and the buffer keep zg's memory order, which sets the order,
+    # and so the rounding, of the column sums; a copy of the slice into the
+    # other order would change them.  With at least 3 columns per slice,
+    # slices of near-equal width are never one column wide unless zg is:
+    # one strided column alone is summed pairwise, as a contiguous one,
+    # where zg's rows are summed in turn.
+    n_slices = max(1, -(-ng // _PRODUCT_COLUMNS))
+    bounds = [ng * k // n_slices for k in range(n_slices + 1)]
+    buffer = np.empty_like(zg[:, : -(-ng // n_slices)])
+    for start, end in zip(bounds, bounds[1:]):
+        block = zg[:, start:end]
+        products = buffer[:, : end - start]
+        for i in range(ni):
+            np.multiply(zi[:, i : i + 1], block, out=products)
+            x_mean[i, start:end], x_scale[i, start:end] = _column_stats(
+                products, normalization, out=products)
     return ScalingRecord(
         normalization,
         g_mean, g_scale,

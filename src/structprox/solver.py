@@ -35,14 +35,21 @@ outside the set whose norm exceeds ``lambda * weight`` joins the set and
 restarts the momentum instead of letting the fit stop.
 
 Iterates and gradients share the one buffer layout of
-:class:`~structprox.core.ParameterSet`: the candidate's buffer starts as
-the gradient step ``flat(y) - step * grad``, each proximal operator works
-in place on its block of it, the gradient mapping is computed from the two
-buffers directly, and the extrapolation is written into one reused buffer.
-One group soft-threshold serves every group-lasso block, and
-:func:`prox_group` applies it to a single block.  On small designs an
-iteration costs the per-call overhead of its numpy calls far more than
-arithmetic, so the loop keeps those calls few.
+:class:`~structprox.core.ParameterSet`.  A line search gathers ``y`` and
+the gradient once at the working set's entries, in buffer order: the
+interaction entries of the set's blocks, then the imaging, genetic and
+intercept tail.  Each trial forms the gradient step on those entries
+alone, each proximal operator works in place on its part of it, the
+gradient mapping and both inner products of the acceptance bound come
+from the gathered vectors, and the candidate's buffer is zeros with those
+entries written in.  The extrapolation is written at the same entries into
+one reused buffer.  The entries are listed again only when the set
+changes; on a whole set they are the whole buffer in order, so a small
+design runs the arithmetic of a full-buffer step.  One group
+soft-threshold serves every group-lasso block, and :func:`prox_group`
+applies it to a single block.  On small designs an iteration costs the
+per-call overhead of its numpy calls far more than arithmetic, so the loop
+keeps those calls few.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroupStructure, Hyperparameters, ParameterSet
+from .core import GroupStructure, Hyperparameters, ParameterSet, flat_length
 from .objective import (Design, _check_groups, _group_norms, _transposed_product, _zero_outside,
                         penalty, risk, risk_gradient)
 
@@ -165,6 +172,81 @@ def _prox_group_rows(omega: np.ndarray, offsets, sizes, thresholds) -> None:
     omega *= (1.0 - ratio).repeat(sizes, axis=1)
 
 
+@dataclass(frozen=True)
+class _Entries:
+    """The entries of the flat parameter buffer that a line search moves:
+    the interaction entries of a working set's blocks, in buffer order,
+    then the imaging, genetic and intercept tail, as flat positions
+    ``index``.  ``offsets``, ``sizes`` and ``weights`` give each set
+    block's start among the gathered entries, its length and its group's
+    weight."""
+
+    index: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+    weights: np.ndarray
+
+
+def _set_entries(blocks: np.ndarray, gs: GroupStructure) -> _Entries:
+    """The :class:`_Entries` of the blocks marked in the (n_imaging,
+    n_groups) bool mask ``blocks``.  For a whole mask ``index`` lists every
+    entry of the buffer in order."""
+    n_imaging, e = blocks.shape[0], gs.expanded_size
+    rows, groups = np.nonzero(blocks)  # row-major: the blocks in buffer order
+    sizes = gs.sizes[groups]
+    offsets = np.cumsum(sizes) - sizes
+    index = (rows * e + gs.offsets[groups] - offsets).repeat(sizes)
+    index += np.arange(index.size)
+    tail = np.arange(n_imaging * e, flat_length(n_imaging, e))
+    return _Entries(np.concatenate([index, tail]), offsets, sizes, gs.weights[groups])
+
+
+def _gather(p: ParameterSet, grad, step: float, entries: _Entries):
+    """``flat(p)`` and ``grad`` at ``entries.index``, after checking ``step``
+    and ``grad``."""
+    if not step > 0:
+        raise ValueError("step must be > 0, got %r" % step)
+    grad = np.asarray(grad, dtype=float)
+    x = p.flat()
+    if grad.shape != x.shape:
+        raise ValueError("gradient has shape %r, expected %r" % (grad.shape, x.shape))
+    g = grad[entries.index]
+    if not np.isfinite(g).all():
+        raise ValueError("gradient contains non-finite entries")
+    return x[entries.index], g
+
+
+def _candidate(v: np.ndarray, step: float, entries: _Entries, gs: GroupStructure,
+               h: Hyperparameters, n_imaging: int) -> ParameterSet:
+    """The candidate of the gradient step ``v`` gathered at ``entries``.
+
+    Each proximal operator works in place on its part of ``v``: the set's
+    interaction blocks and the genetic groups are soft-thresholded with
+    thresholds ``step * lambda * weight``, the imaging block is shrunk by
+    :func:`prox_ridge`, and the intercept keeps its plain gradient step;
+    blocks pinned by the variant are set to zero.  ``v`` is then written
+    into a buffer of zeros at ``entries.index``.
+    """
+    e = gs.expanded_size
+    cut = v.size - n_imaging - e - 1  # the set's interaction entries end here
+    if h.variant == "additive":
+        v[:cut] = 0.0
+    else:
+        thresholds = step * h.lambda_interaction * entries.weights
+        _prox_group_rows(v[None, :cut], entries.offsets, entries.sizes, thresholds)
+    imaging, genetic = v[cut : cut + n_imaging], v[cut + n_imaging : -1]
+    if h.variant == "multiplicative":
+        imaging.fill(0.0)
+        genetic.fill(0.0)
+    else:
+        imaging[...] = prox_ridge(imaging, step, h.lambda_imaging)
+        thresholds = step * h.lambda_genetic * gs.weights
+        _prox_group_rows(genetic[None, :], gs.offsets, gs.sizes, thresholds)
+    buf = np.zeros(flat_length(n_imaging, e))
+    buf[entries.index] = v
+    return ParameterSet._view(buf, n_imaging, e)
+
+
 def parameter_update(
     p: ParameterSet,
     grad: np.ndarray,
@@ -174,36 +256,16 @@ def parameter_update(
 ) -> ParameterSet:
     """One proximal step at the given stepsize; returns the candidate.
 
-    The candidate's buffer starts as the gradient step ``flat(p) - step *
-    grad``.  Then the interaction rows and the genetic vector are
-    soft-thresholded per group in place, with thresholds
-    ``step * lambda * weight``, the imaging block is shrunk by
-    :func:`prox_ridge`, and the intercept keeps its plain
-    gradient step.  Blocks pinned by the variant are set to zero.
+    The candidate starts as the gradient step ``flat(p) - step * grad``.
+    Then the interaction rows and the genetic vector are soft-thresholded
+    per group, with thresholds ``step * lambda * weight``, the imaging
+    block is shrunk by :func:`prox_ridge`, and the intercept keeps its
+    plain gradient step.  Blocks pinned by the variant are set to zero.
+    This is one trial of :func:`backtracking_step` on every entry.
     """
-    if not step > 0:
-        raise ValueError("step must be > 0, got %r" % step)
-    grad = np.asarray(grad, dtype=float)
-    x = p.flat()
-    if grad.shape != x.shape:
-        raise ValueError("gradient has shape %r, expected %r" % (grad.shape, x.shape))
-    if not np.isfinite(grad).all():
-        raise ValueError("gradient contains non-finite entries")
-    candidate = ParameterSet._view(x - step * grad, p.n_imaging, p.expanded_size)
-    if h.variant == "additive":
-        candidate.interaction.fill(0.0)
-    else:
-        thresholds = step * h.lambda_interaction * gs.weights
-        _prox_group_rows(candidate.interaction, gs.offsets, gs.sizes, thresholds)
-    if h.variant == "multiplicative":
-        candidate.imaging.fill(0.0)
-        candidate.genetic.fill(0.0)
-    else:
-        imaging = candidate.imaging
-        imaging[...] = prox_ridge(imaging, step, h.lambda_imaging)
-        thresholds = step * h.lambda_genetic * gs.weights
-        _prox_group_rows(candidate.genetic[None, :], gs.offsets, gs.sizes, thresholds)
-    return candidate
+    entries = _set_entries(np.ones((p.n_imaging, gs.n_groups), dtype=bool), gs)
+    x, g = _gather(p, grad, step, entries)
+    return _candidate(x - step * g, step, entries, gs, h, p.n_imaging)
 
 
 def backtracking_step(
@@ -214,25 +276,36 @@ def backtracking_step(
     grad: np.ndarray,
     risk_current: float,
     step: float = STEP_INIT,
+    entries: _Entries | None = None,
 ):
     """Shrink the stepsize until the acceptance inequality holds.
 
     ``grad`` and ``risk_current`` are the risk gradient and risk at ``p``.
-    Starting from the trial ``step`` the candidate from
+    Starting from the trial ``step`` the candidate of
     :func:`parameter_update` is accepted once
 
         risk(candidate) <= risk(p) - step * <grad, ghat> + step/2 * ||ghat||^2
 
     with the gradient mapping ``ghat = (flat(p) - flat(candidate)) / step``,
     and otherwise the step is multiplied by :data:`BACKTRACK_FACTOR`.
+
+    ``entries`` (a working set's :func:`_set_entries`; every entry when
+    ``None``) restricts the search to those entries: ``p`` and ``grad``
+    are gathered there once, each trial forms its step, proximal operators
+    and both inner products on them alone, and every other entry is zero
+    in the candidate, as it must be in ``p`` and ``grad``.  So a trial
+    equals :func:`parameter_update`'s candidate bit for bit.
     Returns ``(candidate, step, n_shrinks, candidate_risk)``.
     """
     _check_groups(design, gs)
-    x, grad = p.flat(), np.asarray(grad, dtype=float)
+    if entries is None:
+        entries = _set_entries(np.ones((design.n_imaging, gs.n_groups), dtype=bool), gs)
+    x, g = _gather(p, grad, step, entries)
     for shrinks in range(MAX_BACKTRACKS + 1):
-        candidate = parameter_update(p, grad, step, gs, h)
-        ghat = (x - candidate.flat()) / step
-        bound = risk_current - step * float(grad @ ghat) + 0.5 * step * float(ghat @ ghat)
+        v = x - step * g
+        candidate = _candidate(v, step, entries, gs, h, design.n_imaging)
+        ghat = (x - v) / step
+        bound = risk_current - step * float(g @ ghat) + 0.5 * step * float(ghat @ ghat)
         candidate_risk = risk(candidate, design, h.variant)
         if candidate_risk <= bound:
             return candidate, step, shrinks, candidate_risk
@@ -344,11 +417,12 @@ def fit(
     residuals at that ``x``, whose objective the returned iterate shares.
 
     Every gradient forms only the interaction blocks of the working set
-    (its ``blocks=`` mask), so the blocks outside stay zero in ``x``, ``y``
-    and ``z``.  The set starts whole; the first gradient, at the starting
-    point, seeds it (:func:`_seed_working_set`, which keeps a warm start's
-    live blocks) and is then zeroed outside it.  The additive variant's set
-    stays whole.  Where the relative change holds and the set is not whole,
+    (its ``blocks=`` mask), and every line search and extrapolation writes
+    only the set's entries (:func:`backtracking_step`'s ``entries``), so the
+    blocks outside stay zero in ``x``, ``y`` and ``z``.  The set starts
+    whole; the first gradient, at the starting point, seeds it
+    (:func:`_seed_working_set`, which keeps a warm start's live blocks) and
+    is then zeroed outside it.  The additive variant's set stays whole.  Where the relative change holds and the set is not whole,
     the residuals of the iteration's gradient give the full product ``(1/N)
     A^T r``, from which the gap is taken.  If a block outside the set has
     ``||g_b|| > lambda_W * theta_b`` there, the fit is not optimal on the
@@ -383,11 +457,13 @@ def fit(
         prev = history[-1]
         parts = {}
         grad = risk_gradient(y, design, h.variant, parts=parts, blocks=ws)
-        if it == 1 and h.variant != "additive":
-            ws = _seed_working_set(x, grad, design)
-            _zero_outside(grad[: x.interaction.size].reshape(x.interaction.shape), ws, gs)
+        if it == 1:
+            if h.variant != "additive":
+                ws = _seed_working_set(x, grad, design)
+                _zero_outside(grad[: x.interaction.size].reshape(x.interaction.shape), ws, gs)
+            entries = _set_entries(ws, gs)
         z, step, shrinks, z_risk = backtracking_step(
-            y, design, gs, h, grad, parts["risk"], trial
+            y, design, gs, h, grad, parts["risk"], trial, entries
         )
         z_pen = penalty(z, gs, h)
         total = z_risk + z_pen
@@ -401,10 +477,12 @@ def fit(
             beta = (t - 1.0) / t_next
             y = z
             if beta > 0.0:
-                y, buf = extrapolated, extrapolated.flat()
-                np.subtract(z.flat(), x.flat(), out=buf)
-                buf *= beta
-                buf += z.flat()
+                zs = z.flat()[entries.index]
+                ahead = zs - x.flat()[entries.index]
+                ahead *= beta
+                ahead += zs
+                y = extrapolated
+                y.flat()[entries.index] = ahead
             x, t = z, t_next
         else:
             history.append(IterationRecord(it, prev.risk, prev.penalty, prev.total, step, shrinks))
@@ -420,6 +498,7 @@ def fit(
                 if outside.any():
                     # not optimal on the full problem: admit every violator
                     ws |= outside
+                    entries = _set_entries(ws, gs)
                     y, t = x, 1.0
                     continue
             gap = _duality_gap(final, full, parts["residual"], col_means, design, gs, h)

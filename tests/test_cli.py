@@ -642,6 +642,25 @@ class TestPredict:
             out_b / "predictions.csv"
         ).read_bytes()
 
+    def test_permuted_columns_byte_identical_output(self, tmp_path):
+        # with 24 imaging columns the order of a margin's sums shows in its
+        # bits: a reordered matrix must keep the layout of an in-order file
+        data = tmp_path / "data"
+        assert run(["generate", "--out", data, "--samples", 80, "--imaging-count", 24,
+                    "--groups-count", 6, "--group-size", 5, "--seed", 3]) == 0
+        model_dir = self.fit_model(data, tmp_path)
+        flags = self.predict_flags(data, model_dir)
+        assert run(["predict", *flags, "--out", tmp_path / "pred_a"]) == 0
+        for kind, seed in (("imaging", 1), ("genetic", 2)):
+            rows = [line.split(",") for line in (data / (kind + ".csv")).read_text().splitlines()]
+            perm = np.random.default_rng(seed).permutation(len(rows[0]))
+            permuted = tmp_path / (kind + "_permuted.csv")
+            permuted.write_text("".join(",".join(row[j] for j in perm) + "\n" for row in rows))
+            flags[flags.index("--" + kind) + 1] = permuted
+        assert run(["predict", *flags, "--out", tmp_path / "pred_b"]) == 0
+        assert (tmp_path / "pred_a" / "predictions.csv").read_bytes() == (
+            tmp_path / "pred_b" / "predictions.csv").read_bytes()
+
     def test_non_finite_value_outside_the_model_columns_ignored(self, data_dir, tmp_path,
                                                               capsys):
         model_dir = self.fit_model(data_dir, tmp_path)

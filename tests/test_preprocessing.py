@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from structprox import Dataset, GroupStructure, fit_scaler, make_design
+from structprox import Dataset, GroupStructure, fit_scaler, make_design, preprocessing
 from structprox.preprocessing import (
     NORMALIZATION_MODES,
     ScalingRecord,
@@ -203,32 +203,49 @@ class TestCrossStats:
     @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_statistics_bit_equal_to_column_loop(self, order, normalization):
-        # 300 rows: a column sum over contiguous memory is pairwise, over
-        # strided memory sequential, so the memory order shows in the bits
-        def column_stats(X):
-            mean = X.mean(axis=0)
-            centered = X - mean
-            reduce = np.mean if normalization == "sd" else np.sum
-            spread = np.sqrt(reduce(centered**2, axis=0))
-            constant = spread <= 1e-12 * np.maximum(1.0, np.abs(mean))
-            return mean, np.where(constant, 1.0, spread)
+        assert_statistics_bit_equal_to_column_loop(order, normalization)
 
-        rng = np.random.default_rng(16)
-        genetic = np.asarray(rng.binomial(2, 0.4, size=(300, 7)), dtype=float, order=order)
-        imaging = np.asarray(rng.normal(2.0, 3.0, size=(300, 4)), order=order)
-        d = Dataset(genetic, imaging, rng.integers(0, 2, 300))
-        record = fit_scaler(d, normalization)
-        g_mean, g_scale = column_stats(d.genetic)
-        i_mean, i_scale = column_stats(d.imaging)
-        zg, zi = (d.genetic - g_mean) / g_scale, (d.imaging - i_mean) / i_scale
-        cross = [column_stats(zi[:, i : i + 1] * zg) for i in range(zi.shape[1])]
-        for got, want in [
-            (record.genetic_mean, g_mean), (record.genetic_scale, g_scale),
-            (record.imaging_mean, i_mean), (record.imaging_scale, i_scale),
-            (record.cross_mean, np.array([m for m, _ in cross])),
-            (record.cross_scale, np.array([s for _, s in cross])),
-        ]:
-            assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_statistics_in_slices_bit_equal_to_column_loop(self, monkeypatch, width, order,
+                                                           normalization):
+        # at most 3 or 6 of the 7 genetic columns per slice: split as 6 + 1,
+        # a strided column alone would be summed pairwise, not row by row
+        monkeypatch.setattr(preprocessing, "_PRODUCT_COLUMNS", width)
+        assert_statistics_bit_equal_to_column_loop(order, normalization)
+
+
+def assert_statistics_bit_equal_to_column_loop(order, normalization):
+    """fit_scaler's statistics of a 300 x 7 genetic and 300 x 4 imaging
+    dataset in ``order`` are byte-equal to a two-pass loop over the imaging
+    columns, each against every genetic column at once."""
+    # 300 rows: a column sum over contiguous memory is pairwise, over
+    # strided memory sequential, so the memory order shows in the bits
+    def column_stats(X):
+        mean = X.mean(axis=0)
+        centered = X - mean
+        reduce = np.mean if normalization == "sd" else np.sum
+        spread = np.sqrt(reduce(centered**2, axis=0))
+        constant = spread <= 1e-12 * np.maximum(1.0, np.abs(mean))
+        return mean, np.where(constant, 1.0, spread)
+
+    rng = np.random.default_rng(16)
+    genetic = np.asarray(rng.binomial(2, 0.4, size=(300, 7)), dtype=float, order=order)
+    imaging = np.asarray(rng.normal(2.0, 3.0, size=(300, 4)), order=order)
+    d = Dataset(genetic, imaging, rng.integers(0, 2, 300))
+    record = fit_scaler(d, normalization)
+    g_mean, g_scale = column_stats(d.genetic)
+    i_mean, i_scale = column_stats(d.imaging)
+    zg, zi = (d.genetic - g_mean) / g_scale, (d.imaging - i_mean) / i_scale
+    cross = [column_stats(zi[:, i : i + 1] * zg) for i in range(zi.shape[1])]
+    for got, want in [
+        (record.genetic_mean, g_mean), (record.genetic_scale, g_scale),
+        (record.imaging_mean, i_mean), (record.imaging_scale, i_scale),
+        (record.cross_mean, np.array([m for m, _ in cross])),
+        (record.cross_scale, np.array([s for _, s in cross])),
+    ]:
+        assert got.tobytes() == want.tobytes()
 
 
 def assert_same_record(loaded, record):

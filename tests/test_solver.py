@@ -736,6 +736,53 @@ class TestWorkingSet:
         assert len(risks) == 1 + state.iterations + backtracks
         assert len(gradients) == state.iterations
 
+    def test_line_search_moves_only_the_set(self, monkeypatch):
+        # a 30-block seed leaves most of the 500 blocks outside the set: every
+        # trial is the full-buffer parameter_update at its step, bit for bit,
+        # and every entry outside the set stays 0.0 in y and in each candidate
+        monkeypatch.setattr(solver, "WORKING_SET_MIN", 30)
+        design, gs, h = self.problem()
+        sets, searches, scored = [], [], []  # searches: (y, grad, first trial, first scored)
+        real_seed, real_search, real_risk = (
+            solver._seed_working_set, solver.backtracking_step, solver.risk)
+
+        def seeding(*args):
+            blocks = real_seed(*args)
+            sets.append(blocks.copy())
+            return blocks
+
+        def searching(y, design, gs, h, grad, *args):
+            searches.append((y.flat().copy(), grad.copy(), args[1], len(scored)))
+            return real_search(y, design, gs, h, grad, *args)
+
+        def scoring(candidate, *args):
+            scored.append(candidate.flat().copy())
+            return real_risk(candidate, *args)
+
+        calls = record_gradient_calls(monkeypatch)
+        monkeypatch.setattr(solver, "_seed_working_set", seeding)
+        monkeypatch.setattr(solver, "backtracking_step", searching)
+        monkeypatch.setattr(solver, "risk", scoring)
+        p, state = fit(design, gs, h)
+        backtracks = sum(rec.backtracks for rec in state.history)
+        assert state.converged and state.full_checks >= 1
+        assert len(scored) == 1 + state.iterations + backtracks
+        assert len(calls) == len(searches) == state.iterations
+        # the set of each search: the seed, then the mask of its gradient
+        sets += [blocks.copy() for _, blocks in calls[1:]]
+        ends = [first for *_, first in searches[1:]] + [len(scored)]
+        n_w, shape = p.interaction.size, p.interaction.shape
+        for (y, grad, trial, first), end, blocks in zip(searches, ends, sets):
+            outside = ~blocks.repeat(gs.sizes, axis=1).ravel()
+            assert not y[:n_w][outside].any()
+            y = ParameterSet.from_flat(y, *shape)
+            for candidate in scored[first:end]:
+                assert not candidate[:n_w][outside].any()
+                assert candidate.tobytes() == parameter_update(y, grad, trial, gs, h).flat().tobytes()
+                trial *= BACKTRACK_FACTOR
+        # x is the start or an accepted candidate, and the set only grows
+        assert not p.interaction[~sets[-1].repeat(gs.sizes, axis=1)].any()
+
     def test_warm_start_set_holds_the_live_blocks_of_init(self, monkeypatch):
         design, gs, h = self.problem(c=0.6)
         init, _ = fit(design, gs, h)
