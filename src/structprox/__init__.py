@@ -49,9 +49,7 @@ from .solver import (
     ScreeningResult,
     SolverFailure,
     SolverState,
-    backtracking_step,
     fit,
-    parameter_update,
     prox_group,
     prox_ridge,
     screen_lambda_max,

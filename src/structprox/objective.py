@@ -216,6 +216,17 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
     return m
 
 
+def _block_layout(rows: np.ndarray, groups: np.ndarray, gs: GroupStructure):
+    """Where the (imaging row, group) blocks ``(rows[j], groups[j])`` lie,
+    their entries listed block after block: each block's size and the start
+    of its entries in that list, and the row and column of every entry."""
+    sizes = gs.sizes[groups]
+    starts = np.cumsum(sizes) - sizes
+    entry_cols = (gs.offsets[groups] - starts).repeat(sizes)
+    entry_cols += np.arange(entry_cols.size)
+    return sizes, starts, rows.repeat(sizes), entry_cols
+
+
 def _block_entries(blocks: np.ndarray, gs: GroupStructure):
     """Where the blocks marked in the (n_imaging, n_groups) mask ``blocks``
     lie, taken as (group, row) pairs in group order.
@@ -226,11 +237,7 @@ def _block_entries(blocks: np.ndarray, gs: GroupStructure):
     entries start at ``start``.
     """
     groups, rows = np.nonzero(blocks.T)
-    sizes = gs.sizes[groups]
-    starts = np.cumsum(sizes) - sizes
-    entry_rows = rows.repeat(sizes)
-    entry_cols = (gs.offsets[groups] - starts).repeat(sizes)
-    entry_cols += np.arange(entry_cols.size)
+    _, starts, entry_rows, entry_cols = _block_layout(rows, groups, gs)
     firsts = np.flatnonzero(np.diff(groups, prepend=-1))
     ends = [*firsts[1:].tolist(), len(groups)]
     runs = zip(groups[firsts].tolist(), firsts.tolist(), ends, starts[firsts].tolist())

@@ -60,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GroupStructure, Hyperparameters, ParameterSet, flat_length
-from .objective import (Design, _check_groups, _group_norms, _transposed_product, _zero_outside,
-                        penalty, risk, risk_gradient)
+from .objective import (Design, _block_layout, _check_groups, _group_norms, _transposed_product,
+                        _zero_outside, penalty, risk, risk_gradient)
 
 __all__ = [
     "SolverFailure",
@@ -70,8 +70,6 @@ __all__ = [
     "ScreeningResult",
     "prox_group",
     "prox_ridge",
-    "parameter_update",
-    "backtracking_step",
     "fit",
     "screen_lambda_max",
     "MAX_BACKTRACKS",
@@ -142,7 +140,7 @@ def prox_group(block, threshold: float) -> np.ndarray:
     Shrinks the block norm by ``threshold`` and returns zeros when the
     norm does not exceed it (including the zero block).  A float copy of
     the block goes through the fit's own soft-threshold as one group, so
-    the result matches :func:`parameter_update` bit for bit.
+    the result matches a line-search trial's on that block bit for bit.
     """
     if not threshold >= 0:
         raise ValueError("threshold must be >= 0, got %r" % threshold)
@@ -154,7 +152,8 @@ def prox_group(block, threshold: float) -> np.ndarray:
 
 def prox_ridge(block, step: float, lam: float) -> np.ndarray:
     """Proximal operator of ``step * lam * ||.||_2^2``: uniform shrinkage by
-    ``1 / (1 + 2 step lam)``, the one :func:`parameter_update` applies."""
+    ``1 / (1 + 2 step lam)``, the one a line-search trial applies to the
+    imaging block."""
     if not step > 0:
         raise ValueError("step must be > 0, got %r" % step)
     if not lam >= 0:
@@ -193,27 +192,10 @@ def _set_entries(blocks: np.ndarray, gs: GroupStructure) -> _Entries:
     entry of the buffer in order."""
     n_imaging, e = blocks.shape[0], gs.expanded_size
     rows, groups = np.nonzero(blocks)  # row-major: the blocks in buffer order
-    sizes = gs.sizes[groups]
-    offsets = np.cumsum(sizes) - sizes
-    index = (rows * e + gs.offsets[groups] - offsets).repeat(sizes)
-    index += np.arange(index.size)
+    sizes, offsets, entry_rows, entry_cols = _block_layout(rows, groups, gs)
     tail = np.arange(n_imaging * e, flat_length(n_imaging, e))
-    return _Entries(np.concatenate([index, tail]), offsets, sizes, gs.weights[groups])
-
-
-def _gather(p: ParameterSet, grad, step: float, entries: _Entries):
-    """``flat(p)`` and ``grad`` at ``entries.index``, after checking ``step``
-    and ``grad``."""
-    if not step > 0:
-        raise ValueError("step must be > 0, got %r" % step)
-    grad = np.asarray(grad, dtype=float)
-    x = p.flat()
-    if grad.shape != x.shape:
-        raise ValueError("gradient has shape %r, expected %r" % (grad.shape, x.shape))
-    g = grad[entries.index]
-    if not np.isfinite(g).all():
-        raise ValueError("gradient contains non-finite entries")
-    return x[entries.index], g
+    return _Entries(np.concatenate([entry_rows * e + entry_cols, tail]), offsets, sizes,
+                    gs.weights[groups])
 
 
 def _candidate(v: np.ndarray, step: float, entries: _Entries, gs: GroupStructure,
@@ -247,65 +229,31 @@ def _candidate(v: np.ndarray, step: float, entries: _Entries, gs: GroupStructure
     return ParameterSet._view(buf, n_imaging, e)
 
 
-def parameter_update(
-    p: ParameterSet,
-    grad: np.ndarray,
-    step: float,
-    gs: GroupStructure,
-    h: Hyperparameters,
-) -> ParameterSet:
-    """One proximal step at the given stepsize; returns the candidate.
+def _line_search(y: ParameterSet, design: Design, h: Hyperparameters, grad: np.ndarray,
+                 risk_y: float, step: float, entries: _Entries):
+    """Shrink the stepsize from the trial ``step`` until the acceptance
+    inequality holds.
 
-    The candidate starts as the gradient step ``flat(p) - step * grad``.
-    Then the interaction rows and the genetic vector are soft-thresholded
-    per group, with thresholds ``step * lambda * weight``, the imaging
-    block is shrunk by :func:`prox_ridge`, and the intercept keeps its
-    plain gradient step.  Blocks pinned by the variant are set to zero.
-    This is one trial of :func:`backtracking_step` on every entry.
-    """
-    entries = _set_entries(np.ones((p.n_imaging, gs.n_groups), dtype=bool), gs)
-    x, g = _gather(p, grad, step, entries)
-    return _candidate(x - step * g, step, entries, gs, h, p.n_imaging)
+    ``grad`` and ``risk_y`` are the risk gradient and risk at ``y``, and
+    ``entries`` a working set's :func:`_set_entries`, outside which ``y``
+    and ``grad`` are zero.  Both are gathered there once; each trial forms
+    the gradient step ``v = y - step * grad`` on those entries alone, its
+    candidate (:func:`_candidate`), and the gradient mapping ``ghat = (y -
+    candidate) / step``.  The candidate is accepted once
 
+        risk(candidate) <= risk(y) - step * <grad, ghat> + step/2 * ||ghat||^2
 
-def backtracking_step(
-    p: ParameterSet,
-    design: Design,
-    gs: GroupStructure,
-    h: Hyperparameters,
-    grad: np.ndarray,
-    risk_current: float,
-    step: float = STEP_INIT,
-    entries: _Entries | None = None,
-):
-    """Shrink the stepsize until the acceptance inequality holds.
-
-    ``grad`` and ``risk_current`` are the risk gradient and risk at ``p``.
-    Starting from the trial ``step`` the candidate of
-    :func:`parameter_update` is accepted once
-
-        risk(candidate) <= risk(p) - step * <grad, ghat> + step/2 * ||ghat||^2
-
-    with the gradient mapping ``ghat = (flat(p) - flat(candidate)) / step``,
     and otherwise the step is multiplied by :data:`BACKTRACK_FACTOR`.
-
-    ``entries`` (a working set's :func:`_set_entries`; every entry when
-    ``None``) restricts the search to those entries: ``p`` and ``grad``
-    are gathered there once, each trial forms its step, proximal operators
-    and both inner products on them alone, and every other entry is zero
-    in the candidate, as it must be in ``p`` and ``grad``.  So a trial
-    equals :func:`parameter_update`'s candidate bit for bit.
     Returns ``(candidate, step, n_shrinks, candidate_risk)``.
     """
-    _check_groups(design, gs)
-    if entries is None:
-        entries = _set_entries(np.ones((design.n_imaging, gs.n_groups), dtype=bool), gs)
-    x, g = _gather(p, grad, step, entries)
+    ys, g = y.flat()[entries.index], grad[entries.index]
+    if not np.isfinite(g).all():
+        raise ValueError("gradient contains non-finite entries")
     for shrinks in range(MAX_BACKTRACKS + 1):
-        v = x - step * g
-        candidate = _candidate(v, step, entries, gs, h, design.n_imaging)
-        ghat = (x - v) / step
-        bound = risk_current - step * float(g @ ghat) + 0.5 * step * float(ghat @ ghat)
+        v = ys - step * g
+        candidate = _candidate(v, step, entries, design.groups, h, design.n_imaging)
+        ghat = (ys - v) / step
+        bound = risk_y - step * float(g @ ghat) + 0.5 * step * float(ghat @ ghat)
         candidate_risk = risk(candidate, design, h.variant)
         if candidate_risk <= bound:
             return candidate, step, shrinks, candidate_risk
@@ -319,9 +267,8 @@ def backtracking_step(
 def _block_ratios(grad: np.ndarray, design: Design) -> np.ndarray:
     """``||g_b|| / theta_b`` of every (imaging row, group) block of the
     interaction part of the flat gradient ``grad``."""
-    gs = design.groups
-    gw = grad[: design.n_imaging * design.expanded_size].reshape(design.n_imaging, -1)
-    return _group_norms(gw, gs.offsets) / gs.weights
+    gs, g = design.groups, ParameterSet._view(grad, design.n_imaging, design.expanded_size)
+    return _group_norms(g.interaction, gs.offsets) / gs.weights
 
 
 def _duality_gap(total, grad, residual, col_means, design, gs, h) -> float:
@@ -359,16 +306,14 @@ def _duality_gap(total, grad, residual, col_means, design, gs, h) -> float:
         u = residual - (residual.sum() / magnitude.sum()) * magnitude
         g = _transposed_product(u, design, h.variant)
     a = u * sign
-    n_w = design.n_imaging * design.expanded_size
-    n_wi = n_w + design.n_imaging
     reach = [1.0, a.max()]  # alpha = 1 / max(reach)
     if h.variant != "additive":
         reach.append(_block_ratios(g, design).max() / h.lambda_interaction)
     ridge = 0.0
     if h.variant != "multiplicative":
-        reach.append((_group_norms(g[n_wi:-1], gs.offsets) / gs.weights).max() / h.lambda_genetic)
-        gi = g[n_w:n_wi]
-        ridge = float(gi @ gi) / (4.0 * h.lambda_imaging)
+        gv = ParameterSet._view(g, design.n_imaging, design.expanded_size)
+        reach.append((_group_norms(gv.genetic, gs.offsets) / gs.weights).max() / h.lambda_genetic)
+        ridge = float(gv.imaging @ gv.imaging) / (4.0 * h.lambda_imaging)
     alpha = 1.0 / max(reach)
     a *= alpha
     # a log a + (1 - a) log(1 - a), each term 0 where its factor is 0
@@ -418,16 +363,17 @@ def fit(
 
     Every gradient forms only the interaction blocks of the working set
     (its ``blocks=`` mask), and every line search and extrapolation writes
-    only the set's entries (:func:`backtracking_step`'s ``entries``), so the
-    blocks outside stay zero in ``x``, ``y`` and ``z``.  The set starts
-    whole; the first gradient, at the starting point, seeds it
-    (:func:`_seed_working_set`, which keeps a warm start's live blocks) and
-    is then zeroed outside it.  The additive variant's set stays whole.  Where the relative change holds and the set is not whole,
-    the residuals of the iteration's gradient give the full product ``(1/N)
-    A^T r``, from which the gap is taken.  If a block outside the set has
-    ``||g_b|| > lambda_W * theta_b`` there, the fit is not optimal on the
-    full problem whatever the gap says: every such block joins the set, the
-    momentum restarts from ``y = x``, and the loop goes on.  So a fit stops
+    only the set's entries (:func:`_set_entries`), so the blocks outside
+    stay zero in ``x``, ``y`` and ``z``.  The set starts whole; the first
+    gradient, at the starting point, seeds it (:func:`_seed_working_set`,
+    which keeps a warm start's live blocks) and is then zeroed outside it.
+    The additive variant's set stays whole.  Where the relative change holds
+    and the set is not whole, the residuals of the iteration's gradient give
+    the full product ``(1/N) A^T r``, from which the gap is taken.  If a
+    block outside the set has ``||g_b|| > lambda_W * theta_b`` there, the fit
+    is not optimal on the full problem whatever the gap says: every such
+    block joins the set, the momentum restarts from ``y = x``, and the loop
+    goes on.  So a fit stops
     ``converged`` or ``stalled`` only when no block outside its set violates
     its optimality condition.  The state records the set's size at the stop
     and the number of these full checks.
@@ -460,11 +406,10 @@ def fit(
         if it == 1:
             if h.variant != "additive":
                 ws = _seed_working_set(x, grad, design)
-                _zero_outside(grad[: x.interaction.size].reshape(x.interaction.shape), ws, gs)
+                _zero_outside(ParameterSet._view(grad, x.n_imaging, x.expanded_size).interaction,
+                              ws, gs)
             entries = _set_entries(ws, gs)
-        z, step, shrinks, z_risk = backtracking_step(
-            y, design, gs, h, grad, parts["risk"], trial, entries
-        )
+        z, step, shrinks, z_risk = _line_search(y, design, h, grad, parts["risk"], trial, entries)
         z_pen = penalty(z, gs, h)
         total = z_risk + z_pen
         if not np.isfinite(total):
@@ -558,8 +503,8 @@ def screen_lambda_max(design: Design, gs: GroupStructure) -> ScreeningResult:
     """
     _check_groups(design, gs)
     grad = risk_gradient(ParameterSet.zeros(design.n_imaging, design.expanded_size), design)
-    n_wi = design.n_imaging * (design.expanded_size + 1)
-    genetic_bounds = _group_norms(grad[n_wi:-1], gs.offsets) / gs.weights
+    genetic = ParameterSet._view(grad, design.n_imaging, design.expanded_size).genetic
+    genetic_bounds = _group_norms(genetic, gs.offsets) / gs.weights
     interaction_bounds = _block_ratios(grad, design).max(axis=0)
     return ScreeningResult(
         lambda_genetic_max=float(genetic_bounds.max()),

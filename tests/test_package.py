@@ -110,25 +110,33 @@ def test_file_open_detected():
     assert file_opens(source) == ["g", "f", None]
 
 
+def top_level(source: str):
+    """Each module-level statement of ``source`` as (the statement, the names
+    it defines as a function, class or constant, the names it reads outside
+    them, by name or as an attribute)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+        else:
+            names = set()
+        reads = {sub.id for sub in ast.walk(node)
+                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        reads.update(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+        yield node, names, reads - names
+
+
 def unreferenced_private_names(sources: dict) -> list:
     """The module-level ``_name`` functions, classes and constants of
     ``sources`` (module name to text), as ``(module, name)``, that no code
     outside their own definition reads, by name or as an attribute."""
     defined, used = [], set()
     for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = {node.name}
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = {t.id for t in targets if isinstance(t, ast.Name)}
-            else:
-                names = set()
+        for _, names, reads in top_level(source):
             defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
-            reads = {sub.id for sub in ast.walk(node)
-                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
-            reads.update(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
-            used |= reads - names
+            used |= reads
     return sorted((m, n) for m, n in defined if n not in used)
 
 
@@ -144,6 +152,41 @@ def test_dead_private_helper_detected():
     source = ("_A = 1\n_B = _A\ndef _f(n):\n    return _f(n - 1)\n"
               "class _C:\n    pass\ndef g():\n    return _C(), m._D\n")
     assert unreferenced_private_names({"m": source}) == [("m", "_B"), ("m", "_f")]
+
+
+def unread_public_names(modules: dict, readers: list) -> list:
+    """The names in the ``__all__`` of ``modules`` (module name to text), as
+    ``(module, name)``, that no code of ``modules`` or of the sources
+    ``readers`` reads outside their own definition.  An import is not a read, so a name the
+    package only re-exports counts as unread."""
+    listed, used = [], set()
+    for module, source in modules.items():
+        for node, names, reads in top_level(source):
+            if "__all__" in names:
+                listed += [(module, n) for n in ast.literal_eval(node.value)]
+            used |= reads
+    for source in readers:
+        for *_, reads in top_level(source):
+            used |= reads
+    return sorted((m, n) for m, n in listed if n not in used)
+
+
+def test_no_public_names_only_tests_read():
+    # a public helper that only tests call is dead code with a test
+    # around it; the frozen acceptance gate and the benchmark count as users
+    package = pathlib.Path(structprox.__file__).parent
+    modules = {path.stem: path.read_text() for path in package.glob("*.py")}
+    readers = [path.read_text()
+               for path in [TESTS / "test_acceptance.py", *(TESTS.parent / "bench").glob("*.py")]]
+    assert unread_public_names(modules, readers) == []
+
+
+def test_unread_public_name_detected():
+    module = ("__all__ = ['f', 'g', 'h', 'K']\nK = 1\ndef f(n):\n    return f(n - 1)\n"
+              "def g():\n    return K\ndef h():\n    pass\n")
+    readers = ["from m import f, h\nimport m\nm.g()\n"]
+    assert unread_public_names({"m": module}, readers) == [("m", "f"), ("m", "h")]
+    assert unread_public_names({"m": module}, []) == [("m", "f"), ("m", "g"), ("m", "h")]
 
 
 def test_benchmark_evidence_files_are_whole_pairs():

@@ -17,7 +17,6 @@ from structprox import (
     screen_lambda_max,
 )
 from structprox import VARIANTS, solver
-from structprox.core import flat_length
 from structprox.objective import (
     Design,
     log_posterior_unnormalized,
@@ -28,14 +27,7 @@ from structprox.objective import (
     sigmoid,
 )
 from structprox.preprocessing import fit_scaler, make_design
-from structprox.solver import (
-    BACKTRACK_FACTOR,
-    STEP_INIT,
-    backtracking_step,
-    parameter_update,
-    prox_group,
-    prox_ridge,
-)
+from structprox.solver import BACKTRACK_FACTOR, STEP_INIT, prox_group, prox_ridge
 
 from structprox.synthetic import reference_solve
 
@@ -79,6 +71,55 @@ def ridge_prox_oracle(omega, step, lam):
         )
         out[j] = res.x
     return out
+
+
+def full_step(p, grad, step, gs, h):
+    """One line-search trial on every entry, from the public proximal
+    operators: the gradient step ``flat(p) - step * grad``, then
+    :func:`prox_group` on every (imaging row, group) block and genetic group
+    with threshold ``step * lambda * weight``, :func:`prox_ridge` on the
+    imaging block and the plain step on the intercept.  The blocks
+    ``h.variant`` pins are zero."""
+    v = ParameterSet.from_flat(p.flat() - step * grad, p.n_imaging, p.expanded_size)
+    out = ParameterSet.zeros(p.n_imaging, p.expanded_size)
+    out.intercept = v.intercept
+    for l in range(gs.n_groups):
+        blk, weight = gs.block(l), gs.weights[l]
+        if h.variant != "additive":
+            for i in range(p.n_imaging):
+                out.interaction[i, blk] = prox_group(
+                    v.interaction[i, blk], step * h.lambda_interaction * weight)
+        if h.variant != "multiplicative":
+            out.genetic[blk] = prox_group(v.genetic[blk], step * h.lambda_genetic * weight)
+    if h.variant != "multiplicative":
+        out.imaging = prox_ridge(v.imaging, step, h.lambda_imaging)
+    return out
+
+
+def line_search(p, design, h, grad, start=STEP_INIT):
+    """The fit's line search from ``p`` on every entry, starting at the
+    trial step ``start``; returns ``(candidate, step, shrinks, risk)``."""
+    gs = design.groups
+    entries = solver._set_entries(np.ones((design.n_imaging, gs.n_groups), dtype=bool), gs)
+    return solver._line_search(p, design, h, grad, risk(p, design, h.variant), start, entries)
+
+
+def first_trial(p, design, h, grad, step):
+    """The candidate of the line search's first trial from ``p`` at ``step``,
+    accepted whatever its risk."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "risk", lambda *args: -np.inf)
+        candidate, accepted, shrinks, _ = line_search(p, design, h, grad, step)
+    assert (accepted, shrinks) == (step, 0)
+    return candidate
+
+
+def raw_design(seed, gs, n_imaging):
+    """A raw design of 12 random samples over the groups ``gs``."""
+    rng = np.random.default_rng(seed)
+    d = Dataset(rng.binomial(2, 0.4, size=(12, gs.n_features)).astype(float),
+                rng.normal(size=(12, n_imaging)), rng.integers(0, 2, 12))
+    return Design.from_dataset(d, gs)
 
 
 class TestProxGroup:
@@ -126,8 +167,8 @@ class TestProxGroup:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_parameter_update_bit_for_bit(self, seed):
-        # the genetic blocks of a zero-gradient, unit-step update are the
-        # soft-thresholds of omega's blocks at lambda_genetic * weight
+        # the genetic blocks of the fit's zero-gradient, unit-step trial are
+        # the soft-thresholds of omega's blocks at lambda_genetic * weight
         rng = np.random.default_rng(900 + seed)
         gs = GroupStructure(
             [[0, 1, 2], [3, 4], [5, 6, 7, 8]], n_features=9, weights=rng.uniform(0.5, 2.0, 3)
@@ -139,7 +180,7 @@ class TestProxGroup:
         p = ParameterSet.zeros(2, gs.expanded_size)
         p.genetic = omega
         h = Hyperparameters(1.0, 1.0, t)
-        candidate = parameter_update(p, np.zeros(p.flat().size), 1.0, gs, h)
+        candidate = first_trial(p, raw_design(seed, gs, 2), h, np.zeros(p.flat().size), 1.0)
         survived = []
         for l in range(gs.n_groups):
             blk = gs.block(l)
@@ -208,14 +249,14 @@ class TestProxRidge:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_parameter_update_bit_for_bit(self, seed):
-        # the imaging block of a zero-gradient update is omega's ridge shrink
+        # the imaging block of the fit's zero-gradient trial is omega's ridge shrink
         rng = np.random.default_rng(950 + seed)
         gs = GroupStructure([[0, 1], [1, 2]], n_features=3)
         step, lam = float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.01, 2.0))
         p = ParameterSet.zeros(4, gs.expanded_size)
         p.imaging = omega = rng.normal(0, 2, size=4)
-        candidate = parameter_update(p, np.zeros(p.flat().size), step, gs,
-                                     Hyperparameters(1.0, lam, 1.0))
+        candidate = first_trial(p, raw_design(seed, gs, 4), Hyperparameters(1.0, lam, 1.0),
+                                np.zeros(p.flat().size), step)
         assert prox_ridge(omega, step, lam).tobytes() == candidate.imaging.tobytes()
 
 
@@ -235,9 +276,6 @@ class TestForeignGroups:
     @pytest.mark.parametrize("call", [
         pytest.param(lambda design, gs, h: fit(design, gs, h), id="fit"),
         pytest.param(lambda design, gs, h: screen_lambda_max(design, gs), id="screen"),
-        pytest.param(lambda design, gs, h: backtracking_step(
-            ParameterSet.zeros(2, 9), design, gs, h, np.zeros(flat_length(2, 9)), np.log(2.0)),
-            id="backtracking_step"),
         pytest.param(lambda design, gs, h: objective(ParameterSet.zeros(2, 9), design, gs, h),
                      id="objective"),
         pytest.param(lambda design, gs, h: log_posterior_unnormalized(
@@ -251,13 +289,8 @@ class TestForeignGroups:
 
 
 class TestParameterUpdate:
-    @pytest.mark.parametrize("step", [np.nan, 0.0, -1.0])
-    def test_nan_or_nonpositive_step_rejected(self, step):
-        d, gs, design = random_instance(52)
-        p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
-        with pytest.raises(ValueError) as err:
-            parameter_update(p, np.zeros(p.flat().size), step, gs, default_hyper())
-        assert str(err.value) == "step must be > 0, got %r" % step
+    """The candidate of one line-search trial: the fit's parameter update at
+    one step size."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_rejected(self, bad):
@@ -266,7 +299,7 @@ class TestParameterUpdate:
         grad = np.zeros(p.flat().size)
         grad[3] = bad
         with pytest.raises(ValueError) as err:
-            parameter_update(p, grad, 1.0, gs, default_hyper())
+            line_search(p, design, default_hyper(), grad)
         assert str(err.value) == "gradient contains non-finite entries"
 
     def test_zero_gradient_zero_thresholds_is_fixed_point(self):
@@ -274,7 +307,7 @@ class TestParameterUpdate:
         p = random_params(51, design.n_imaging, gs.expanded_size)
         h = default_hyper(lambda_imaging=1e-300, lambda_genetic=1e-300,
                           lambda_interaction=1e-300)
-        candidate = parameter_update(p, np.zeros(p.flat().size), 1.0, gs, h)
+        candidate = first_trial(p, design, h, np.zeros(p.flat().size), 1.0)
         np.testing.assert_allclose(candidate.flat(), p.flat(), rtol=1e-12)
 
     def test_zero_block_with_zero_thresholds_divides_nothing(self):
@@ -285,14 +318,8 @@ class TestParameterUpdate:
         # Hyperparameters rejects zero strengths, so zero them after construction.
         h.lambda_interaction = h.lambda_genetic = 0.0
         with np.errstate(all="raise"):
-            candidate = parameter_update(p, np.zeros(p.flat().size), 1.0, gs, h)
+            candidate = first_trial(p, raw_design(53, gs, 2), h, np.zeros(p.flat().size), 1.0)
         assert candidate.flat().tobytes() == np.zeros(p.flat().size).tobytes()
-
-    def test_gradient_of_wrong_length_rejected(self):
-        d, gs, design = random_instance(52)
-        p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
-        with pytest.raises(ValueError, match="gradient has shape"):
-            parameter_update(p, np.zeros(1), 1.0, gs, default_hyper())
 
     def test_screening_keeps_block_at_zero(self):
         # gradient block norm 10 against threshold 20: stays zero
@@ -301,7 +328,7 @@ class TestParameterUpdate:
         grad = ParameterSet.zeros(1, 2)
         grad.genetic = [6.0, 8.0]
         h = default_hyper(lambda_genetic=20.0)
-        candidate = parameter_update(p, grad.flat(), 1.0, gs, h)
+        candidate = first_trial(p, raw_design(54, gs, 1), h, grad.flat(), 1.0)
         np.testing.assert_array_equal(candidate.genetic, [0.0, 0.0])
 
     def test_blocks_match_prox_oracles(self):
@@ -316,7 +343,8 @@ class TestParameterUpdate:
                 lambda_genetic=float(rng.uniform(0.05, 0.5)),
             )
             step = float(rng.uniform(0.1, 1.0))
-            upd = parameter_update(p, grad, step, gs, h)
+            upd = first_trial(p, design, h, grad, step)
+            assert upd.flat().tobytes() == full_step(p, grad, step, gs, h).flat().tobytes()
             g = ParameterSet.from_flat(grad, p.n_imaging, p.expanded_size)
             gw = p.interaction - step * g.interaction
             # genetic blocks
@@ -351,11 +379,9 @@ class TestParameterUpdate:
         p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
         rng = np.random.default_rng(56)
         grad = rng.normal(size=p.flat().size)
-        upd = parameter_update(p, grad, 1.0, gs, default_hyper(variant="additive"))
+        upd = first_trial(p, design, default_hyper(variant="additive"), grad, 1.0)
         assert not upd.interaction.any()
-        upd = parameter_update(
-            p, grad, 1.0, gs, default_hyper(variant="multiplicative")
-        )
+        upd = first_trial(p, design, default_hyper(variant="multiplicative"), grad, 1.0)
         assert not upd.imaging.any()
         assert not upd.genetic.any()
 
@@ -389,10 +415,7 @@ class TestBacktracking:
         d, gs, design = random_instance(60)
         p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
         grad = np.zeros(p.flat().size)
-        h = default_hyper()
-        candidate, step, shrinks, _ = backtracking_step(
-            p, design, gs, h, grad=grad, risk_current=risk(p, design)
-        )
+        candidate, step, shrinks, _ = line_search(p, design, default_hyper(), grad)
         assert shrinks == 0
         assert step == STEP_INIT
         assert candidate.flat().tobytes() == p.flat().tobytes()
@@ -403,9 +426,7 @@ class TestBacktracking:
             p = random_params(1200 + seed, design.n_imaging, gs.expanded_size, scale=0.5)
             h = default_hyper()
             grad = risk_gradient(p, design)
-            candidate, step, shrinks, cand_risk = backtracking_step(
-                p, design, gs, h, grad, risk(p, design)
-            )
+            candidate, step, shrinks, cand_risk = line_search(p, design, h, grad)
             ghat = (p.flat() - candidate.flat()) / step
             bound = risk(p, design) - step * float(grad @ ghat) + 0.5 * step * float(
                 ghat @ ghat
@@ -418,9 +439,7 @@ class TestBacktracking:
         gs, design = steep_instance()
         p = random_params(62, 2, 2, scale=0.3)
         h = default_hyper()
-        _, step, shrinks, _ = backtracking_step(
-            p, design, gs, h, risk_gradient(p, design), risk(p, design)
-        )
+        _, step, shrinks, _ = line_search(p, design, h, risk_gradient(p, design))
         assert shrinks >= 1
         np.testing.assert_allclose(step, BACKTRACK_FACTOR**shrinks)
 
@@ -433,22 +452,13 @@ class TestBacktracking:
             h = default_hyper()
             grad = risk_gradient(p, design)
             r = risk(p, design)
-            candidate, step, shrinks, cand_risk = backtracking_step(
-                p, design, gs, h, grad, r, start
-            )
+            candidate, step, shrinks, cand_risk = line_search(p, design, h, grad, start)
             shrunk += shrinks
             np.testing.assert_allclose(step, start * BACKTRACK_FACTOR**shrinks, rtol=1e-12)
             ghat = (p.flat() - candidate.flat()) / step
             bound = r - step * float(grad @ ghat) + 0.5 * step * float(ghat @ ghat)
             assert cand_risk <= bound + 1e-12
         assert shrunk > 0
-
-    def test_nan_step_rejected(self):
-        d, gs, design = random_instance(60)
-        p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
-        with pytest.raises(ValueError, match="^step must be > 0, got nan$"):
-            backtracking_step(p, design, gs, default_hyper(), risk_gradient(p, design),
-                              risk(p, design), np.nan)
 
 
 def standardized_instance():
@@ -467,14 +477,14 @@ def pin_blocks(p, variant):
     return p
 
 
-class TestRetriesMoveMovableBlocks:
-    """Every trial of the line search scores the candidate of a full
-    parameter_update at its step."""
+class TestTrialsEqualFullStep:
+    """Every trial of the line search scores the candidate of the
+    full-buffer step at its step size, bit for bit."""
 
     @staticmethod
     def search_matching_full_updates(monkeypatch, p, design, gs, h, start):
         """Run one line search from ``start``, check that every candidate it
-        scores equals parameter_update's at its step bit for bit, and return
+        scores equals :func:`full_step`'s at its step bit for bit, and return
         the number of shrinks."""
         grad = risk_gradient(p, design, h.variant)
         scored, real = [], solver.risk
@@ -484,13 +494,11 @@ class TestRetriesMoveMovableBlocks:
             return real(candidate, *args)
 
         monkeypatch.setattr(solver, "risk", recording)
-        _, step, shrinks, _ = backtracking_step(
-            p, design, gs, h, grad, real(p, design, h.variant), start
-        )
+        _, step, shrinks, _ = line_search(p, design, h, grad, start)
         assert len(scored) == shrinks + 1
         trial = start
         for buf in scored:
-            assert buf.tobytes() == parameter_update(p, grad, trial, gs, h).flat().tobytes()
+            assert buf.tobytes() == full_step(p, grad, trial, gs, h).flat().tobytes()
             trial *= BACKTRACK_FACTOR
         assert trial == step * BACKTRACK_FACTOR
         return shrinks
@@ -589,12 +597,14 @@ class TestStepGrowth:
     def test_first_trial_follows_hold_rule(self, monkeypatch, c):
         searches = []  # (first trial, accepted step, shrinks) per iteration
 
+        real = solver._line_search
+
         def recording(*args):
-            result = backtracking_step(*args)
-            searches.append((args[6], result[1], result[2]))
+            result = real(*args)
+            searches.append((args[5], result[1], result[2]))
             return result
 
-        monkeypatch.setattr(solver, "backtracking_step", recording)
+        monkeypatch.setattr(solver, "_line_search", recording)
         gs, design = cli_fixture_design()
         bounds = screen_lambda_max(design, gs)
         h = Hyperparameters(
@@ -738,22 +748,22 @@ class TestWorkingSet:
 
     def test_line_search_moves_only_the_set(self, monkeypatch):
         # a 30-block seed leaves most of the 500 blocks outside the set: every
-        # trial is the full-buffer parameter_update at its step, bit for bit,
+        # trial is the full-buffer step at its step size, bit for bit,
         # and every entry outside the set stays 0.0 in y and in each candidate
         monkeypatch.setattr(solver, "WORKING_SET_MIN", 30)
         design, gs, h = self.problem()
         sets, searches, scored = [], [], []  # searches: (y, grad, first trial, first scored)
         real_seed, real_search, real_risk = (
-            solver._seed_working_set, solver.backtracking_step, solver.risk)
+            solver._seed_working_set, solver._line_search, solver.risk)
 
         def seeding(*args):
             blocks = real_seed(*args)
             sets.append(blocks.copy())
             return blocks
 
-        def searching(y, design, gs, h, grad, *args):
-            searches.append((y.flat().copy(), grad.copy(), args[1], len(scored)))
-            return real_search(y, design, gs, h, grad, *args)
+        def searching(y, design, h, grad, risk_y, step, entries):
+            searches.append((y.flat().copy(), grad.copy(), step, len(scored)))
+            return real_search(y, design, h, grad, risk_y, step, entries)
 
         def scoring(candidate, *args):
             scored.append(candidate.flat().copy())
@@ -761,7 +771,7 @@ class TestWorkingSet:
 
         calls = record_gradient_calls(monkeypatch)
         monkeypatch.setattr(solver, "_seed_working_set", seeding)
-        monkeypatch.setattr(solver, "backtracking_step", searching)
+        monkeypatch.setattr(solver, "_line_search", searching)
         monkeypatch.setattr(solver, "risk", scoring)
         p, state = fit(design, gs, h)
         backtracks = sum(rec.backtracks for rec in state.history)
@@ -778,7 +788,7 @@ class TestWorkingSet:
             y = ParameterSet.from_flat(y, *shape)
             for candidate in scored[first:end]:
                 assert not candidate[:n_w][outside].any()
-                assert candidate.tobytes() == parameter_update(y, grad, trial, gs, h).flat().tobytes()
+                assert candidate.tobytes() == full_step(y, grad, trial, gs, h).flat().tobytes()
                 trial *= BACKTRACK_FACTOR
         # x is the start or an accepted candidate, and the set only grows
         assert not p.interaction[~sets[-1].repeat(gs.sizes, axis=1)].any()
