@@ -25,14 +25,17 @@ longer lowers the objective (see :func:`fit`).
 A fit solves on a working set of the interaction's (imaging row, group)
 blocks (after Blitz, Johnson & Guestrin, ICML 2015, and Celer, Massias,
 Gramfort & Salmon, ICML 2018): each gradient forms only the blocks in the
-set, and the others stay zero in every iterate.  The set starts whole;
-the first gradient, the full one, seeds it with the blocks live at the
-start and the ``max(WORKING_SET_MIN, 2 * live)`` others of highest
-``||g_b|| / theta_b`` (every block, on small designs).  The stop stays
-certified on the full problem: where it is tested and the set is not
-whole, the full gradient is formed from the same residuals, and a block
-outside the set whose norm exceeds ``lambda * weight`` joins the set and
-restarts the momentum instead of letting the fit stop.
+set, and the others stay zero in every iterate.  The blocks the variant
+pins stay zero with no rule of their own here: a fit's start is checked to
+hold zeros there, and every gradient is zero there (see
+:mod:`structprox.objective`), so each proximal operator maps them to 0.0.
+The set starts whole; the first gradient, the full one, seeds it with
+the blocks live at the start and the ``max(WORKING_SET_MIN, 2 * live)``
+others of highest ``||g_b|| / theta_b`` (every block, on small designs).
+The stop stays certified on the full problem: where it is tested and the
+set is not whole, the full gradient is formed from the same residuals,
+and a block outside the set whose norm exceeds ``lambda * weight`` joins
+the set and restarts the momentum instead of letting the fit stop.
 
 Iterates and gradients share the one buffer layout of
 :class:`~structprox.core.ParameterSet`.  A line search gathers ``y`` and
@@ -61,7 +64,7 @@ import numpy as np
 
 from .core import GroupStructure, Hyperparameters, ParameterSet, flat_length
 from .objective import (Design, _block_layout, _check_groups, _group_norms, _transposed_product,
-                        _zero_outside, penalty, risk, risk_gradient)
+                        penalty, risk, risk_gradient)
 
 __all__ = [
     "SolverFailure",
@@ -205,25 +208,17 @@ def _candidate(v: np.ndarray, step: float, entries: _Entries, gs: GroupStructure
     Each proximal operator works in place on its part of ``v``: the set's
     interaction blocks and the genetic groups are soft-thresholded with
     thresholds ``step * lambda * weight``, the imaging block is shrunk by
-    :func:`prox_ridge`, and the intercept keeps its plain gradient step;
-    blocks pinned by the variant are set to zero.  ``v`` is then written
-    into a buffer of zeros at ``entries.index``.
+    :func:`prox_ridge`, and the intercept keeps its plain gradient step.
+    ``v`` is then written into a buffer of zeros at ``entries.index``.
     """
     e = gs.expanded_size
     cut = v.size - n_imaging - e - 1  # the set's interaction entries end here
-    if h.variant == "additive":
-        v[:cut] = 0.0
-    else:
-        thresholds = step * h.lambda_interaction * entries.weights
-        _prox_group_rows(v[None, :cut], entries.offsets, entries.sizes, thresholds)
+    thresholds = step * h.lambda_interaction * entries.weights
+    _prox_group_rows(v[None, :cut], entries.offsets, entries.sizes, thresholds)
     imaging, genetic = v[cut : cut + n_imaging], v[cut + n_imaging : -1]
-    if h.variant == "multiplicative":
-        imaging.fill(0.0)
-        genetic.fill(0.0)
-    else:
-        imaging[...] = prox_ridge(imaging, step, h.lambda_imaging)
-        thresholds = step * h.lambda_genetic * gs.weights
-        _prox_group_rows(genetic[None, :], gs.offsets, gs.sizes, thresholds)
+    imaging[...] = prox_ridge(imaging, step, h.lambda_imaging)
+    thresholds = step * h.lambda_genetic * gs.weights
+    _prox_group_rows(genetic[None, :], gs.offsets, gs.sizes, thresholds)
     buf = np.zeros(flat_length(n_imaging, e))
     buf[entries.index] = v
     return ParameterSet._view(buf, n_imaging, e)
@@ -235,11 +230,11 @@ def _line_search(y: ParameterSet, design: Design, h: Hyperparameters, grad: np.n
     inequality holds.
 
     ``grad`` and ``risk_y`` are the risk gradient and risk at ``y``, and
-    ``entries`` a working set's :func:`_set_entries`, outside which ``y``
-    and ``grad`` are zero.  Both are gathered there once; each trial forms
-    the gradient step ``v = y - step * grad`` on those entries alone, its
-    candidate (:func:`_candidate`), and the gradient mapping ``ghat = (y -
-    candidate) / step``.  The candidate is accepted once
+    ``entries`` a working set's :func:`_set_entries`, the only entries of
+    ``y`` and ``grad`` the search reads.  Both are gathered there once; each
+    trial forms the gradient step ``v = y - step * grad`` on those entries
+    alone, its candidate (:func:`_candidate`), and the gradient mapping
+    ``ghat = (y - candidate) / step``.  The candidate is accepted once
 
         risk(candidate) <= risk(y) - step * <grad, ghat> + step/2 * ||ghat||^2
 
@@ -282,18 +277,18 @@ def _duality_gap(total, grad, residual, col_means, design, gs, h) -> float:
     some ``|r_k|`` is below ``|mean(r)|``).  Then each side is scaled instead,
     ``u = r - c |r|`` with ``c = sum(r) / sum(|r|)``, which keeps every sign at
     the cost of one more product ``A^T u``.  The scale ``alpha`` is the
-    largest in [0, 1] that keeps every unpinned group block's scaled gradient
-    norm within ``lambda * weight`` and ``s = y + alpha * u`` inside [0, 1].
-    Then
+    largest in [0, 1] that keeps every group block's scaled gradient norm
+    within ``lambda * weight`` and ``s = y + alpha * u`` inside [0, 1].  Then
 
         D = -(1/N) sum_k H(s_k) - alpha^2 ||g_I||^2 / (4 lambda_I),
 
-    with ``H(s) = s log s + (1 - s) log(1 - s)`` and no ridge term for the
-    multiplicative variant, is a lower bound on the optimum, and ``total -
-    D`` is returned.  With one class in the labels ``u`` is 0, the only
-    feasible dual point, so the gap is ``total`` itself: the risk's infimum
-    is 0 and no finite optimum attains it.  No 0 / 0 is formed, so
-    degenerate labels raise no warning.
+    with ``H(s) = s log s + (1 - s) log(1 - s)``, is a lower bound on the
+    optimum, and ``total - D`` is returned.  ``grad`` and ``col_means`` are
+    products under ``h.variant``, so the blocks it pins are zero in ``g``:
+    they bound no ``alpha`` and add no ridge term.  With one class in the
+    labels ``u`` is 0, the only feasible dual point, so the gap is ``total``
+    itself: the risk's infimum is 0 and no finite optimum attains it.  No
+    0 / 0 is formed, so degenerate labels raise no warning.
     """
     sign = 1 - 2 * design.labels  # |s - y| = alpha * u * sign
     mean_r = grad[-1]
@@ -306,21 +301,16 @@ def _duality_gap(total, grad, residual, col_means, design, gs, h) -> float:
         u = residual - (residual.sum() / magnitude.sum()) * magnitude
         g = _transposed_product(u, design, h.variant)
     a = u * sign
-    reach = [1.0, a.max()]  # alpha = 1 / max(reach)
-    if h.variant != "additive":
-        reach.append(_block_ratios(g, design).max() / h.lambda_interaction)
-    ridge = 0.0
-    if h.variant != "multiplicative":
-        gv = ParameterSet._view(g, design.n_imaging, design.expanded_size)
-        reach.append((_group_norms(gv.genetic, gs.offsets) / gs.weights).max() / h.lambda_genetic)
-        ridge = float(gv.imaging @ gv.imaging) / (4.0 * h.lambda_imaging)
-    alpha = 1.0 / max(reach)
+    gv = ParameterSet._view(g, design.n_imaging, design.expanded_size)
+    alpha = 1.0 / max(1.0, a.max(), _block_ratios(g, design).max() / h.lambda_interaction,
+                      (_group_norms(gv.genetic, gs.offsets) / gs.weights).max() / h.lambda_genetic)
+    ridge = float(gv.imaging @ gv.imaging) / (4.0 * h.lambda_imaging)
     a *= alpha
     # a log a + (1 - a) log(1 - a), each term 0 where its factor is 0
     log_a = np.log(a, out=np.zeros_like(a), where=a > 0.0)
     log_b = np.log1p(-a, out=np.zeros_like(a), where=a < 1.0)
     entropy = float(a @ log_a + (1.0 - a) @ log_b)
-    return total + entropy / design.n_samples + alpha * alpha * ridge
+    return float(total + entropy / design.n_samples + alpha * alpha * ridge)
 
 
 def fit(
@@ -366,17 +356,19 @@ def fit(
     only the set's entries (:func:`_set_entries`), so the blocks outside
     stay zero in ``x``, ``y`` and ``z``.  The set starts whole; the first
     gradient, at the starting point, seeds it (:func:`_seed_working_set`,
-    which keeps a warm start's live blocks) and is then zeroed outside it.
-    The additive variant's set stays whole.  Where the relative change holds
-    and the set is not whole, the residuals of the iteration's gradient give
-    the full product ``(1/N) A^T r``, from which the gap is taken.  If a
-    block outside the set has ``||g_b|| > lambda_W * theta_b`` there, the fit
-    is not optimal on the full problem whatever the gap says: every such
-    block joins the set, the momentum restarts from ``y = x``, and the loop
-    goes on.  So a fit stops
-    ``converged`` or ``stalled`` only when no block outside its set violates
-    its optimality condition.  The state records the set's size at the stop
-    and the number of these full checks.
+    which keeps a warm start's live blocks).  The blocks the variant pins
+    stay zero the same way: ``init`` is checked to hold zeros there and every
+    gradient is zero there, so each proximal operator maps them to 0.0, and
+    a pinned interaction block never joins the set.  Where the relative
+    change holds and the set is not whole, the residuals of the iteration's
+    gradient give the full product ``(1/N) A^T r``, from which the gap is
+    taken.  If a block outside the set has ``||g_b|| > lambda_W * theta_b``
+    there, the fit is not optimal on the full problem whatever the gap says:
+    every such block joins the set, the momentum restarts from ``y = x``,
+    and the loop goes on.  So a fit stops ``converged`` or ``stalled`` only
+    when no block outside its set violates its optimality condition.  The
+    state records the set's size at the stop and the number of these full
+    checks.
     """
     _check_groups(design, gs)
     if init is None:
@@ -392,7 +384,7 @@ def fit(
         raise SolverFailure("objective is non-finite at the initial point")
     history = [IterationRecord(0, r0, pen0, total0, 0.0, 0)]
     # training-row mean of every column, the intercept's ones included
-    col_means = _transposed_product(np.ones(design.n_samples), design, "multilevel")
+    col_means = _transposed_product(np.ones(design.n_samples), design, h.variant)
     stop_reason = "max_iters"
     trial = STEP_INIT
     y, t = x, 1.0
@@ -404,10 +396,7 @@ def fit(
         parts = {}
         grad = risk_gradient(y, design, h.variant, parts=parts, blocks=ws)
         if it == 1:
-            if h.variant != "additive":
-                ws = _seed_working_set(x, grad, design)
-                _zero_outside(ParameterSet._view(grad, x.n_imaging, x.expanded_size).interaction,
-                              ws, gs)
+            ws = _seed_working_set(x, grad, design)
             entries = _set_entries(ws, gs)
         z, step, shrinks, z_risk = _line_search(y, design, h, grad, parts["risk"], trial, entries)
         z_pen = penalty(z, gs, h)

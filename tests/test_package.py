@@ -110,6 +110,33 @@ def test_file_open_detected():
     assert file_opens(source) == ["g", "f", None]
 
 
+def variant_literals(source: str) -> list:
+    """The string constants of ``source`` that name a variant, in
+    :func:`ast.walk` order; the docstrings of the module, its classes and
+    its functions do not count."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and id(node) not in docstrings
+            and node.value in structprox.VARIANTS]
+
+
+def test_solver_names_no_variant():
+    # which blocks a variant pins is decided by core's table and objective's
+    # kernels alone; the solver only hands h.variant on to them
+    source = (pathlib.Path(structprox.__file__).parent / "solver.py").read_text()
+    assert variant_literals(source) == []
+
+
+def test_variant_literal_detected():
+    source = ('"""additive"""\nclass C:\n    """multilevel"""\ndef f(h):\n    """additive"""\n'
+              '    if h.variant != "additive":\n        return {"multilevel": "additive model"}\n')
+    assert sorted(variant_literals(source)) == ["additive", "multilevel"]
+
+
 def top_level(source: str):
     """Each module-level statement of ``source`` as (the statement, the names
     it defines as a function, class or constant, the names it reads outside

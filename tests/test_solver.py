@@ -375,15 +375,15 @@ class TestParameterUpdate:
             )
 
     def test_variant_gating(self):
+        # the search has no rule for pinned blocks: from a point the variant
+        # admits, with the gradient fit passes, they stay exactly 0.0
         d, gs, design = random_instance(55)
-        p = ParameterSet.zeros(design.n_imaging, gs.expanded_size)
-        rng = np.random.default_rng(56)
-        grad = rng.normal(size=p.flat().size)
-        upd = first_trial(p, design, default_hyper(variant="additive"), grad, 1.0)
-        assert not upd.interaction.any()
-        upd = first_trial(p, design, default_hyper(variant="multiplicative"), grad, 1.0)
-        assert not upd.imaging.any()
-        assert not upd.genetic.any()
+        for variant in ("additive", "multiplicative"):
+            p = pin_blocks(random_params(56, design.n_imaging, gs.expanded_size), variant)
+            grad = risk_gradient(p, design, variant)
+            upd = first_trial(p, design, default_hyper(variant=variant), grad, 1.0)
+            assert_pinned_zero(upd, variant)
+            assert upd.flat().any()
 
 
 def steep_instance():
@@ -475,6 +475,11 @@ def pin_blocks(p, variant):
         p.imaging.fill(0.0)
         p.genetic.fill(0.0)
     return p
+
+
+def assert_pinned_zero(p, variant):
+    """Every entry of the blocks ``variant`` pins in ``p`` is 0.0, sign included."""
+    assert p.flat().tobytes() == pin_blocks(p.copy(), variant).flat().tobytes()
 
 
 class TestTrialsEqualFullStep:
@@ -663,6 +668,15 @@ class TestDualityGap:
         total = state.history[-1].total
         assert total - best <= state.gap <= solver.GAP_GATE * h.tol * total
 
+    @pytest.mark.parametrize("c", [0.3, 0.6])
+    def test_gap_is_a_float(self, c):
+        # at c = 0.6 a numpy term bounds alpha; the state still holds a float
+        gs, design = cli_fixture_design()
+        bounds = screen_lambda_max(design, gs)
+        h = Hyperparameters(c * bounds.lambda_interaction_max, 0.01, c * bounds.lambda_genetic_max)
+        _, state = fit(design, gs, h)
+        assert type(state.gap) is float
+
     def test_one_class_gap_is_the_objective(self):
         # the only dual point is 0 and the risk's infimum 0, so gap >= P; the
         # fit certifies once P has fallen to the rounding of its terms
@@ -710,9 +724,11 @@ class TestWorkingSet:
         return np.sqrt(np.add.reduceat(g.interaction**2, gs.offsets, axis=1)) / gs.weights
 
     @pytest.mark.parametrize("set_min", [solver.WORKING_SET_MIN, 30])
-    @pytest.mark.parametrize("variant", ["multilevel", "multiplicative"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_certified_on_the_full_problem(self, monkeypatch, variant, set_min):
-        # with a seed of 30 blocks the checks find violators outside and admit them
+        # with a seed of 30 blocks the checks find violators outside and admit
+        # them; the additive gradient pins every interaction block, so none is
+        # admitted and its set stays the seed
         monkeypatch.setattr(solver, "WORKING_SET_MIN", set_min)
         design, gs, h = self.problem(variant)
         n_blocks = design.n_imaging * gs.n_groups
@@ -733,8 +749,26 @@ class TestWorkingSet:
         best = objective(p_ref, design, gs, h).total
         total = state.history[-1].total
         assert total - best <= state.gap <= solver.GAP_GATE * h.tol * total
-        if set_min < solver.WORKING_SET_MIN:
+        if set_min < solver.WORKING_SET_MIN and variant != "additive":
             assert state.working_set_blocks > set_min
+
+    @pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+    def test_pinned_blocks_stay_zero_in_every_candidate(self, monkeypatch, variant):
+        # every point the fit scores, its start and each trial's candidate
+        design, gs, h = self.problem(variant)
+        scored, real = [], solver.risk
+
+        def scoring(p, *args):
+            scored.append(p.copy())
+            return real(p, *args)
+
+        monkeypatch.setattr(solver, "risk", scoring)
+        _, state = fit(design, gs, h)
+        assert state.converged and state.working_set_blocks < design.n_imaging * gs.n_groups
+        backtracks = sum(rec.backtracks for rec in state.history)
+        assert len(scored) == 1 + state.iterations + backtracks
+        for p in scored:
+            assert_pinned_zero(p, variant)
 
     def test_call_identities(self, monkeypatch):
         design, gs, h = self.problem()
@@ -748,8 +782,9 @@ class TestWorkingSet:
 
     def test_line_search_moves_only_the_set(self, monkeypatch):
         # a 30-block seed leaves most of the 500 blocks outside the set: every
-        # trial is the full-buffer step at its step size, bit for bit,
-        # and every entry outside the set stays 0.0 in y and in each candidate
+        # trial is the full-buffer step, at its step size, of the gradient
+        # zeroed outside the set, bit for bit, and every entry outside the set
+        # stays 0.0 in y and in each candidate
         monkeypatch.setattr(solver, "WORKING_SET_MIN", 30)
         design, gs, h = self.problem()
         sets, searches, scored = [], [], []  # searches: (y, grad, first trial, first scored)
@@ -786,6 +821,7 @@ class TestWorkingSet:
             outside = ~blocks.repeat(gs.sizes, axis=1).ravel()
             assert not y[:n_w][outside].any()
             y = ParameterSet.from_flat(y, *shape)
+            grad[:n_w][outside] = 0.0  # the search reads only the set's entries
             for candidate in scored[first:end]:
                 assert not candidate[:n_w][outside].any()
                 assert candidate.tobytes() == full_step(y, grad, trial, gs, h).flat().tobytes()
