@@ -159,12 +159,17 @@ def _save_reduced(out_dir, red, i_names, group_names) -> None:
 
 
 def cmd_fit(args) -> int:
-    started = time.perf_counter()
+    marks = [time.perf_counter()]  # the start, then the end of each stage
     d, gs, g_names, i_names = _load_data(args)
     h = _from_options(Hyperparameters, args)
+    marks.append(time.perf_counter())
     record = fit_scaler(d, args.normalization, genetic_names=g_names, imaging_names=i_names,
                         expansion_index=gs.expansion_index)
-    params, state = fit(make_design(d, gs, record), gs, h)
+    marks.append(time.perf_counter())
+    design = make_design(d, gs, record)
+    marks.append(time.perf_counter())
+    params, state = fit(design, gs, h)
+    marks.append(time.perf_counter())
 
     os.makedirs(args.out, exist_ok=True)
     dataio.save_params(os.path.join(args.out, "params.txt"), params, h.variant)
@@ -172,6 +177,7 @@ def cmd_fit(args) -> int:
     dataio.save_trace_csv(os.path.join(args.out, "trace.csv"), state)
     red = reduce_parameters(params, gs)
     _save_reduced(args.out, red, i_names, list(gs.names))
+    marks.append(time.perf_counter())
 
     sel = selected_groups(params, gs)
     final = state.history[-1]
@@ -180,7 +186,9 @@ def cmd_fit(args) -> int:
     one_class = d.labels.min() == d.labels.max()
     notes = ["labels hold one class (%d): the intercept has no finite optimum"
              % d.labels[0]] if one_class else []
-    elapsed = time.perf_counter() - started
+    elapsed = time.perf_counter() - marks[0]
+    stages = " ".join("%s=%.3f" % (stage, end - start) for stage, start, end
+                      in zip(("load", "scaler", "design", "fit", "write"), marks, marks[1:]))
     summary = [
         "variant: %s" % h.variant,
         "lambda_w: %.17g" % h.lambda_interaction,
@@ -201,6 +209,7 @@ def cmd_fit(args) -> int:
         "selected_interaction_groups: %s"
         % (",".join(gs.names[l] for l in sel.interaction) or "none"),
         *("warning: " + note for note in notes),
+        "stage_seconds: %s" % stages,
         "wall_time_seconds: %.3f" % elapsed,
     ]
     dataio._write_lines(os.path.join(args.out, "summary.txt"), summary)

@@ -3,11 +3,12 @@
 Statistics are always estimated on training rows only and replayed on
 held-out rows.  Genetic columns are standardized in original coordinates,
 before any overlap expansion, so coefficient copies of a shared feature
-inherit the same statistics.  Product features are formed from the
-standardized marginal columns and then centered and scaled themselves;
-their statistics are computed for one imaging column and one slice of
-genetic columns at a time, so the full product matrix is never
-materialized.
+inherit the same statistics.  Product features ``p`` are formed from the
+standardized marginal columns ``zi`` and ``zg`` and then centered and
+scaled themselves by ``mean = zi.T @ zg / N`` and ``var = (zi**2).T @
+(zg**2) / N - mean**2``, so the product matrix is never materialized.  A
+product with ``var <= mean**2``, where that difference can cancel every
+digit, is recomputed two-pass from its own column.
 
 A :class:`ScalingRecord` is saved as ``structprox-scaler v3`` text: after
 the header, one tab-separated row per statistic vector, led by its tag:
@@ -48,9 +49,6 @@ NORMALIZATION_MODES = ("sd", "unit-norm")
 _CONSTANT_TOL = 1e-12
 
 _FORMAT_HEADER = "structprox-scaler v3"
-
-# Genetic columns per slice of the cross-product statistics in fit_scaler.
-_PRODUCT_COLUMNS = 128
 
 
 _STATISTICS = (
@@ -156,18 +154,19 @@ class ScalingRecord:
                              "groups of the fit")
 
 
-def _column_stats(X: np.ndarray, normalization: str, out=None):
-    """Two-pass mean and scale of every column; constants get scale 1.
-    The squared deviations go to ``out``, which may be ``X``, when given."""
+def _column_stats(X: np.ndarray, normalization: str):
+    """Two-pass mean and scale of every column; constants get scale 1."""
     mean = X.mean(axis=0)
-    squares = np.subtract(X, mean, out=out)
+    squares = X - mean
     np.square(squares, out=squares)
-    if normalization == "sd":
-        spread = np.sqrt(np.mean(squares, axis=0))
-    else:
-        spread = np.sqrt(np.sum(squares, axis=0))
+    reduce = np.mean if normalization == "sd" else np.sum
+    return mean, _pin_constants(np.sqrt(reduce(squares, axis=0)), mean)
+
+
+def _pin_constants(spread, mean):
+    """``spread`` with the columns it shows to be constant set to 1."""
     constant = spread <= _CONSTANT_TOL * np.maximum(1.0, np.abs(mean))
-    return mean, np.where(constant, 1.0, spread)
+    return np.where(constant, 1.0, spread)
 
 
 def fit_scaler(
@@ -183,38 +182,32 @@ def fit_scaler(
     deviation (1/N denominator); with ``"unit-norm"`` it is the Euclidean
     norm of the centered column.  Needs at least two samples.  The names
     and ``expansion_index`` are kept on the record as given.
+
+    The products' variances are ``E[p**2] - mean**2`` from two matrix
+    products (see the module docstring), which loses at most one bit where
+    ``var > mean**2``.  Elsewhere it can cancel every digit and give a
+    near-constant product a scale of rounding noise instead of 1, so those
+    products are recomputed two-pass on their own.
     """
     _check_normalization(normalization)
-    if d.n_samples < 2:
-        raise ValueError(
-            "scaling needs at least 2 samples, got %d" % d.n_samples
-        )
+    n = d.n_samples
+    if n < 2:
+        raise ValueError("scaling needs at least 2 samples, got %d" % n)
     g_mean, g_scale = _column_stats(d.genetic, normalization)
     i_mean, i_scale = _column_stats(d.imaging, normalization)
     zg = (d.genetic - g_mean) / g_scale
     zi = (d.imaging - i_mean) / i_scale
-    ni, ng = d.n_imaging, d.n_genetic
-    x_mean = np.empty((ni, ng))
-    x_scale = np.empty((ni, ng))
-    # The products of every imaging column with one slice of at most
-    # _PRODUCT_COLUMNS genetic columns at a time, in one reused buffer, keep
-    # the slice and the buffer in cache and memory at O(N * _PRODUCT_COLUMNS).
-    # The slice and the buffer keep zg's memory order, which sets the order,
-    # and so the rounding, of the column sums; a copy of the slice into the
-    # other order would change them.  With at least 3 columns per slice,
-    # slices of near-equal width are never one column wide unless zg is:
-    # one strided column alone is summed pairwise, as a contiguous one,
-    # where zg's rows are summed in turn.
-    n_slices = max(1, -(-ng // _PRODUCT_COLUMNS))
-    bounds = [ng * k // n_slices for k in range(n_slices + 1)]
-    buffer = np.empty_like(zg[:, : -(-ng // n_slices)])
-    for start, end in zip(bounds, bounds[1:]):
-        block = zg[:, start:end]
-        products = buffer[:, : end - start]
-        for i in range(ni):
-            np.multiply(zi[:, i : i + 1], block, out=products)
-            x_mean[i, start:end], x_scale[i, start:end] = _column_stats(
-                products, normalization, out=products)
+    x_mean = zi.T @ zg / n
+    mean_sq = np.square(x_mean)
+    # zg is squared in place; the recompute below re-forms the columns it needs
+    x_var = np.square(zi).T @ np.square(zg, out=zg) / n - mean_sq
+    redo = x_var <= mean_sq  # negative x_var only here
+    spread = np.sqrt(np.maximum(x_var, 0.0) * (n if normalization == "unit-norm" else 1))
+    x_scale = _pin_constants(spread, x_mean)
+    for j in np.flatnonzero(redo.any(axis=0)):
+        rows = np.flatnonzero(redo[:, j])
+        products = zi[:, rows] * ((d.genetic[:, j] - g_mean[j]) / g_scale[j])[:, None]
+        x_mean[rows, j], x_scale[rows, j] = _column_stats(products, normalization)
     return ScalingRecord(
         normalization,
         g_mean, g_scale,

@@ -165,6 +165,21 @@ class TestFit:
         at = [line.split(": ", 1)[0] for line in lines].index("duality_gap")
         assert lines[at + 1] == "working_set_blocks: 12 of 12"
 
+    def test_summary_reports_the_stage_times(self, data_dir, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["fit", *data_flags(data_dir), "--lambda-w", 0.1, "--lambda-i", 0.05,
+                    "--lambda-g", 0.1, "--out", out]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[-1].startswith("wall_time_seconds: ")
+        tag, stages = lines[-2].split(": ", 1)
+        assert tag == "stage_seconds"
+        seconds = dict(field.split("=") for field in stages.split(" "))
+        assert list(seconds) == ["load", "scaler", "design", "fit", "write"]
+        wall = float(lines[-1].split(": ", 1)[1])
+        assert all(float(s) >= 0.0 for s in seconds.values())
+        # each of the six values is rounded to the millisecond
+        assert sum(map(float, seconds.values())) <= wall + 6 * 0.0005
+
     def test_stalled_fit_warns(self, data_dir, tmp_path, capsys):
         # about 0.001 x screen_lambda_max: at tol 1e-10 the nearly separable
         # fixture cannot certify in float64, and its line search stalls

@@ -56,16 +56,31 @@ class TestFitScaler:
         assert record.genetic_mean[0] == 0.0
         assert record.imaging_scale[0] == 1.0
 
-    def test_inexact_constant_product_keeps_scale_one(self):
-        # The standardized product of these columns is 1 up to rounding, so
-        # its spread is rounding noise that the two-pass form keeps under the
-        # constant-column tolerance; a one-pass E[p^2] - mean^2 does not.
+    def test_inexact_constant_product_keeps_scale_one(self, monkeypatch):
+        # The standardized product of the imaging column and genetic column
+        # 0 is 1 up to rounding, so its spread is rounding noise that the
+        # two-pass form keeps under the constant-column tolerance; a one-pass
+        # E[p^2] - mean^2 does not.  Genetic column 1 is ordinary: its
+        # product takes the one-pass path.
         d = Dataset(
             np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 2.0], [2.0, 1.0], [0.0, 0.0], [2.0, 1.0]]),
             np.array([[0.1], [0.7], [0.1], [0.7], [0.1], [0.7]]),
             np.array([0.0, 1.0] * 3),
         )
-        assert fit_scaler(d).cross_scale[0, 0] == 1.0
+        two_pass = []  # the columns of every two-pass call
+        column_stats = preprocessing._column_stats
+        monkeypatch.setattr(preprocessing, "_column_stats",
+                            lambda X, *args, **kw: two_pass.append(X.shape[1])
+                            or column_stats(X, *args, **kw))
+        record = fit_scaler(d)
+        # the genetic and imaging marginals, then the one recomputed product
+        assert two_pass == [2, 1, 1]
+        assert record.cross_scale[0, 0] == 1.0
+        zg = (d.genetic[:, 1] - record.genetic_mean[1]) / record.genetic_scale[1]
+        zi = (d.imaging[:, 0] - record.imaging_mean[0]) / record.imaging_scale[0]
+        mean, scale = long_double_two_pass(zi * zg.astype(np.longdouble), "sd")
+        assert abs(record.cross_mean[0, 1] - mean) <= MEAN_ATOL
+        assert abs(record.cross_scale[0, 1] - scale) <= SCALE_RTOL * scale
 
     def test_matches_two_pass_brute_force(self):
         rng = np.random.default_rng(5)
@@ -202,50 +217,42 @@ class TestCrossStats:
 
     @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_statistics_bit_equal_to_column_loop(self, order, normalization):
-        assert_statistics_bit_equal_to_column_loop(order, normalization)
+    def test_statistics_match_long_double_two_pass(self, order, normalization):
+        # both memory orders: the marginal sums and the matrix products run
+        # through different kernels for C and F inputs, so each order's
+        # rounding is held to the bound
+        rng = np.random.default_rng(16)
+        genetic = np.asarray(rng.binomial(2, 0.4, size=(300, 7)), dtype=float, order=order)
+        imaging = np.asarray(rng.normal(2.0, 3.0, size=(300, 4)), order=order)
+        d = Dataset(genetic, imaging, rng.integers(0, 2, 300))
+        record = fit_scaler(d, normalization)
+        for kind in ("genetic", "imaging"):
+            mean, scale = long_double_two_pass(getattr(d, kind), normalization)
+            np.testing.assert_allclose(getattr(record, kind + "_mean"), mean, rtol=SCALE_RTOL)
+            np.testing.assert_allclose(getattr(record, kind + "_scale"), scale, rtol=SCALE_RTOL)
+        # the products of the standardized columns as fit_scaler forms them,
+        # multiplied in long double
+        zg = (d.genetic - record.genetic_mean) / record.genetic_scale
+        zi = (d.imaging - record.imaging_mean) / record.imaging_scale
+        for i in range(d.n_imaging):
+            mean, scale = long_double_two_pass(
+                zi[:, i : i + 1] * zg.astype(np.longdouble), normalization)
+            assert np.max(np.abs(record.cross_mean[i] - mean)) <= MEAN_ATOL
+            assert np.max(np.abs(record.cross_scale[i] - scale) / scale) <= SCALE_RTOL
 
-    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("width", [3, 6])
-    def test_statistics_in_slices_bit_equal_to_column_loop(self, monkeypatch, width, order,
-                                                           normalization):
-        # at most 3 or 6 of the 7 genetic columns per slice: split as 6 + 1,
-        # a strided column alone would be summed pairwise, not row by row
-        monkeypatch.setattr(preprocessing, "_PRODUCT_COLUMNS", width)
-        assert_statistics_bit_equal_to_column_loop(order, normalization)
+
+# fit_scaler's accuracy on product statistics, against a long-double two-pass
+MEAN_ATOL = 1e-15
+SCALE_RTOL = 1e-14
 
 
-def assert_statistics_bit_equal_to_column_loop(order, normalization):
-    """fit_scaler's statistics of a 300 x 7 genetic and 300 x 4 imaging
-    dataset in ``order`` are byte-equal to a two-pass loop over the imaging
-    columns, each against every genetic column at once."""
-    # 300 rows: a column sum over contiguous memory is pairwise, over
-    # strided memory sequential, so the memory order shows in the bits
-    def column_stats(X):
-        mean = X.mean(axis=0)
-        centered = X - mean
-        reduce = np.mean if normalization == "sd" else np.sum
-        spread = np.sqrt(reduce(centered**2, axis=0))
-        constant = spread <= 1e-12 * np.maximum(1.0, np.abs(mean))
-        return mean, np.where(constant, 1.0, spread)
-
-    rng = np.random.default_rng(16)
-    genetic = np.asarray(rng.binomial(2, 0.4, size=(300, 7)), dtype=float, order=order)
-    imaging = np.asarray(rng.normal(2.0, 3.0, size=(300, 4)), order=order)
-    d = Dataset(genetic, imaging, rng.integers(0, 2, 300))
-    record = fit_scaler(d, normalization)
-    g_mean, g_scale = column_stats(d.genetic)
-    i_mean, i_scale = column_stats(d.imaging)
-    zg, zi = (d.genetic - g_mean) / g_scale, (d.imaging - i_mean) / i_scale
-    cross = [column_stats(zi[:, i : i + 1] * zg) for i in range(zi.shape[1])]
-    for got, want in [
-        (record.genetic_mean, g_mean), (record.genetic_scale, g_scale),
-        (record.imaging_mean, i_mean), (record.imaging_scale, i_scale),
-        (record.cross_mean, np.array([m for m, _ in cross])),
-        (record.cross_scale, np.array([s for _, s in cross])),
-    ]:
-        assert got.tobytes() == want.tobytes()
+def long_double_two_pass(X, normalization):
+    """The mean and scale of each column of ``X`` (one column if 1-D), computed
+    two-pass in ``np.longdouble``; no column may be constant."""
+    X = np.asarray(X, dtype=np.longdouble)
+    mean = X.sum(axis=0) / X.shape[0]
+    squares = ((X - mean) ** 2).sum(axis=0)
+    return mean, np.sqrt(squares / X.shape[0] if normalization == "sd" else squares)
 
 
 def assert_same_record(loaded, record):
