@@ -240,6 +240,79 @@ class TestCrossStats:
             assert np.max(np.abs(record.cross_mean[i] - mean)) <= MEAN_ATOL
             assert np.max(np.abs(record.cross_scale[i] - scale) / scale) <= SCALE_RTOL
 
+    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_statistics_bit_equal_to_column_loop(self, monkeypatch, order, normalization):
+        # imaging column 1 tracks genetic column 0: their product alone is
+        # recomputed, a slice of one column
+        assert_statistics_bit_equal_to_column_loop(
+            monkeypatch, order, normalization, {0: [1]})
+
+    @pytest.mark.parametrize("normalization", NORMALIZATION_MODES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_statistics_in_slices_bit_equal_to_column_loop(self, monkeypatch, width, order,
+                                                           normalization):
+        # the first 3 or 6 of the 7 imaging columns track genetic column 0 and
+        # the last tracks genetic column 1: slices of 3 + 1 or 6 + 1 columns
+        assert_statistics_bit_equal_to_column_loop(
+            monkeypatch, order, normalization, {0: list(range(width)), 1: [6]})
+
+
+def assert_statistics_bit_equal_to_column_loop(monkeypatch, order, normalization, tracking):
+    """fit_scaler's marginal statistics of a 300 x 7 genetic and 300 x 7
+    imaging dataset in ``order`` are byte-equal to a two-pass loop over the
+    columns, and so are the statistics of every near-constant product, each
+    against the two-pass statistics of its own column.
+
+    ``tracking`` maps a balanced 0/2 genetic column to the imaging columns
+    that are noisy multiples of it; exactly those products are near-constant
+    (variance at most their squared mean), and fit_scaler recomputes them
+    per genetic column ``j``, in one slice of ``tracking[j]``'s columns."""
+    def column_stats(X):
+        mean = X.mean(axis=0)
+        centered = X - mean
+        reduce = np.mean if normalization == "sd" else np.sum
+        spread = np.sqrt(reduce(centered**2, axis=0))
+        constant = spread <= 1e-12 * np.maximum(1.0, np.abs(mean))
+        return mean, np.where(constant, 1.0, spread)
+
+    rng = np.random.default_rng(16)
+    genetic = rng.binomial(2, 0.4, size=(300, 7)).astype(float)
+    imaging = rng.normal(2.0, 3.0, size=(300, 7))
+    for j, columns in tracking.items():
+        genetic[:, j] = 2.0 * rng.binomial(1, 0.5, size=300)
+        imaging[:, columns] = (genetic[:, j : j + 1] * rng.uniform(1.0, 3.0, len(columns))
+                               + rng.normal(0.0, 0.1, size=(300, len(columns))))
+    d = Dataset(np.asarray(genetic, order=order), np.asarray(imaging, order=order),
+                rng.integers(0, 2, 300))
+    slices = []  # the columns of every two-pass call
+    two_pass = preprocessing._column_stats
+    monkeypatch.setattr(preprocessing, "_column_stats",
+                        lambda X, *args, **kw: slices.append(X.shape[1])
+                        or two_pass(X, *args, **kw))
+    record = fit_scaler(d, normalization)
+    # the genetic and imaging marginals, then one slice per tracked column
+    assert slices == [7, 7, *(len(columns) for columns in tracking.values())]
+    g_mean, g_scale = column_stats(d.genetic)
+    i_mean, i_scale = column_stats(d.imaging)
+    for got, want in [
+        (record.genetic_mean, g_mean), (record.genetic_scale, g_scale),
+        (record.imaging_mean, i_mean), (record.imaging_scale, i_scale),
+    ]:
+        assert got.tobytes() == want.tobytes()
+    zg, zi = (d.genetic - g_mean) / g_scale, (d.imaging - i_mean) / i_scale
+    near = []
+    for i in range(d.n_imaging):
+        for j in range(d.n_genetic):
+            mean, scale = column_stats(zi[:, i] * zg[:, j])
+            variance = scale**2 / (1 if normalization == "sd" else d.n_samples)
+            if variance <= mean**2:
+                near.append((i, j))
+                assert record.cross_mean[i, j].tobytes() == mean.tobytes()
+                assert record.cross_scale[i, j].tobytes() == scale.tobytes()
+    assert near == sorted((i, j) for j, columns in tracking.items() for i in columns)
+
 
 # fit_scaler's accuracy on product statistics, against a long-double two-pass
 MEAN_ATOL = 1e-15
