@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import dataio
-from .core import Dataset, Hyperparameters, _check_variant_name
+from .core import Dataset, Hyperparameters, _pinned_blocks
 from .evaluation import (
     kfold_cv,
     log_grid,
@@ -235,7 +235,7 @@ def _parse_variants(text: str) -> list[str]:
     if not variants:
         raise ValueError("no variant named in %r" % text)
     for k, v in enumerate(variants):
-        _check_variant_name(v)
+        _pinned_blocks(v)
         if v in variants[:k]:
             raise ValueError("variant %r is named twice in %r" % (v, text))
     return variants

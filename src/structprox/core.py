@@ -35,9 +35,10 @@ _PINNED_BLOCKS = {
 VARIANTS = tuple(_PINNED_BLOCKS)
 
 
-def _check_variant_name(variant) -> None:
+def _pinned_blocks(variant) -> tuple:
     if variant not in VARIANTS:
         raise ValueError("variant must be one of %r, got %r" % (VARIANTS, variant))
+    return _PINNED_BLOCKS[variant]
 
 
 def _integer(name: str, value) -> int:
@@ -380,8 +381,7 @@ class ParameterSet:
     def check_variant(self, variant: str) -> None:
         """Raise ``ValueError`` unless ``variant`` is known and every block it
         pins at zero holds zeros only (a NaN counts as nonzero)."""
-        _check_variant_name(variant)
-        for block in _PINNED_BLOCKS[variant]:
+        for block in _pinned_blocks(variant):
             if getattr(self, block).any():
                 raise ValueError("the %s variant pins the %s block at zero, which holds "
                                  "a nonzero entry" % (variant, block))
@@ -423,7 +423,7 @@ class Hyperparameters:
             setattr(self, name, value)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError("%s must be finite and > 0, got %r" % (name, value))
-        _check_variant_name(self.variant)
+        _pinned_blocks(self.variant)
         self.tol = float(_numeric("tol", self.tol))
         if not np.isfinite(self.tol) or self.tol <= 0:
             raise ValueError("tol must be finite and > 0, got %r" % self.tol)

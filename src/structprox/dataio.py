@@ -15,7 +15,7 @@ from math import isfinite
 
 import numpy as np
 
-from .core import GroupStructure, ParameterSet, VARIANTS, _PINNED_BLOCKS, _binary_labels
+from .core import GroupStructure, ParameterSet, VARIANTS, _binary_labels, _pinned_blocks
 
 __all__ = [
     "load_matrix_csv",
@@ -337,7 +337,7 @@ def load_params(path):
             raise ValueError
         return k
 
-    pinned = _PINNED_BLOCKS[variant]
+    pinned = _pinned_blocks(variant)
     first_line = {}  # line of each entry read so far, keyed by (tag, *indices)
     for lineno, line in enumerate(lines[3:], start=4):
         parts = line.split("\t")

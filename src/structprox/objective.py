@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, GroupStructure, Hyperparameters, ParameterSet
-from .core import _check_expanded_size, _check_variant_name, _numeric
+from .core import _check_expanded_size, _numeric, _pinned_blocks
 
 __all__ = [
     "Design",
@@ -180,11 +180,11 @@ def _group_norms(v: np.ndarray, offsets) -> np.ndarray:
 def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.ndarray:
     """Decision values of every sample in the design.
 
-    When at most half of the (imaging row, group) blocks of ``W`` given by
-    ``design.groups`` hold a nonzero entry, the interaction term is summed
-    over those blocks alone, and a zero ``W`` adds none; otherwise it comes
-    from the dense product ``genetic @ W.T``.  The choice changes rounding
-    only.  The blocks ``variant`` pins are skipped whatever they hold; an
+    When at most half of the (imaging row, group) blocks of ``W`` hold a
+    nonzero entry, the interaction term is summed over those blocks alone,
+    and a zero ``W`` adds none; otherwise the dense product ``genetic @ W.T``
+    forms it.  The choice changes rounding only.  A term is skipped, whatever
+    its block holds, when ``variant`` pins that block in ``core``'s table; an
     unknown variant raises ``ValueError``, in the risk and gradient too.
     """
     if p.interaction.shape != (design.n_imaging, design.expanded_size):
@@ -192,15 +192,16 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
             "interaction shape %r does not match design (%d, %d)"
             % (p.interaction.shape, design.n_imaging, design.expanded_size)
         )
-    _check_variant_name(variant)
-    if variant == "multiplicative":
+    pinned = _pinned_blocks(variant)
+    if "imaging" in pinned:
         m = np.full(design.n_samples, p.intercept)
     else:
         m = design.imaging @ p.imaging
         m += p.intercept
+    if "genetic" not in pinned:
         m += design.genetic @ p.genetic
-        if variant == "additive":
-            return m
+    if "interaction" in pinned:
+        return m
     w = p.interaction
     # One pass over W gives the live mask, which also tells a zero W (no
     # block live) apart; logical_or reads a nonzero float as true.
@@ -336,7 +337,8 @@ def _transposed_product(
     n = design.n_samples
     grad = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     grad.intercept = mean_r = r.sum() / n
-    if variant != "additive":
+    pinned = _pinned_blocks(variant)
+    if "interaction" not in pinned:
         gw = grad.interaction
         if _few_blocks(blocks):
             _add_masked_blocks(gw, r, mean_r, design, blocks)
@@ -346,13 +348,11 @@ def _transposed_product(
             gw -= mean_r * design.cross_mean
             gw /= design.cross_scale
             _zero_outside(gw, blocks, design.groups)
-    if variant != "multiplicative":
-        # Through locals: `grad.imaging /= n` would also run the block setter.
-        gi, gg = grad.imaging, grad.genetic
-        np.matmul(design.imaging.T, r, out=gi)
-        gi /= n
-        np.matmul(design.genetic.T, r, out=gg)
-        gg /= n
+    for block in ("imaging", "genetic"):
+        if block not in pinned:
+            out = getattr(grad, block)  # `grad.imaging /= n` would also run the setter
+            np.matmul(getattr(design, block).T, r, out=out)
+            out /= n
     return grad.flat()
 
 

@@ -358,17 +358,17 @@ def fit(
     gradient, at the starting point, seeds it (:func:`_seed_working_set`,
     which keeps a warm start's live blocks).  The blocks the variant pins
     stay zero the same way: ``init`` is checked to hold zeros there and every
-    gradient is zero there, so each proximal operator maps them to 0.0, and
-    a pinned interaction block never joins the set.  Where the relative
-    change holds and the set is not whole, the residuals of the iteration's
-    gradient give the full product ``(1/N) A^T r``, from which the gap is
-    taken.  If a block outside the set has ``||g_b|| > lambda_W * theta_b``
-    there, the fit is not optimal on the full problem whatever the gap says:
-    every such block joins the set, the momentum restarts from ``y = x``,
-    and the loop goes on.  So a fit stops ``converged`` or ``stalled`` only
-    when no block outside its set violates its optimality condition.  The
-    state records the set's size at the stop and the number of these full
-    checks.
+    gradient is zero there, so each proximal operator maps them to 0.0; an
+    ``additive`` fit keeps its seeded set and admits no block.  Where the
+    relative change holds and the set is not whole, the residuals of the
+    iteration's gradient give the full product ``(1/N) A^T r``, from which
+    the gap is taken.  If a block outside the set has
+    ``||g_b|| > lambda_W * theta_b`` there, the fit is not optimal on the
+    full problem whatever the gap says: every such block joins the set, the
+    momentum restarts from ``y = x``, and the loop goes on.  So a fit stops
+    ``converged`` or ``stalled`` only when no block outside its set violates
+    its optimality condition.  The state records the set's size at the stop
+    and the number of these full checks.
     """
     _check_groups(design, gs)
     if init is None:

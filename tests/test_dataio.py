@@ -464,6 +464,16 @@ class TestParamsFile:
             load_params(str(path))
         assert str(err.value) == "%s: truncated parameter file" % path
 
+    @pytest.mark.parametrize("text", ["structprox-params v1\n",
+                                      "structprox-params v1\nvariant\tmultilevel\n"])
+    def test_file_shorter_than_its_dims_line_rejected(self, tmp_path, text):
+        # without the length check the variant or dims line would raise IndexError
+        path = tmp_path / "params.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_params(str(path))
+        assert str(err.value) == "%s: truncated parameter file" % path
+
     def test_missing_intercept_rejected(self, tmp_path):
         # one entry keeps the file at 4 lines, past the truncation check
         p = ParameterSet.zeros(1, 1)

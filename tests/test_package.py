@@ -125,8 +125,8 @@ def variant_literals(source: str) -> list:
 
 
 def test_solver_names_no_variant():
-    # which blocks a variant pins is decided by core's table and objective's
-    # kernels alone; the solver only hands h.variant on to them
+    # which blocks a variant pins is decided by core's table alone; the
+    # solver only hands h.variant on to the objective, which reads the table
     source = (pathlib.Path(structprox.__file__).parent / "solver.py").read_text()
     assert variant_literals(source) == []
 
@@ -135,6 +135,48 @@ def test_variant_literal_detected():
     source = ('"""additive"""\nclass C:\n    """multilevel"""\ndef f(h):\n    """additive"""\n'
               '    if h.variant != "additive":\n        return {"multilevel": "additive model"}\n')
     assert sorted(variant_literals(source)) == ["additive", "multilevel"]
+
+
+def variant_comparisons(source: str) -> list:
+    """The comparisons of ``source`` against a variant name, as sorted
+    ``(line, name)`` pairs: a string constant naming a variant anywhere in an
+    operand of a comparison, such as ``v == "additive"`` or
+    ``v in ("additive", "x")``, or as the value of a ``match`` case.  A
+    default such as ``variant="multilevel"`` compares nothing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        found += [(sub.lineno, sub.value) for operand in operands for sub in ast.walk(operand)
+                  if isinstance(sub, ast.Constant) and sub.value in structprox.VARIANTS]
+    return sorted(found)
+
+
+def test_only_core_compares_against_a_variant_name():
+    # what a variant pins is core._PINNED_BLOCKS's to say: code elsewhere
+    # asks the table whether a block is pinned instead of testing the name
+    package = pathlib.Path(structprox.__file__).parent
+    found = {path.name: variant_comparisons(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.name != "core.py"}
+    assert {name: pairs for name, pairs in found.items() if pairs} == {}
+
+
+def test_variant_comparison_detected():
+    source = ('def f(variant="multilevel", h=None):\n'
+              '    """Whether variant == "additive"."""\n'
+              '    if variant == "additive" or "multiplicative" != h.variant:\n'
+              '        return {"multilevel": 1}\n'
+              '    if h.variant not in ("additive", "other"):\n'
+              '        return "multilevel"\n'
+              '    match variant:\n'
+              '        case "multiplicative":\n'
+              '            return f(variant="additive")\n')
+    assert variant_comparisons(source) == [
+        (3, "additive"), (3, "multiplicative"), (5, "additive"), (8, "multiplicative")]
 
 
 def top_level(source: str):

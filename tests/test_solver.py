@@ -752,6 +752,34 @@ class TestWorkingSet:
         if set_min < solver.WORKING_SET_MIN and variant != "additive":
             assert state.working_set_blocks > set_min
 
+    @pytest.mark.parametrize("max_iters", [8, 12])
+    def test_gap_at_the_cap_comes_from_the_full_product(self, monkeypatch, max_iters):
+        # a 30-block seed leaves the set partial at the cap: the gap is taken
+        # from the full product of the last gradient's residuals, not from
+        # that gradient, whose blocks outside the set are zero
+        monkeypatch.setattr(solver, "WORKING_SET_MIN", 30)
+        design, gs, h = self.problem()
+        h = dataclasses.replace(h, max_iters=max_iters)
+        points, real = [], solver.risk_gradient
+
+        def recording(p, *args, **kwargs):
+            points.append(p.copy())  # y may be the reused extrapolation buffer
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "risk_gradient", recording)
+        _, state = fit(design, gs, h)
+        assert state.stop_reason == "max_iters" and len(points) == max_iters
+        assert state.working_set_blocks < design.n_imaging * gs.n_groups
+        parts = {}
+        full = risk_gradient(points[-1], design, h.variant, parts=parts)
+        col_means = solver._transposed_product(np.ones(design.n_samples), design, h.variant)
+        total = state.history[-1].total
+        gap = solver._duality_gap(total, full, parts["residual"], col_means, design, gs, h)
+        assert state.gap.hex() == gap.hex()
+        monkeypatch.undo()
+        p_ref, _ = reference_solve(design, gs, h)
+        assert total - objective(p_ref, design, gs, h).total <= state.gap
+
     @pytest.mark.parametrize("variant", ["additive", "multiplicative"])
     def test_pinned_blocks_stay_zero_in_every_candidate(self, monkeypatch, variant):
         # every point the fit scores, its start and each trial's candidate
