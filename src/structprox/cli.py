@@ -375,6 +375,10 @@ def cmd_predict(args) -> int:
         record.check_groups(gs)
     except ValueError as exc:
         raise ValueError("%s: %s" % (args.groups, exc)) from None
+    dims = (params.n_imaging, params.expanded_size)
+    if dims != (record.n_imaging, gs.expanded_size):
+        raise ValueError("%s: model dims %r do not match the scaler and groups' (%d, %d)"
+                         % (args.model, dims, record.n_imaging, gs.expanded_size))
     probs, labels = predict(
         params, record, gs, genetic, imaging, threshold=args.threshold, variant=variant
     )

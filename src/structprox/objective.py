@@ -23,10 +23,12 @@ fit most of ``W`` is often zero, and the solver's working set asks for a
 few blocks of the gradient.  One rule picks the kernel for the blocks live
 in :func:`margins` or marked in :func:`risk_gradient`'s mask: up to half of
 all blocks, one small product per group forms them (:func:`_add_live_blocks`,
-:func:`_add_masked_blocks`); past half, the dense product does, and a
-gradient zeroes the unmarked blocks.  The two kernels differ in rounding
-only.  The interaction gradient scales the imaging matrix by the
-residuals, an N x n_imaging temporary, rather than the N x E genetic one.
+:func:`_add_masked_blocks`), with the genetic main effect in the same
+products as the blocks of an imaging row of ones, so each genetic column is
+read once; past half, the dense products do, and a gradient zeroes the
+unmarked blocks.  The two kernels differ in rounding only.  The dense
+interaction gradient scales the imaging matrix by the residuals, an
+N x n_imaging temporary, rather than the N x E genetic one.
 
 The logistic terms use overflow-free forms with one exponential of
 ``-|t|``: :func:`sigmoid` is ``1 / (1 + e)`` for ``t >= 0`` and
@@ -129,6 +131,9 @@ class Design:
             cross_scale = record.cross_scale.take(groups.expansion_index, axis=1)
         self.imaging = data.imaging
         self.genetic = data.genetic
+        # the per-group kernels gather C-contiguous imaging rows, and ones for the genetic term
+        self._imaging_rows = np.ones((data.n_imaging + 1, data.n_samples))
+        self._imaging_rows[:-1] = data.imaging.T
         self.labels = data.labels
         self.cross_mean = cross_mean
         self.cross_scale = cross_scale
@@ -182,10 +187,11 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
 
     When at most half of the (imaging row, group) blocks of ``W`` hold a
     nonzero entry, the interaction term is summed over those blocks alone,
-    and a zero ``W`` adds none; otherwise the dense product ``genetic @ W.T``
-    forms it.  The choice changes rounding only.  A term is skipped, whatever
-    its block holds, when ``variant`` pins that block in ``core``'s table; an
-    unknown variant raises ``ValueError``, in the risk and gradient too.
+    by products per group that form the genetic term too, and a zero ``W``
+    adds none; otherwise ``genetic @ W.T`` forms it.  The choice changes
+    rounding only.  A term is skipped, whatever its block holds, when
+    ``variant`` pins that block in ``core``'s table; an unknown variant
+    raises ``ValueError``, in the risk and gradient too.
     """
     if p.interaction.shape != (design.n_imaging, design.expanded_size):
         raise ValueError(
@@ -198,17 +204,20 @@ def margins(p: ParameterSet, design: Design, variant: str = "multilevel") -> np.
     else:
         m = design.imaging @ p.imaging
         m += p.intercept
-    if "genetic" not in pinned:
-        m += design.genetic @ p.genetic
-    if "interaction" in pinned:
-        return m
     w = p.interaction
     # One pass over W gives the live mask, which also tells a zero W (no
     # block live) apart; logical_or reads a nonzero float as true.
-    live = np.logical_or.reduceat(w, design.groups.offsets, axis=1)
-    if _few_blocks(live):
-        if live.any():
-            _add_live_blocks(m, w, design, live)
+    live = None
+    if "interaction" not in pinned:
+        live = np.logical_or.reduceat(w, design.groups.offsets, axis=1)
+        if _few_blocks(live):
+            if live.any():
+                _add_live_blocks(m, w, design, live, None if "genetic" in pinned else p.genetic)
+                return m
+            live = None  # a zero W
+    if "genetic" not in pinned:
+        m += design.genetic @ p.genetic
+    if live is None:
         return m
     w = w / design.cross_scale
     # <W, C_k> for every k via one matrix product and a row-wise dot.
@@ -245,31 +254,41 @@ def _block_entries(blocks: np.ndarray, gs: GroupStructure):
     return rows, entry_rows, entry_cols, list(runs)
 
 
-def _add_live_blocks(m: np.ndarray, w: np.ndarray, design: Design, live: np.ndarray) -> None:
-    """Add the interaction term to ``m`` from the blocks of ``w`` marked in
-    the (n_imaging, n_groups) mask ``live``.
+def _add_live_blocks(m: np.ndarray, w: np.ndarray, design: Design, live: np.ndarray,
+                     genetic: np.ndarray | None) -> None:
+    """Add to ``m`` the interaction term of the blocks of ``w`` marked in the
+    (n_imaging, n_groups) mask ``live`` and, unless ``genetic`` is ``None``,
+    the genetic term, as the blocks of an imaging row of ones (cross mean 0,
+    scale 1) in the groups where ``genetic`` is nonzero.
 
-    The entries of all live blocks are gathered, scaled and dotted with the
-    cross means at once, into vectors as long as those entries (at most
-    half of ``w``).  Then one pass per live group forms one (live rows, N)
-    product of the group's gathered rows with its genetic columns and adds
-    its row-wise dot with the same imaging columns, so a pass allocates at
-    most N x (live rows of that group) values.  The products are not
-    stacked: with thousands of live blocks a (live blocks, N) buffer would
-    outweigh the design.
+    The entries of all those blocks are gathered at once, the interaction's
+    scaled and dotted with the cross means.  Then each group with a block
+    forms one (blocks, N) product of its gathered rows with its genetic
+    columns, read once, and adds the row-wise dot with the same rows'
+    imaging columns.  The products are not stacked: with thousands of live
+    blocks a (live blocks, N) buffer would outweigh the design.
     """
     gs = design.groups
-    genetic_t, imaging_t = design.genetic.T, design.imaging.T
+    if genetic is not None:
+        live = np.vstack([live, np.logical_or.reduceat(genetic, gs.offsets)])
     rows, entry_rows, entry_cols, runs = _block_entries(live, gs)
+    inner = entry_rows < design.n_imaging  # the interaction's entries
+    coef = np.empty(inner.size)
+    if genetic is not None:
+        coef[~inner] = genetic[entry_cols[~inner]]
+    entry_rows, entry_cols = entry_rows[inner], entry_cols[inner]
     wl = w[entry_rows, entry_cols]
     wl /= design.cross_scale[entry_rows, entry_cols]
+    coef[inner] = wl
     offset = float(wl @ design.cross_mean[entry_rows, entry_cols])
-    del entry_rows, entry_cols  # freed before the passes allocate theirs
-    offsets, widths = gs.offsets.tolist(), gs.sizes.tolist()
+    del entry_rows, entry_cols, wl  # freed before the passes allocate theirs
+    genetic_t, offsets, widths = design.genetic.T, gs.offsets.tolist(), gs.sizes.tolist()
     for l, a, b, start in runs:
         cols = slice(offsets[l], offsets[l] + widths[l])
-        wb = wl[start : start + (b - a) * widths[l]].reshape(b - a, widths[l])
-        m += np.einsum("rn,rn->n", wb @ genetic_t[cols], imaging_t[rows[a:b]])
+        products = coef[start : start + (b - a) * widths[l]].reshape(b - a, -1) @ genetic_t[cols]
+        products *= design._imaging_rows.take(rows[a:b], axis=0)
+        m += products.sum(axis=0)
+        del products  # freed before the next pass allocates its own
     m -= offset
 
 
@@ -313,8 +332,8 @@ def risk_gradient(
     to half of the blocks and by the dense product past half: they equal
     the dense gradient's up to rounding, and every other interaction block
     is returned as zeros, as a pinned block is.  The imaging, genetic and
-    intercept blocks are formed in full either way; no mask marks every
-    block.
+    intercept blocks are formed in full either way, the genetic block in the
+    per-group products if they run; no mask marks every block.
     """
     m = margins(p, design, variant)
     r = sigmoid(m) - design.labels
@@ -337,11 +356,12 @@ def _transposed_product(
     n = design.n_samples
     grad = ParameterSet.zeros(design.n_imaging, design.expanded_size)
     grad.intercept = mean_r = r.sum() / n
-    pinned = _pinned_blocks(variant)
-    if "interaction" not in pinned:
+    done = _pinned_blocks(variant)  # the blocks left at zero, or formed below
+    if "interaction" not in done:
         gw = grad.interaction
         if _few_blocks(blocks):
-            _add_masked_blocks(gw, r, mean_r, design, blocks)
+            _add_masked_blocks(grad, r, mean_r, design, blocks, "genetic" not in done)
+            done += ("genetic",)
         else:
             np.matmul((design.imaging * r[:, None]).T, design.genetic, out=gw)
             gw /= n
@@ -349,38 +369,44 @@ def _transposed_product(
             gw /= design.cross_scale
             _zero_outside(gw, blocks, design.groups)
     for block in ("imaging", "genetic"):
-        if block not in pinned:
+        if block not in done:
             out = getattr(grad, block)  # `grad.imaging /= n` would also run the setter
             np.matmul(getattr(design, block).T, r, out=out)
             out /= n
     return grad.flat()
 
 
-def _add_masked_blocks(
-    gw: np.ndarray, r: np.ndarray, mean_r: float, design: Design, blocks: np.ndarray
-) -> None:
-    """Write into the zero interaction gradient ``gw`` the blocks marked in
-    the (n_imaging, n_groups) mask ``blocks``.
+def _add_masked_blocks(grad: ParameterSet, r: np.ndarray, mean_r: float, design: Design,
+                       blocks: np.ndarray, genetic: bool) -> None:
+    """Write into the zero gradient ``grad`` the interaction blocks marked in
+    the (n_imaging, n_groups) mask ``blocks`` and, if ``genetic``, the
+    genetic block, as the blocks of an imaging row of ones in every group.
 
-    The imaging columns are scaled by the residuals, and each marked
-    block's row of them gathered, a (marked blocks) x N temporary.  Then one
-    product per group with a marked row, of those scaled rows with the
-    group's genetic columns, fills that group's blocks in a vector of the
-    marked entries, which the cross means and scales then correct as the
-    dense path corrects all of ``gw``.
+    The imaging rows and the row of ones are scaled by the residuals.  Then
+    one product per group with a block, of its blocks' scaled rows with the
+    group's genetic columns, fills those blocks in a vector of their
+    entries, and the cross means and scales correct the interaction's
+    entries as the dense path corrects all of them.
     """
     gs = design.groups
+    if genetic:
+        blocks = np.vstack([blocks, np.ones(gs.n_groups, dtype=bool)])
     rows, entry_rows, entry_cols, runs = _block_entries(blocks, gs)
-    scaled = np.multiply(design.imaging.T, r, order="C")[rows]
+    scaled = np.multiply(design._imaging_rows, r)
     values = np.empty(entry_rows.size)
     offsets, widths = gs.offsets.tolist(), gs.sizes.tolist()
     for l, a, b, start in runs:
+        cols = slice(offsets[l], offsets[l] + widths[l])
         out = values[start : start + (b - a) * widths[l]].reshape(b - a, widths[l])
-        np.matmul(scaled[a:b], design.genetic[:, offsets[l] : offsets[l] + widths[l]], out=out)
+        np.matmul(scaled.take(rows[a:b], axis=0), design.genetic[:, cols], out=out)
     values /= design.n_samples
+    inner = entry_rows < design.n_imaging  # the interaction's entries
+    if genetic:  # each group's row of ones, in group order
+        grad.genetic = values[~inner]
+    entry_rows, entry_cols, values = entry_rows[inner], entry_cols[inner], values[inner]
     values -= mean_r * design.cross_mean[entry_rows, entry_cols]
     values /= design.cross_scale[entry_rows, entry_cols]
-    gw[entry_rows, entry_cols] = values
+    grad.interaction[entry_rows, entry_cols] = values
 
 
 def _zero_outside(gw: np.ndarray, blocks: np.ndarray, gs: GroupStructure) -> None:

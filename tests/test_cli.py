@@ -739,16 +739,16 @@ class TestPredict:
 
         model_dir = self.fit_model(data_dir, tmp_path)
         # the fixture's 3 imaging columns and 4 groups of 3, expanded to 12
-        # columns; margins' shape check rejects a model of other dimensions
-        for n_imaging, expanded_size in ((3, 13), (2, 12)):
-            save_params(str(model_dir / "params.txt"),
-                        ParameterSet.zeros(n_imaging, expanded_size))
+        # columns; a model of other dimensions is rejected by its file's name
+        model = model_dir / "params.txt"
+        for n_imaging, expanded_size in ((3, 13), (2, 12), (4, 12)):
+            save_params(str(model), ParameterSet.zeros(n_imaging, expanded_size))
             code = run(["predict", *self.predict_flags(data_dir, model_dir),
                         "--out", tmp_path / "pred"])
             assert code == 1
             assert capsys.readouterr().err == (
-                "error: input: interaction shape (%d, %d) does not match design (3, 12)\n"
-                % (n_imaging, expanded_size)
+                "error: input: %s: model dims (%d, %d) do not match the scaler and "
+                "groups' (3, 12)\n" % (model, n_imaging, expanded_size)
             )
         assert not (tmp_path / "pred").exists()
 

@@ -204,9 +204,9 @@ def count_block_path(monkeypatch):
     original = module._add_live_blocks
     seen = []
 
-    def counting(m, w, design, live):
+    def counting(m, w, design, live, *rest):
         seen.append(int(live.sum()))
-        return original(m, w, design, live)
+        return original(m, w, design, live, *rest)
 
     monkeypatch.setattr(module, "_add_live_blocks", counting)
     return seen
@@ -269,6 +269,59 @@ class TestBlockMargins:
         assert seen == ([n_live] if block_path else [])
         dense = dense_margins(p, design, variant)
         assert np.abs(m - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def sparse_params(self, gs, design, live_blocks, genetic_groups):
+        """Random parameters whose ``W`` is live in the (row, group) blocks
+        ``live_blocks`` alone and whose genetic block is nonzero in
+        ``genetic_groups`` alone."""
+        p = random_params(24, design.n_imaging, gs.expanded_size)
+        live = np.zeros((design.n_imaging, gs.n_groups), dtype=bool)
+        live[tuple(zip(*live_blocks))] = True
+        p.interaction[~np.repeat(live, gs.sizes, axis=1)] = 0.0
+        p.genetic[~np.isin(np.arange(gs.n_groups), genetic_groups).repeat(gs.sizes)] = 0.0
+        return p
+
+    @pytest.mark.parametrize("standardized", [False, True], ids=["raw", "cross-stats"])
+    # group 2's genetic block is nonzero with no live row; group 1 has live
+    # rows and a zero genetic block
+    @pytest.mark.parametrize("live_blocks, genetic_groups", [
+        ([(1, 0)], [0, 2]),
+        ([(1, 0), (0, 1), (3, 1)], [0]),
+    ], ids=["genetic-only-group", "interaction-only-group"])
+    def test_genetic_term_in_the_group_products(
+        self, monkeypatch, standardized, live_blocks, genetic_groups
+    ):
+        gs, design = self.instance(standardized)
+        p = self.sparse_params(gs, design, live_blocks, genetic_groups)
+        seen = count_block_path(monkeypatch)
+        m = margins(p, design)
+        assert seen == [len(live_blocks)]
+        dense = dense_margins(p, design)
+        assert np.abs(m - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("standardized", [False, True], ids=["raw", "cross-stats"])
+    def test_pinned_terms_skipped_on_the_block_path(self, monkeypatch, standardized):
+        gs, design = self.instance(standardized)
+        p = self.sparse_params(gs, design, [(1, 0), (2, 3)], [0, 1, 2, 3])
+        assert p.imaging.any() and p.genetic.any()
+        seen = count_block_path(monkeypatch)
+        # multiplicative: the block path skips the nonzero imaging and genetic terms
+        m = margins(p, design, "multiplicative")
+        assert seen == [2]
+        dense = dense_margins(p, design, "multiplicative")
+        assert np.abs(m - dense).max() <= 1e-12 * np.abs(dense).max()
+        q = p.copy()
+        q.imaging[:] = q.genetic[:] = 0.0
+        assert m.tobytes() == margins(q, design).tobytes()
+        # additive: the nonzero W takes no path at all
+        n_block = len(seen)
+        m = margins(p, design, "additive")
+        assert len(seen) == n_block
+        dense = dense_margins(p, design, "additive")
+        assert np.abs(m - dense).max() <= 1e-12 * np.abs(dense).max()
+        q = p.copy()
+        q.interaction[:] = 0.0
+        assert m.tobytes() == margins(q, design).tobytes()
 
     def test_group_layout_of_other_size_rejected(self):
         d, _, _ = random_instance(1)
@@ -604,9 +657,34 @@ class TestMaskedGradient:
                                        rtol=1e-12, atol=1e-16)
             assert masked.interaction[entries].any()
         assert not masked.interaction[~entries].any()
-        # every other block, and the parts, come from the same code
-        assert g[entries.size:].tobytes() == dense.flat()[entries.size:].tobytes()
+        # the genetic block comes out of the per-group products unless the
+        # interaction is pinned; the imaging, intercept and parts come from
+        # the same code
+        if variant == "multilevel":
+            err = np.abs(masked.genetic - dense.genetic).max()
+            assert err <= 1e-12 * np.abs(dense.genetic).max()
+        else:
+            assert masked.genetic.tobytes() == dense.genetic.tobytes()
+        assert masked.imaging.tobytes() == dense.imaging.tobytes()
+        assert masked.intercept == dense.intercept
         assert parts["risk"] == risk(p, design, variant)
+
+    @pytest.mark.parametrize("variant", ["multilevel", "additive", "multiplicative"])
+    def test_genetic_block_formed_in_groups_without_a_marked_block(self, variant):
+        # the mask marks two rows of group 0 alone; the genetic block has no mask
+        gs, design = self.instance("standardized")
+        p = random_params(39, design.n_imaging, gs.expanded_size, scale=0.1)
+        blocks = np.zeros((design.n_imaging, gs.n_groups), dtype=bool)
+        blocks[[0, 2], 0] = True
+        dense = ParameterSet.from_flat(risk_gradient(p, design, variant),
+                                       design.n_imaging, gs.expanded_size)
+        masked = ParameterSet.from_flat(risk_gradient(p, design, variant, blocks=blocks),
+                                        design.n_imaging, gs.expanded_size)
+        err = np.abs(masked.genetic - dense.genetic).max()
+        assert err <= 1e-12 * np.abs(dense.genetic).max()
+        assert masked.genetic.any() == (variant != "multiplicative")
+        entries = blocks.repeat(gs.sizes, axis=1)
+        assert not masked.interaction[~entries].any()
 
     @pytest.mark.parametrize("variant", ["multilevel", "multiplicative"])
     def test_mask_past_half_takes_the_dense_kernel_zeroed_outside(self, variant):
