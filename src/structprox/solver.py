@@ -39,20 +39,22 @@ the set and restarts the momentum instead of letting the fit stop.
 
 Iterates and gradients share the one buffer layout of
 :class:`~structprox.core.ParameterSet`.  A line search gathers ``y`` and
-the gradient once at the working set's entries, in buffer order: the
-interaction entries of the set's blocks, then the imaging, genetic and
-intercept tail.  Each trial forms the gradient step on those entries
-alone, each proximal operator works in place on its part of it, the
-gradient mapping and both inner products of the acceptance bound come
-from the gathered vectors, and the candidate's buffer is zeros with those
-entries written in.  The extrapolation is written at the same entries into
-one reused buffer.  The entries are listed again only when the set
-changes; on a whole set they are the whole buffer in order, so a small
-design runs the arithmetic of a full-buffer step.  One group
-soft-threshold serves every group-lasso block, and :func:`prox_group`
-applies it to a single block.  On small designs an iteration costs the
-per-call overhead of its numpy calls far more than arithmetic, so the loop
-keeps those calls few.
+the gradient once at the working set's entries: the group-lasso blocks
+first, the set's interaction blocks in buffer order and then the genetic
+groups, listed as the blocks of an imaging row of ones with strength
+``lambda_G`` (as :mod:`structprox.objective`'s block kernels list them),
+then the imaging entries and the intercept.  Each trial forms the gradient step on those
+entries alone, one group soft-threshold covers every group-lasso block,
+the ridge shrinks the imaging entries in place, the gradient mapping and
+both inner products of the acceptance bound come from the gathered
+vectors, and the candidate's buffer is zeros with those entries written
+in.  The extrapolation is written at the same entries into one reused
+buffer.  The entries are listed again only when the set changes; on a
+whole set they are every entry of the buffer, so a small design runs the
+arithmetic of a full-buffer step.  :func:`prox_group` applies the same
+soft-threshold to a single block.  On small designs an iteration costs
+the per-call overhead of its numpy calls far more than arithmetic, so the
+loop keeps those calls few.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GroupStructure, Hyperparameters, ParameterSet, flat_length
-from .objective import (Design, _block_layout, _check_groups, _group_norms, _transposed_product,
-                        penalty, risk, risk_gradient)
+from .objective import (Design, _check_groups, _group_norms, _transposed_product, penalty, risk,
+                        risk_gradient)
 
 __all__ = [
     "SolverFailure",
@@ -176,49 +178,52 @@ def _prox_group_rows(omega: np.ndarray, offsets, sizes, thresholds) -> None:
 
 @dataclass(frozen=True)
 class _Entries:
-    """The entries of the flat parameter buffer that a line search moves:
-    the interaction entries of a working set's blocks, in buffer order,
-    then the imaging, genetic and intercept tail, as flat positions
-    ``index``.  ``offsets``, ``sizes`` and ``weights`` give each set
-    block's start among the gathered entries, its length and its group's
-    weight."""
+    """The entries of the flat parameter buffer that a line search moves,
+    as flat positions ``index``: first the group-lasso blocks, that is the
+    interaction entries of a working set's blocks in buffer order and then
+    the genetic groups, the blocks of an imaging row of ones; then the
+    imaging entries and the intercept.  ``offsets``, ``sizes``,
+    ``strengths`` and ``weights`` give each block's start among the
+    gathered entries, its length, its penalty strength (``lambda_W`` or
+    ``lambda_G``) and its group's weight."""
 
     index: np.ndarray
     offsets: np.ndarray
     sizes: np.ndarray
+    strengths: np.ndarray
     weights: np.ndarray
 
 
-def _set_entries(blocks: np.ndarray, gs: GroupStructure) -> _Entries:
+def _set_entries(blocks: np.ndarray, gs: GroupStructure, h: Hyperparameters) -> _Entries:
     """The :class:`_Entries` of the blocks marked in the (n_imaging,
-    n_groups) bool mask ``blocks``.  For a whole mask ``index`` lists every
-    entry of the buffer in order."""
+    n_groups) bool mask ``blocks``, under the strengths of ``h``."""
     n_imaging, e = blocks.shape[0], gs.expanded_size
+    blocks = np.vstack([blocks, np.ones(gs.n_groups, dtype=bool)])  # the genetic groups last
     rows, groups = np.nonzero(blocks)  # row-major: the blocks in buffer order
-    sizes, offsets, entry_rows, entry_cols = _block_layout(rows, groups, gs)
-    tail = np.arange(n_imaging * e, flat_length(n_imaging, e))
-    return _Entries(np.concatenate([entry_rows * e + entry_cols, tail]), offsets, sizes,
+    index = np.flatnonzero(blocks.repeat(gs.sizes, axis=1))
+    index[-e:] += n_imaging  # the genetic block follows the imaging block in the buffer
+    tail = np.append(np.arange(n_imaging) + n_imaging * e, flat_length(n_imaging, e) - 1)
+    sizes = gs.sizes[groups]
+    strengths = np.where(rows < n_imaging, h.lambda_interaction, h.lambda_genetic)
+    return _Entries(np.concatenate([index, tail]), np.cumsum(sizes) - sizes, sizes, strengths,
                     gs.weights[groups])
 
 
-def _candidate(v: np.ndarray, step: float, entries: _Entries, gs: GroupStructure,
-               h: Hyperparameters, n_imaging: int) -> ParameterSet:
+def _candidate(v: np.ndarray, step: float, entries: _Entries, lambda_imaging: float,
+               design: Design) -> ParameterSet:
     """The candidate of the gradient step ``v`` gathered at ``entries``.
 
-    Each proximal operator works in place on its part of ``v``: the set's
-    interaction blocks and the genetic groups are soft-thresholded with
-    thresholds ``step * lambda * weight``, the imaging block is shrunk by
-    :func:`prox_ridge`, and the intercept keeps its plain gradient step.
-    ``v`` is then written into a buffer of zeros at ``entries.index``.
+    Each proximal operator works in place on its part of ``v``: one group
+    soft-threshold covers every group-lasso block, with thresholds ``step *
+    strength * weight``, the imaging block is shrunk by :func:`prox_ridge`,
+    and the intercept keeps its plain gradient step.  ``v`` is then written
+    into a buffer of zeros at ``entries.index``.
     """
-    e = gs.expanded_size
-    cut = v.size - n_imaging - e - 1  # the set's interaction entries end here
-    thresholds = step * h.lambda_interaction * entries.weights
+    n_imaging, e = design.n_imaging, design.expanded_size
+    cut = v.size - n_imaging - 1  # the group-lasso blocks end here
+    thresholds = step * entries.strengths * entries.weights
     _prox_group_rows(v[None, :cut], entries.offsets, entries.sizes, thresholds)
-    imaging, genetic = v[cut : cut + n_imaging], v[cut + n_imaging : -1]
-    imaging[...] = prox_ridge(imaging, step, h.lambda_imaging)
-    thresholds = step * h.lambda_genetic * gs.weights
-    _prox_group_rows(genetic[None, :], gs.offsets, gs.sizes, thresholds)
+    v[cut:-1] = prox_ridge(v[cut:-1], step, lambda_imaging)
     buf = np.zeros(flat_length(n_imaging, e))
     buf[entries.index] = v
     return ParameterSet._view(buf, n_imaging, e)
@@ -230,11 +235,13 @@ def _line_search(y: ParameterSet, design: Design, h: Hyperparameters, grad: np.n
     inequality holds.
 
     ``grad`` and ``risk_y`` are the risk gradient and risk at ``y``, and
-    ``entries`` a working set's :func:`_set_entries`, the only entries of
-    ``y`` and ``grad`` the search reads.  Both are gathered there once; each
-    trial forms the gradient step ``v = y - step * grad`` on those entries
-    alone, its candidate (:func:`_candidate`), and the gradient mapping
-    ``ghat = (y - candidate) / step``.  The candidate is accepted once
+    ``entries`` a working set's :func:`_set_entries` under ``h``, the only
+    entries of ``y`` and ``grad`` the search reads.  Both are gathered there
+    once, in the order of ``entries``; each trial forms the gradient step
+    ``v = y - step * grad`` on those entries alone, its candidate
+    (:func:`_candidate`), and the gradient mapping ``ghat = (y - candidate)
+    / step``, and sums both inner products below in that order.  The
+    candidate is accepted once
 
         risk(candidate) <= risk(y) - step * <grad, ghat> + step/2 * ||ghat||^2
 
@@ -246,7 +253,7 @@ def _line_search(y: ParameterSet, design: Design, h: Hyperparameters, grad: np.n
         raise ValueError("gradient contains non-finite entries")
     for shrinks in range(MAX_BACKTRACKS + 1):
         v = ys - step * g
-        candidate = _candidate(v, step, entries, design.groups, h, design.n_imaging)
+        candidate = _candidate(v, step, entries, h.lambda_imaging, design)
         ghat = (ys - v) / step
         bound = risk_y - step * float(g @ ghat) + 0.5 * step * float(ghat @ ghat)
         candidate_risk = risk(candidate, design, h.variant)
@@ -266,7 +273,7 @@ def _block_ratios(grad: np.ndarray, design: Design) -> np.ndarray:
     return _group_norms(g.interaction, gs.offsets) / gs.weights
 
 
-def _duality_gap(total, grad, residual, col_means, design, gs, h) -> float:
+def _duality_gap(total, grad, residual, col_means, design, h) -> float:
     """Duality gap of an iterate with objective ``total``, from the dual
     point built from a gradient ``grad`` and its residuals ``r = sigmoid(m)
     - y``, which point into [0, 1] from ``y``: ``r_k <= 0`` where ``y_k = 1``.
@@ -290,7 +297,7 @@ def _duality_gap(total, grad, residual, col_means, design, gs, h) -> float:
     itself: the risk's infimum is 0 and no finite optimum attains it.  No
     0 / 0 is formed, so degenerate labels raise no warning.
     """
-    sign = 1 - 2 * design.labels  # |s - y| = alpha * u * sign
+    gs, sign = design.groups, 1 - 2 * design.labels  # |s - y| = alpha * u * sign
     mean_r = grad[-1]
     u = residual - mean_r
     if (u * sign).min() >= 0.0:
@@ -397,7 +404,7 @@ def fit(
         grad = risk_gradient(y, design, h.variant, parts=parts, blocks=ws)
         if it == 1:
             ws = _seed_working_set(x, grad, design)
-            entries = _set_entries(ws, gs)
+            entries = _set_entries(ws, gs, h)
         z, step, shrinks, z_risk = _line_search(y, design, h, grad, parts["risk"], trial, entries)
         z_pen = penalty(z, gs, h)
         total = z_risk + z_pen
@@ -432,10 +439,10 @@ def fit(
                 if outside.any():
                     # not optimal on the full problem: admit every violator
                     ws |= outside
-                    entries = _set_entries(ws, gs)
+                    entries = _set_entries(ws, gs, h)
                     y, t = x, 1.0
                     continue
-            gap = _duality_gap(final, full, parts["residual"], col_means, design, gs, h)
+            gap = _duality_gap(final, full, parts["residual"], col_means, design, h)
             # the risk's terms round by about eps * |m| each, which no tol can undercut
             floor = np.finfo(float).eps * float(np.abs(parts["margins"]).mean())
             if gap <= GAP_GATE * max(h.tol * final, floor):
@@ -447,7 +454,7 @@ def fit(
     else:
         if not ws.all():
             grad = _transposed_product(parts["residual"], design, h.variant)
-        gap = _duality_gap(final, grad, parts["residual"], col_means, design, gs, h)
+        gap = _duality_gap(final, grad, parts["residual"], col_means, design, h)
     return x, SolverState(history, stop_reason, gap, int(np.count_nonzero(ws)), checks)
 
 

@@ -100,7 +100,7 @@ def line_search(p, design, h, grad, start=STEP_INIT):
     """The fit's line search from ``p`` on every entry, starting at the
     trial step ``start``; returns ``(candidate, step, shrinks, risk)``."""
     gs = design.groups
-    entries = solver._set_entries(np.ones((design.n_imaging, gs.n_groups), dtype=bool), gs)
+    entries = solver._set_entries(np.ones((design.n_imaging, gs.n_groups), dtype=bool), gs, h)
     return solver._line_search(p, design, h, grad, risk(p, design, h.variant), start, entries)
 
 
@@ -774,7 +774,7 @@ class TestWorkingSet:
         full = risk_gradient(points[-1], design, h.variant, parts=parts)
         col_means = solver._transposed_product(np.ones(design.n_samples), design, h.variant)
         total = state.history[-1].total
-        gap = solver._duality_gap(total, full, parts["residual"], col_means, design, gs, h)
+        gap = solver._duality_gap(total, full, parts["residual"], col_means, design, h)
         assert state.gap.hex() == gap.hex()
         monkeypatch.undo()
         p_ref, _ = reference_solve(design, gs, h)
@@ -808,13 +808,14 @@ class TestWorkingSet:
         assert len(risks) == 1 + state.iterations + backtracks
         assert len(gradients) == state.iterations
 
-    def test_line_search_moves_only_the_set(self, monkeypatch):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_line_search_moves_only_the_set(self, monkeypatch, variant):
         # a 30-block seed leaves most of the 500 blocks outside the set: every
         # trial is the full-buffer step, at its step size, of the gradient
         # zeroed outside the set, bit for bit, and every entry outside the set
         # stays 0.0 in y and in each candidate
         monkeypatch.setattr(solver, "WORKING_SET_MIN", 30)
-        design, gs, h = self.problem()
+        design, gs, h = self.problem(variant)
         sets, searches, scored = [], [], []  # searches: (y, grad, first trial, first scored)
         real_seed, real_search, real_risk = (
             solver._seed_working_set, solver._line_search, solver.risk)
